@@ -14,8 +14,8 @@ centralises that accounting:
   produce (``AttackReport.to_outcome()``, ``TransmissionResult
   .to_outcome()``) and that ``repro.scenarios`` aggregates over trials;
 * :class:`SuccessCriteria` — declarative thresholds (minimum accuracy,
-  maximum error rate, minimum leak rate) a scenario must clear, with the
-  JSON round-trip conventions of ``repro.service.spec``.
+  maximum error rate, minimum leak rate) a scenario must clear, encoded
+  by the strict :mod:`repro.wire` codec.
 
 Placed in ``repro.analysis`` — a foundation unit — so both the attack
 layers (``spectre``, ``channels``, ``sgx``) and the scenario registry
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
+from repro.wire import Wire
 
 __all__ = ["leak_kbps", "ScenarioOutcome", "SuccessCriteria"]
 
@@ -203,12 +204,8 @@ class ScenarioOutcome:
         )
 
 
-#: JSON field names ``SuccessCriteria.from_dict`` accepts.
-_CRITERIA_FIELDS = ("min_accuracy", "max_error_rate", "min_kbps")
-
-
 @dataclass(frozen=True)
-class SuccessCriteria:
+class SuccessCriteria(Wire):
     """Declarative thresholds an outcome must clear to count as success.
 
     At least one threshold must be set — criteria that cannot fail are a
@@ -262,29 +259,3 @@ class SuccessCriteria:
 
     def passed(self, outcome: ScenarioOutcome) -> bool:
         return not self.failures(outcome)
-
-    def to_dict(self) -> dict:
-        """JSON-safe form; stable key order via the field tuple."""
-        return {name: getattr(self, name) for name in _CRITERIA_FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SuccessCriteria":
-        """Parse criteria, rejecting unknown fields and bad types."""
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"success criteria must be a mapping, got {type(payload).__name__}"
-            )
-        unknown = sorted(set(payload) - set(_CRITERIA_FIELDS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown success-criteria fields: {', '.join(unknown)}"
-            )
-        kwargs: dict[str, float | None] = {}
-        for name in _CRITERIA_FIELDS:
-            value = payload.get(name)
-            if value is not None and not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"criteria field {name!r} must be a number, got {value!r}"
-                )
-            kwargs[name] = None if value is None else float(value)
-        return cls(**kwargs)

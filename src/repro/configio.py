@@ -11,17 +11,20 @@ a single JSON document pins a run completely::
     ...
     machine = ExperimentConfig.load("experiment.json").build_machine()
 
-Round-tripping is lossless and validated by construction (every dataclass
-re-runs its ``__post_init__`` checks on load).
+Round-tripping is lossless and validated by construction: the body
+decodes through the strict :mod:`repro.wire` codec (unknown, missing or
+wrong-typed fields are refused) and every dataclass re-runs its
+``__post_init__`` checks on load.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
+from repro import wire
 from repro.channels.base import ChannelConfig
 from repro.errors import ConfigurationError
 from repro.frontend.params import EnergyParams, FrontendParams
@@ -56,33 +59,21 @@ class ExperimentConfig:
     # serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "format_version": _FORMAT_VERSION,
-            "seed": self.seed,
-            "spec": dataclasses.asdict(self.spec),
-            "params": dataclasses.asdict(self.params),
-            "energy": dataclasses.asdict(self.energy),
-            "channel": dataclasses.asdict(self.channel),
-        }
+        return {"format_version": _FORMAT_VERSION, **wire.to_dict(self)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data: Mapping) -> "ExperimentConfig":
+        """Check the format version, then decode the body strictly."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(f"experiment config must be an object: {data!r}")
         version = data.get("format_version")
         if version != _FORMAT_VERSION:
             raise ConfigurationError(
                 f"unsupported config format version {version!r} "
                 f"(expected {_FORMAT_VERSION})"
             )
-        try:
-            return cls(
-                spec=MachineSpec(**data["spec"]),
-                seed=int(data["seed"]),
-                params=FrontendParams(**data["params"]),
-                energy=EnergyParams(**data["energy"]),
-                channel=ChannelConfig(**data["channel"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed experiment config: {exc}") from exc
+        body = {key: value for key, value in data.items() if key != "format_version"}
+        return wire.from_dict(cls, body)
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)

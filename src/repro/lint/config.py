@@ -40,7 +40,9 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     "rng": frozenset({"errors"}),
     "isa": frozenset({"errors"}),
     "caches": frozenset({"errors"}),
-    "analysis": frozenset({"errors"}),
+    # The strict JSON codec every wire-crossing spec dataclass shares.
+    "wire": frozenset({"errors"}),
+    "analysis": frozenset({"errors", "wire"}),
     # -- simulator core -------------------------------------------------
     # ``obs`` entered the frontend set when run_loop grew per-backend
     # sim.points/sim.latency instruments; obs is a foundation, so the
@@ -82,11 +84,12 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "obs",
             "rng",
             "sweep",
+            "wire",
         }
     ),
     # -- experiment plumbing --------------------------------------------
     "workloads": frozenset({"errors", "isa"}),
-    "configio": frozenset({"channels", "errors", "frontend", "machine"}),
+    "configio": frozenset({"channels", "errors", "frontend", "machine", "wire"}),
     "validate": frozenset({"errors", "fingerprint", "frontend", "isa", "machine"}),
     # sweep <-> exec are one layer split over two modules: the sweep
     # grid model and the executors that run it share canonical identity
@@ -118,6 +121,7 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "spectre",
             "sweep",
             "synth",
+            "wire",
         }
     ),
     # -- service layer ---------------------------------------------------
@@ -131,6 +135,7 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "obs",
             "scenarios",
             "sweep",
+            "wire",
         }
     ),
     # -- cluster fabric ---------------------------------------------------
@@ -248,6 +253,7 @@ class LintConfig:
         "measure",
         "obs",
         "synth",
+        "wire",
     )
     #: Packages whose ``async def`` bodies must never block the loop,
     #: and whose shared state the ``race-*`` family audits for

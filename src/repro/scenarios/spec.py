@@ -4,10 +4,8 @@ A :class:`ScenarioSpec` is a complete, JSON-round-trippable description
 of one attack reproduction: which runner *kind* executes it, which
 machine it runs on, its kind-specific parameters, how many trials to
 pool, and the :class:`~repro.analysis.outcome.SuccessCriteria` the
-pooled outcome must clear.  The serialisation conventions mirror
-``repro.service.spec.SweepSpec`` — plain-JSON ``to_dict``/``from_dict``
-with unknown-field rejection — so specs cross the sweep service's wire
-unchanged.
+pooled outcome must clear.  Like every spec that crosses the sweep
+service's wire, it is encoded and strictly decoded by :mod:`repro.wire`.
 
 Scenario *kinds* name runner families (how a spec is executed); the
 registry maps scenario *names* to concrete parameterisations.  Three
@@ -28,12 +26,12 @@ kinds exist today:
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.analysis.outcome import SuccessCriteria
 from repro.errors import ConfigurationError
+from repro.wire import Wire
 
 __all__ = ["SCENARIO_KINDS", "ScenarioSpec"]
 
@@ -42,7 +40,7 @@ SCENARIO_KINDS = ("frontal", "channel", "spectre-v2", "synth")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Wire):
     """One registered attack scenario, as data."""
 
     name: str
@@ -91,62 +89,3 @@ class ScenarioSpec:
             trials=self.trials if trials is None else trials,
             base_seed=self.base_seed if base_seed is None else base_seed,
         )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON form, stable under ``json.dumps(sort_keys=True)``."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "title": self.title,
-            "machine": self.machine,
-            "criteria": self.criteria.to_dict(),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "params": dict(self.params),
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON text (byte-identical for equal specs)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ScenarioSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"scenario spec must be an object: {payload!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario spec field(s) {unknown}"
-            )
-        missing = sorted(
-            {"name", "kind", "title", "machine", "criteria"} - set(payload)
-        )
-        if missing:
-            raise ConfigurationError(
-                f"scenario spec missing required field(s) {missing}"
-            )
-        params = payload.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ConfigurationError("scenario params must be an object")
-        return cls(
-            name=str(payload["name"]),
-            kind=str(payload["kind"]),
-            title=str(payload["title"]),
-            machine=str(payload["machine"]),
-            criteria=SuccessCriteria.from_dict(payload["criteria"]),
-            trials=int(payload.get("trials", 3)),
-            base_seed=int(payload.get("base_seed", 0)),
-            params=dict(params),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid scenario JSON: {exc}") from exc
-        return cls.from_dict(payload)

@@ -16,7 +16,6 @@ dimension, exactly as for channel sweeps.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -26,6 +25,7 @@ from repro.obs import get_registry
 from repro.scenarios import registry
 from repro.scenarios.runners import run_trial
 from repro.sweep import ParameterSweep, SweepPoint
+from repro.wire import Wire
 
 __all__ = ["ScenarioSweepSpec", "scenario_point_metrics"]
 
@@ -46,12 +46,12 @@ def scenario_point_metrics(name: str, point: SweepPoint) -> dict:
 
 
 @dataclass(frozen=True)
-class ScenarioSweepSpec:
+class ScenarioSweepSpec(Wire):
     """JSON-safe description of one scenario-grid sweep job.
 
-    Mirrors :class:`repro.service.spec.SweepSpec`; the ``scenario``
-    field names a registered scenario and doubles as the submit-op
-    dispatch key.
+    The scenario-grid sibling of :class:`repro.service.spec.SweepSpec`,
+    with the same :mod:`repro.wire` codec; the ``scenario`` field names
+    a registered scenario and doubles as the submit-op dispatch key.
     """
 
     scenario: str
@@ -90,40 +90,4 @@ class ScenarioSweepSpec:
             {name: list(values) for name, values in self.grid.items()},
             trials=int(self.trials),
             base_seed=int(self.base_seed),
-        )
-
-    def to_dict(self) -> dict:
-        """Plain-JSON form (the ``spec`` field of a ``submit`` request)."""
-        return {
-            "scenario": self.scenario,
-            "grid": {name: list(values) for name, values in self.grid.items()},
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "priority": self.priority,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ScenarioSweepSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"scenario sweep spec must be an object: {payload!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario sweep spec field(s) {unknown}"
-            )
-        if "scenario" not in payload:
-            raise ConfigurationError("scenario sweep spec needs a scenario name")
-        grid = payload.get("grid")
-        if not isinstance(grid, Mapping):
-            raise ConfigurationError("scenario sweep spec needs a grid object")
-        return cls(
-            **{
-                **payload,
-                "scenario": str(payload["scenario"]),
-                "grid": {str(k): list(v) for k, v in grid.items()},
-            }
         )

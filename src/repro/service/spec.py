@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.machine.specs import spec_by_name
 from repro.sweep import ParameterSweep, SweepPoint
+from repro.wire import Wire
 
 __all__ = [
     "CHANNEL_NAMES",
@@ -168,8 +169,14 @@ def parse_param_axis(text: str) -> tuple[str, list]:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """JSON-safe description of one channel-parameter sweep job."""
+class SweepSpec(Wire):
+    """JSON-safe description of one channel-parameter sweep job.
+
+    ``to_dict()`` is the ``spec`` field of a ``submit`` request;
+    :mod:`repro.wire` decodes it strictly, so a malformed grid (an axis
+    that is a number or a string rather than an array) is refused with a
+    :class:`~repro.errors.ConfigurationError`.
+    """
 
     grid: Mapping[str, Sequence[object]]
     machine: str = "Gold 6226"
@@ -215,33 +222,6 @@ class SweepSpec:
             trials=int(self.trials),
             base_seed=int(self.base_seed),
         )
-
-    def to_dict(self) -> dict:
-        """Plain-JSON form (the ``spec`` field of a ``submit`` request)."""
-        return {
-            "grid": {name: list(values) for name, values in self.grid.items()},
-            "machine": self.machine,
-            "channel": self.channel,
-            "variant": self.variant,
-            "bits": self.bits,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "priority": self.priority,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SweepSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(f"sweep spec must be an object: {payload!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown sweep spec field(s) {unknown}")
-        grid = payload.get("grid")
-        if not isinstance(grid, Mapping):
-            raise ConfigurationError("sweep spec needs a grid object")
-        return cls(**{**payload, "grid": {str(k): list(v) for k, v in grid.items()}})
 
 
 def load_spec(payload: Mapping[str, object]):

@@ -28,14 +28,13 @@ equal genomes always build byte-identical :class:`LoopProgram` bodies.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.isa.blocks import MixBlock, lcp_block, standard_mix_block
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
+from repro.wire import Wire
 
 __all__ = [
     "SEGMENT_KINDS",
@@ -61,7 +60,7 @@ MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
-class Segment:
+class Segment(Wire):
     """One chained run of same-set blocks in a candidate body."""
 
     kind: str = "std"
@@ -89,32 +88,6 @@ class Segment:
             raise ConfigurationError(
                 f"lcp_sets must be in 1..8, got {self.lcp_sets}"
             )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dsb_set": self.dsb_set,
-            "count": self.count,
-            "misaligned": self.misaligned,
-            "lcp_sets": self.lcp_sets,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "Segment":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(f"segment must be an object: {payload!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown segment field(s) {unknown}")
-        return cls(
-            kind=str(payload.get("kind", "std")),
-            dsb_set=int(payload.get("dsb_set", 0)),
-            count=int(payload.get("count", 1)),
-            misaligned=bool(payload.get("misaligned", False)),
-            lcp_sets=int(payload.get("lcp_sets", 4)),
-        )
 
     # ------------------------------------------------------------------
     def blocks(
@@ -145,7 +118,7 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class CandidateProgram:
+class CandidateProgram(Wire):
     """A complete sender/receiver genome (see module docstring)."""
 
     probe: tuple[Segment, ...]
@@ -249,57 +222,7 @@ class CandidateProgram:
             LoopProgram(one, self.iterations, "synth.bit1"),
         )
 
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "probe": [segment.to_dict() for segment in self.probe],
-            "encode": [segment.to_dict() for segment in self.encode],
-            "decoy_stride": self.decoy_stride,
-            "iterations": self.iterations,
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON (byte-identical for equal genomes)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     #: ``key()`` is the genome's identity for corpus dedup and seed
-    #: derivation — purely structural, no labels or provenance.
-    key = to_json
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "CandidateProgram":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(f"candidate must be an object: {payload!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown candidate field(s) {unknown}")
-        missing = sorted({"probe", "encode"} - set(payload))
-        if missing:
-            raise ConfigurationError(
-                f"candidate missing required field(s) {missing}"
-            )
-        probe = payload["probe"]
-        encode = payload["encode"]
-        if not isinstance(probe, (list, tuple)) or not isinstance(
-            encode, (list, tuple)
-        ):
-            raise ConfigurationError(
-                "candidate probe/encode must be arrays of segments"
-            )
-        return cls(
-            probe=tuple(Segment.from_dict(entry) for entry in probe),
-            encode=tuple(Segment.from_dict(entry) for entry in encode),
-            decoy_stride=int(payload.get("decoy_stride", 16)),
-            iterations=int(payload.get("iterations", 10)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CandidateProgram":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid candidate JSON: {exc}") from exc
-        return cls.from_dict(payload)
+    #: derivation: its canonical JSON — purely structural, no labels or
+    #: provenance.
+    key = Wire.to_json

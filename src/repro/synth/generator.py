@@ -27,9 +27,7 @@ Mutation operators (the ISSUE's four):
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from repro.synth.candidate import (
     CandidateProgram,
     Segment,
 )
+from repro.wire import Wire, canonical_json
 
 __all__ = ["GeneratorConfig", "ProgramGenerator", "MUTATION_NAMES"]
 
@@ -50,7 +49,7 @@ MUTATION_NAMES = ("splice", "align-shift", "prefix-toggle", "block-swap")
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Wire):
     """Grammar bounds and biases for fresh candidate draws."""
 
     max_probe_segments: int = 2
@@ -80,36 +79,6 @@ class GeneratorConfig:
                 raise ConfigurationError("rates must be probabilities")
         if not self.iterations:
             raise ConfigurationError("iterations choices must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_probe_segments": self.max_probe_segments,
-            "max_encode_segments": self.max_encode_segments,
-            "max_blocks": self.max_blocks,
-            "contend_bias": self.contend_bias,
-            "lcp_rate": self.lcp_rate,
-            "misalign_rate": self.misalign_rate,
-            "iterations": list(self.iterations),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "GeneratorConfig":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"generator config must be an object: {payload!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown generator config field(s) {unknown}"
-            )
-        kwargs = dict(payload)
-        if "iterations" in kwargs:
-            kwargs["iterations"] = tuple(
-                int(value) for value in kwargs["iterations"]  # type: ignore[union-attr]
-            )
-        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 class ProgramGenerator:
@@ -245,8 +214,4 @@ class ProgramGenerator:
     # ------------------------------------------------------------------
     def fingerprint_inputs(self, indices: range) -> str:
         """Canonical JSON of fresh draws — the hash-seed invariance probe."""
-        return json.dumps(
-            [self.generate(index).to_dict() for index in indices],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json([self.generate(index).to_dict() for index in indices])

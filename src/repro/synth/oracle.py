@@ -31,8 +31,6 @@ Scores flow through the shared outcome machinery:
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -50,6 +48,7 @@ from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.machine.specs import spec_by_name
 from repro.synth.candidate import CandidateProgram
+from repro.wire import Wire
 
 __all__ = [
     "OracleConfig",
@@ -97,7 +96,7 @@ class SynthChannel(CovertChannel):
 
 
 @dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Wire):
     """What one oracle evaluation costs and runs on."""
 
     machine: str = "Gold 6226"
@@ -111,40 +110,6 @@ class OracleConfig:
             raise ConfigurationError(
                 f"training_bits must be >= 4, got {self.training_bits}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "machine": self.machine,
-            "bits": self.bits,
-            "training_bits": self.training_bits,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "OracleConfig":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"oracle config must be an object: {payload!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown oracle config field(s) {unknown}")
-        return cls(
-            machine=str(payload.get("machine", "Gold 6226")),
-            bits=int(payload.get("bits", 32)),
-            training_bits=int(payload.get("training_bits", 12)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OracleConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid oracle JSON: {exc}") from exc
-        return cls.from_dict(payload)
 
 
 @dataclass(frozen=True)

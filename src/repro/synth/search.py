@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -39,6 +38,7 @@ from repro.sweep import SweepPoint
 from repro.synth.candidate import CandidateProgram, Segment
 from repro.synth.generator import GeneratorConfig, ProgramGenerator
 from repro.synth.oracle import LeakageOracle, OracleConfig
+from repro.wire import Wire, canonical_json
 
 __all__ = [
     "SearchConfig",
@@ -55,7 +55,7 @@ _EXPORT_MAX_ERROR = 0.20
 
 
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Wire):
     """One search campaign, as data (JSON-round-trippable)."""
 
     seed: int = 0
@@ -109,38 +109,6 @@ class SearchConfig:
             bits=self.bits,
             training_bits=self.training_bits,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget": self.budget,
-            "batch_size": self.batch_size,
-            "machine": self.machine,
-            "bits": self.bits,
-            "training_bits": self.training_bits,
-            "mutation_rate": self.mutation_rate,
-            "max_findings": self.max_findings,
-            "shrink_budget": self.shrink_budget,
-            "defenses": [dict(d) for d in self.defenses],
-            "generator": self.generator.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SearchConfig":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"search config must be an object: {payload!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown search config field(s) {unknown}")
-        kwargs = dict(payload)
-        if "generator" in kwargs:
-            kwargs["generator"] = GeneratorConfig.from_dict(kwargs["generator"])  # type: ignore[arg-type]
-        if "defenses" in kwargs:
-            kwargs["defenses"] = tuple(kwargs["defenses"])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +191,7 @@ def shrink(
 # findings + report
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Finding:
+class Finding(Wire):
     """One discovery: the genome, its minimal form, and the defense map."""
 
     candidate: CandidateProgram
@@ -233,19 +201,6 @@ class Finding:
     undefended: Mapping[str, object]
     #: Stack name -> verdict metrics of the *minimised* candidate.
     defenses: Mapping[str, Mapping[str, object]]
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate": self.candidate.to_dict(),
-            "minimized": self.minimized.to_dict(),
-            "fingerprint": self.fingerprint,
-            "shrink_steps": self.shrink_steps,
-            "undefended": dict(self.undefended),
-            "defenses": {
-                name: dict(metrics)
-                for name, metrics in self.defenses.items()
-            },
-        }
 
     def scenario_payload(
         self, name: str, machine: str, bits: int, base_seed: int
@@ -295,7 +250,7 @@ class SearchReport:
 
     def to_json(self) -> str:
         """Canonical JSON — the determinism contract's comparison unit."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def scenario_payloads(self, prefix: str = "synth-find") -> list[dict]:
         """Scenario-spec payloads for every finding, deterministically named."""

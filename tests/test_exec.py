@@ -107,6 +107,58 @@ class TestCanonicalEncoding:
         assert callable_fingerprint(base) != callable_fingerprint(bound)
 
 
+class TestCacheIdentityPins:
+    """Pinned cache identities of the shipped sweep factories.
+
+    ``callable_fingerprint`` hashes a factory's source text and bound
+    arguments, so editing ``sweep_point_metrics`` /
+    ``scenario_point_metrics`` / ``synth_point_metrics``, or changing the
+    canonical JSON the synth oracle config is bound as, would orphan
+    every on-disk ``ResultCache`` entry.  Likewise a genome's ``key()``
+    names its evaluation seed.  Do not update casually.
+    """
+
+    def test_sweep_spec_factory(self):
+        from repro.service.spec import SweepSpec
+
+        factory = SweepSpec(grid={"d": [2, 4]}).build_sweep().factory
+        assert callable_fingerprint(factory) == (
+            "182d6238fc23d19981f041dcb681ee469372ab8c1df7a242c2ef1d548aa4d65a"
+        )
+
+    def test_scenario_sweep_spec_factory(self):
+        from repro.scenarios.sweep import ScenarioSweepSpec
+
+        spec = ScenarioSweepSpec(
+            scenario="frontal", grid={"steps_per_branch": [3]}
+        )
+        assert callable_fingerprint(spec.build_sweep().factory) == (
+            "1251c4aa6b52cadd9731f2d0f1aeceb9dad48de9266fc0b82caaa5b9c891c37e"
+        )
+
+    def test_synth_factory(self):
+        from repro.synth.oracle import OracleConfig
+        from repro.synth.search import synth_point_metrics
+
+        oracle_json = OracleConfig().to_json()
+        assert oracle_json == '{"bits":32,"machine":"Gold 6226","training_bits":12}'
+        factory = functools.partial(synth_point_metrics, oracle_json)
+        assert callable_fingerprint(factory) == (
+            "08105098f5a9e884754e570d47ac4f6f42a04cf2c3c968a6c584f3d28c4bf3a4"
+        )
+
+    def test_bench_synth_winner_key(self):
+        from repro.bench import _SYNTH_WINNER
+        from repro.synth import CandidateProgram
+
+        assert CandidateProgram.from_dict(_SYNTH_WINNER).key() == (
+            '{"decoy_stride":19,"encode":[{"count":4,"dsb_set":28,'
+            '"kind":"std","lcp_sets":5,"misaligned":false}],"iterations":6,'
+            '"probe":[{"count":7,"dsb_set":28,"kind":"std","lcp_sets":2,'
+            '"misaligned":false}]}'
+        )
+
+
 # ----------------------------------------------------------------------
 # executor equivalence
 # ----------------------------------------------------------------------

@@ -577,6 +577,37 @@ class TestSocketProtocol:
         assert reply.kind == "error" and "unknown op" in str(reply["message"])
         assert bad_spec.kind == "error"
 
+    @pytest.mark.parametrize("axis", [5, "246"], ids=["number", "string"])
+    def test_malformed_grid_axis_gets_exactly_one_error_event(
+        self, tmp_path, axis
+    ):
+        """A grid axis must be an array: a number used to kill the
+        connection (uncaught TypeError) and a string used to run as the
+        axis ``d in {"2", "4", "6"}``."""
+        sock = tmp_path / "svc.sock"
+
+        async def scenario():
+            server = SweepServer(SweepService(), sock)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(str(sock))
+                request = {"op": "submit", "spec": {"grid": {"d": axis}}}
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                lines = []
+                while line := await asyncio.wait_for(reader.readline(), 30):
+                    lines.append(line)
+                writer.close()
+                pong = await ServiceClient(sock).ping()
+            finally:
+                await server.stop()
+            return [Event.from_json(line.decode()) for line in lines], pong
+
+        replies, pong = run(scenario())
+        assert [event.kind for event in replies] == ["error"]
+        assert "grid" in str(replies[0]["message"])
+        assert pong.kind == "pong"
+
     def test_client_without_server_fails_cleanly(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no sweep service"):
             run(ServiceClient(tmp_path / "nope.sock").ping())
