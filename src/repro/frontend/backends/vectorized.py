@@ -15,7 +15,9 @@ the same steady-state driver (warmup, period-1/2 detection,
 reference backend, followed by a bulk application of the
 microarchitectural state the skipped interpretation would have produced
 (DSB residency/LRU/stats, L1I fetches, LSD captures/flushes/streamed
-counts).
+counts).  The replay touches no live state, so its outcome is memoized
+per table on (cold residency, iteration count, LSD qualification); the
+state application and its divergence checks run on every call.
 
 Bit-identity is non-negotiable (backend choice is excluded from sweep
 cache identity), so every float is accumulated in the reference's
@@ -48,6 +50,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.frontend.engine import (
+    _REPORT_FIELDS,
     FrontendEngine,
     LoopReport,
     _IterationCost,
@@ -80,6 +83,29 @@ class _PhaseCost:
     gate_ok: bool
     #: Access indices whose windows this iteration inserts into the DSB.
     inserts: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Run:
+    """The pure outcome of one fast-path run (see :meth:`_TraceTable.run`)."""
+
+    #: ``LoopReport`` field values, in declaration order (a fresh report
+    #: is built per call: callers merge into reports in place).
+    report: tuple
+    #: Warm (all-hit) interpreted iterations after the cold one.
+    n_warm: int
+    #: Iterations streamed from the LSD, extrapolated tail included.
+    streamed: int
+    #: True when the run ends streaming (the terminal flush ends it).
+    streaming: bool
+    #: True when the run captured the LSD.
+    captured: bool
+    #: MITE fill streak after the last interpreted iteration.
+    end_streak: int
+
+
+#: Marks a run memo entry that was never computed (``None`` is a result).
+_UNSET = object()
 
 
 class _TraceTable:
@@ -128,16 +154,29 @@ class _TraceTable:
             and len({int(a) for a in self.addr}) == self.n
             and bool(np.all(self.ways[self.cacheable] >= 1))
         )
-        #: Per-access (index, addr, physical set) for the single-thread
-        #: mode (``effective_index`` reduces to addr//wb mod sets there).
-        self.lookup_triples = tuple(
-            (int(i), int(self.addr[i]), int(self.set_index[i]))
-            for i in np.flatnonzero(self.cacheable)
-        )
         self.cacheable_list = [bool(c) for c in self.cacheable]
         self.addr_list = [int(a) for a in self.addr]
         self.set_list = [int(s) for s in self.set_index]
         self.insert_list = [int(u) for u in self.insert_uops]
+        #: Per hardware thread, one (DSB line key, set dict) probe per
+        #: access; the set is ``None`` for an uncacheable window.  In
+        #: single-thread mode ``effective_index`` reduces to addr//wb mod
+        #: sets, and the set dicts live as long as the engine does.
+        sets = engine.dsb._sets
+        self.probes = tuple(
+            tuple(
+                ((thread, addr), sets[s] if c else None)
+                for addr, s, c in zip(
+                    self.addr_list, self.set_list, self.cacheable_list
+                )
+            )
+            for thread in range(engine.n_threads)
+        )
+        #: Per hardware thread, the probes of the cacheable accesses.
+        self.warm_probes = tuple(
+            tuple(probe for probe in probes if probe[1] is not None)
+            for probes in self.probes
+        )
         self.ways_list = [int(w) for w in self.ways]
         self.pure_addrs = tuple(int(a) for a in self.addr[self.is_pure])
         #: Residency pattern of a fully warmed iteration.
@@ -149,6 +188,7 @@ class _TraceTable:
         self.body_qualifies = engine.lsds[0].body_qualifies(program)
         self._phase_memo: dict[tuple, _PhaseCost] = {}
         self._stream: tuple[_IterationCost, tuple] | None = None
+        self._runs: dict[tuple, _Run | None] = {}
 
     # ------------------------------------------------------------------
     # phase evaluation
@@ -357,97 +397,25 @@ class _TraceTable:
             self._stream = (cost, cost.key())
         return self._stream
 
-
-class VectorizedBackend:
-    """Trace-table fast path with reference fallback."""
-
-    name = "vectorized"
-
-    def __init__(self) -> None:
-        self._reference = ReferenceBackend()
-        self._tables: dict[tuple, _TraceTable] = {}
-        self._engine: FrontendEngine | None = None
-        # One-entry identity memo: sweeps hammer the same program object,
-        # and hashing a body tuple of frozen blocks is measurably costly.
-        self._last_program: LoopProgram | None = None
-        self._last_table: _TraceTable | None = None
-
-    def run_loop(
+    def run(
         self,
         engine: FrontendEngine,
         program: LoopProgram,
-        thread: int,
-        smt_active: bool,
-        exact: bool,
-    ) -> LoopReport:
-        report = self._try_fast(engine, program, thread, smt_active, exact)
-        if report is None:
-            return self._reference.run_loop(engine, program, thread, smt_active, exact)
-        return report
+        h0_key: _HitsKey,
+        qualifies: bool,
+    ) -> "_Run | None":
+        """The driver mirror's outcome for one fast-path run, or ``None``.
 
-    # ------------------------------------------------------------------
-    # fast path
-    # ------------------------------------------------------------------
-    def _table(self, engine: FrontendEngine, program: LoopProgram) -> _TraceTable:
-        if program is self._last_program and self._engine is engine:
-            return self._last_table  # type: ignore[return-value]
-        # Tables derive from one engine's params; a backend normally
-        # serves exactly one engine, but guard against sharing.
-        if self._engine is not engine:
-            self._tables.clear()
-            self._last_program = None
-            self._engine = engine
-        table = self._tables.get(program.body)
-        if table is None:
-            table = _TraceTable(engine, program)
-            self._tables[program.body] = table
-        self._last_program = program
-        self._last_table = table
-        return table
-
-    def _try_fast(
-        self,
-        engine: FrontendEngine,
-        program: LoopProgram,
-        thread: int,
-        smt_active: bool,
-        exact: bool,
-    ) -> LoopReport | None:
-        if exact or smt_active or program.iterations <= 0:
-            return None
-        if engine._pending_penalty[thread] or engine._pending_flushes[thread]:
-            return None
-        if engine._last_path[thread] is not None:
-            return None
-        lsd = engine.lsds[thread]
-        if not lsd.idle:
-            return None
-        table = self._table(engine, program)
-        if not table.static_ok:
-            return None
-        dsb = engine.dsb
+        Pure in (table, entry residency ``h0_key``, iteration count, LSD
+        qualification): nothing here reads or writes live state, so the
+        result is memoized on that triple.  ``None`` means the run never
+        reached a steady state and must take the reference path.
+        """
+        memo_key = (h0_key, program.iterations, qualifies)
+        memo = self._runs.get(memo_key, _UNSET)
+        if memo is not _UNSET:
+            return memo
         params = engine.params
-        sets = dsb._sets
-
-        h0 = list(table.cacheable_list)
-        for i, addr, set_i in table.lookup_triples:
-            h0[i] = (thread, addr) in sets[set_i]
-        h0_key: _HitsKey = tuple(h0)
-        cold = table.phase(engine, h0_key, None)
-        if not cold.gate_ok:
-            return None
-        if cold.inserts:
-            # Every cold insert must fit without evicting (evictions
-            # would fire the LSD inclusivity listeners mid-run).
-            need: dict[int, int] = {}
-            for i in cold.inserts:
-                set_i = table.set_list[i]
-                need[set_i] = need.get(set_i, 0) + table.ways_list[i]
-            for set_i, extra in need.items():
-                if dsb._used_ways(sets[set_i]) + extra > params.dsb_ways:
-                    return None
-
-        qualifies = table.body_qualifies and lsd.enabled
         detect = params.lsd_detect_iterations
 
         # --- driver mirror: same warmup / steady / extrapolation logic
@@ -478,11 +446,11 @@ class VectorizedBackend:
         is_steady = FrontendEngine._is_steady
         while iteration < limit:
             if streaming:
-                current, key = table.stream(engine, program)
+                current, key = self.stream(engine, program)
                 n_stream += 1
             else:
-                phase = table.phase(
-                    engine, h0_key if iteration == 0 else table.warm_key, entering
+                phase = self.phase(
+                    engine, h0_key if iteration == 0 else self.warm_key, entering
                 )
                 if iteration > 0:
                     n_warm += 1
@@ -522,6 +490,7 @@ class VectorizedBackend:
                 # Phase costs are constant after warmup, so this cannot
                 # happen; if the model ever grows a longer transient,
                 # the reference driver stays authoritative.
+                self._runs[memo_key] = None
                 return None
             # Expanded extrapolate_tail: period-1 repeats the last cost;
             # period-2 continues prev, last, prev, ... after the last
@@ -555,58 +524,9 @@ class VectorizedBackend:
                 to_dsb += cost.switches_to_dsb * remaining
                 lcp_stalls += cost.lcp_stalls * remaining
                 captures += cost.lsd_captures * remaining
-
-        # --- apply the microarchitectural state the skipped
-        # interpretation would have produced.
-        l1i = engine.l1i
-        cacheable = table.cacheable_list
-        addrs = table.addr_list
-        for i in range(table.n):
-            addr = addrs[i]
-            if cacheable[i]:
-                got = dsb.lookup(thread, addr, False)
-                if got != h0[i]:
-                    raise ExecutionError(
-                        "vectorized fast path: DSB residency prediction diverged"
-                    )
-                if not got:
-                    if l1i is not None:
-                        l1i.access(addr)
-                    dsb.insert(thread, addr, table.insert_list[i], False)
-            else:
-                if l1i is not None:
-                    l1i.access(addr)
-        if n_warm:
-            for i, addr, _set_i in table.lookup_triples:
-                if not dsb.lookup(thread, addr, False):
-                    raise ExecutionError(
-                        "vectorized fast path: warm lookup unexpectedly missed"
-                    )
-            if l1i is not None:
-                for addr in table.pure_addrs:
-                    l1i.access(addr)
-            if n_warm > 1:
-                # Warm passes beyond the first are LRU-idempotent (the
-                # same keys move to the end in the same order), so only
-                # the statistics need the repetition.
-                dsb.stats.hits += (n_warm - 1) * len(table.lookup_triples)
-                if l1i is not None:
-                    for _ in range(n_warm - 1):
-                        for addr in table.pure_addrs:
-                            l1i.access(addr)
-        if captured:
-            lsd.stats.captures += 1
-        streamed = n_stream + (remaining if streaming and remaining > 0 else 0)
-        if streamed:
-            lsd.stats.streamed_iterations += streamed
-        if streaming:
-            # The reference driver's terminal flush() ends the stream.
-            lsd.stats.flushes += 1
         cycles += params.loop_exit_mispredict
         energy_nj += params.loop_exit_mispredict * engine.energy.cycle_energy
-        engine._mite_streak[thread] = last_end_streak
-        engine._last_path[thread] = None
-        return LoopReport(
+        report = LoopReport(
             cycles=cycles,
             iterations=simulated + max(remaining, 0),
             uops_lsd=uops_lsd,
@@ -624,3 +544,153 @@ class VectorizedBackend:
             energy_nj=energy_nj,
             simulated_iterations=simulated,
         )
+        run = _Run(
+            report=tuple(getattr(report, name) for name in _REPORT_FIELDS),
+            n_warm=n_warm,
+            streamed=n_stream + (remaining if streaming and remaining > 0 else 0),
+            streaming=streaming,
+            captured=captured,
+            end_streak=last_end_streak,
+        )
+        self._runs[memo_key] = run
+        return run
+
+
+class VectorizedBackend:
+    """Trace-table fast path with reference fallback."""
+
+    name = "vectorized"
+
+    def __init__(self) -> None:
+        self._reference = ReferenceBackend()
+        self._tables: dict[tuple, _TraceTable] = {}
+        self._engine: FrontendEngine | None = None
+
+    def run_loop(
+        self,
+        engine: FrontendEngine,
+        program: LoopProgram,
+        thread: int,
+        smt_active: bool,
+        exact: bool,
+    ) -> LoopReport:
+        report = self._try_fast(engine, program, thread, smt_active, exact)
+        if report is None:
+            return self._reference.run_loop(engine, program, thread, smt_active, exact)
+        return report
+
+    # ------------------------------------------------------------------
+    # fast path
+    # ------------------------------------------------------------------
+    def _table(self, engine: FrontendEngine, program: LoopProgram) -> _TraceTable:
+        # Tables derive from one engine's params; a backend normally
+        # serves exactly one engine, but guard against sharing.
+        if self._engine is not engine:
+            self._tables.clear()
+            self._engine = engine
+        table = self._tables.get(program.body)
+        if table is None:
+            table = _TraceTable(engine, program)
+            self._tables[program.body] = table
+        return table
+
+    def _try_fast(
+        self,
+        engine: FrontendEngine,
+        program: LoopProgram,
+        thread: int,
+        smt_active: bool,
+        exact: bool,
+    ) -> LoopReport | None:
+        if exact or smt_active or program.iterations <= 0:
+            return None
+        if engine._pending_penalty[thread] or engine._pending_flushes[thread]:
+            return None
+        if engine._last_path[thread] is not None:
+            return None
+        lsd = engine.lsds[thread]
+        if not lsd.idle:
+            return None
+        table = self._table(engine, program)
+        if not table.static_ok:
+            return None
+        dsb = engine.dsb
+        params = engine.params
+        sets = dsb._sets
+
+        probes = table.probes[thread]
+        h0_key: _HitsKey = tuple(
+            [entry_set is not None and key in entry_set for key, entry_set in probes]
+        )
+        cold = table.phase(engine, h0_key, None)
+        if not cold.gate_ok:
+            return None
+        if cold.inserts:
+            # Every cold insert must fit without evicting (evictions
+            # would fire the LSD inclusivity listeners mid-run).
+            need: dict[int, int] = {}
+            for i in cold.inserts:
+                set_i = table.set_list[i]
+                need[set_i] = need.get(set_i, 0) + table.ways_list[i]
+            for set_i, extra in need.items():
+                if dsb._used_ways(sets[set_i]) + extra > params.dsb_ways:
+                    return None
+
+        qualifies = table.body_qualifies and lsd.enabled
+        run = table.run(engine, program, h0_key, qualifies)
+        if run is None:
+            return None
+
+        # --- apply the microarchitectural state the skipped
+        # interpretation would have produced.  Probes go straight to the
+        # set dicts (the ones ``dsb.lookup`` would pick), and the
+        # hit/miss statistics are added once.
+        l1i = engine.l1i
+        hits = misses = 0
+        for (key, entry_set), expect, uops in zip(probes, h0_key, table.insert_list):
+            if entry_set is None:
+                if l1i is not None:
+                    l1i.access(key[1])
+                continue
+            got = key in entry_set
+            if got != expect:
+                raise ExecutionError(
+                    "vectorized fast path: DSB residency prediction diverged"
+                )
+            if got:
+                entry_set.move_to_end(key)
+                hits += 1
+            else:
+                misses += 1
+                if l1i is not None:
+                    l1i.access(key[1])
+                dsb.insert(thread, key[1], uops, False)
+        n_warm = run.n_warm
+        if n_warm:
+            warm_probes = table.warm_probes[thread]
+            for key, entry_set in warm_probes:
+                if key not in entry_set:
+                    raise ExecutionError(
+                        "vectorized fast path: warm lookup unexpectedly missed"
+                    )
+                entry_set.move_to_end(key)
+            # Warm passes beyond the first are LRU-idempotent (the same
+            # keys move to the end in the same order), so only the
+            # statistics need the repetition.
+            hits += n_warm * len(warm_probes)
+            if l1i is not None:
+                for _ in range(n_warm):
+                    for addr in table.pure_addrs:
+                        l1i.access(addr)
+        dsb.stats.hits += hits
+        dsb.stats.misses += misses
+        if run.captured:
+            lsd.stats.captures += 1
+        if run.streamed:
+            lsd.stats.streamed_iterations += run.streamed
+        if run.streaming:
+            # The reference driver's terminal flush() ends the stream.
+            lsd.stats.flushes += 1
+        engine._mite_streak[thread] = run.end_streak
+        engine._last_path[thread] = None
+        return LoopReport(*run.report)

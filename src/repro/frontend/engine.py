@@ -128,8 +128,8 @@ class LoopReport:
 
     def merge(self, other: "LoopReport") -> "LoopReport":
         """Accumulate another report into this one (in place) and return self."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _REPORT_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def scaled(self, factor: float) -> "LoopReport":
@@ -146,14 +146,14 @@ class LoopReport:
         integral = isinstance(factor, int) or (
             isinstance(factor, float) and factor.is_integer()
         )
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _REPORT_FIELDS:
+            value = getattr(self, name)
             if isinstance(value, float):
-                setattr(result, f.name, value * factor)
+                setattr(result, name, value * factor)
             elif integral:
-                setattr(result, f.name, value * int(factor))
+                setattr(result, name, value * int(factor))
             else:
-                setattr(result, f.name, round(value * factor))
+                setattr(result, name, round(value * factor))
         return result
 
     def dominant_path(self) -> DeliveryPath:
@@ -164,6 +164,12 @@ class LoopReport:
             DeliveryPath.MITE: self.uops_mite,
         }
         return max(counts, key=counts.get)  # type: ignore[arg-type]
+
+
+#: ``LoopReport`` field names in declaration order: ``merge`` and
+#: ``scaled`` walk them on every simulated iteration, so they are read
+#: once here instead of through ``dataclasses.fields`` per call.
+_REPORT_FIELDS = tuple(f.name for f in fields(LoopReport))
 
 
 @dataclass

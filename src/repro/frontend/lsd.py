@@ -53,7 +53,7 @@ class LsdState(enum.Enum):
 
 def loop_key(program: LoopProgram) -> LoopKey:
     """Stable identity of a loop body for LSD tracking."""
-    return tuple(block.base for block in program.body)
+    return program.loop_key
 
 
 def misalignment_collides(program: LoopProgram, params: FrontendParams) -> bool:

@@ -12,6 +12,11 @@ instructions, placed at a chosen virtual address, that
 
 The canonical block is 4 ``mov r32, imm32`` + 1 ``jmp rel32`` = 25 bytes
 and 5 uops, exactly as the paper describes.
+
+A block's geometry (``size``, ``end``, ``uop_count``, ``lcp_count``,
+``windows``, ``spans_windows``) and its hash are computed once, at
+construction; :meth:`MixBlock.relocated` and ``dataclasses.replace``
+build a new block and so recompute them.
 """
 
 from __future__ import annotations
@@ -50,6 +55,13 @@ class MixBlock:
         normally a ``jmp`` to the next block in the chain.
     label:
         Optional human-readable tag used in traces and test output.
+
+    Derived attributes, set once at construction (not dataclass fields):
+    ``size`` (total encoded bytes), ``end`` (one past the last byte),
+    ``uop_count``, ``lcp_count`` (instructions carrying a
+    length-changing prefix), ``windows`` (window-aligned start address
+    of every 32B window the block touches) and ``spans_windows`` (the
+    block crosses a window boundary, i.e. is misaligned).
     """
 
     base: int
@@ -61,42 +73,32 @@ class MixBlock:
             raise LayoutError(f"negative base address {self.base:#x}")
         if not self.instructions:
             raise LayoutError("mix block must contain at least one instruction")
+        size = sum(i.length for i in self.instructions)
+        end = self.base + size
+        first = self.base - (self.base % WINDOW_BYTES)
+        last = (end - 1) - ((end - 1) % WINDOW_BYTES)
+        windows = tuple(range(first, last + 1, WINDOW_BYTES))
+        set_ = object.__setattr__
+        set_(self, "size", size)
+        set_(self, "end", end)
+        set_(self, "uop_count", sum(i.uop_count for i in self.instructions))
+        set_(self, "lcp_count", sum(1 for i in self.instructions if i.has_lcp))
+        set_(self, "windows", windows)
+        set_(self, "spans_windows", len(windows) > 1)
+        set_(self, "_hash", hash((self.base, self.instructions, self.label)))
 
-    @property
-    def size(self) -> int:
-        """Total encoded bytes."""
-        return sum(i.length for i in self.instructions)
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def end(self) -> int:
-        """One past the last instruction byte."""
-        return self.base + self.size
-
-    @property
-    def uop_count(self) -> int:
-        return sum(i.uop_count for i in self.instructions)
-
-    @property
-    def lcp_count(self) -> int:
-        """Number of instructions carrying a length-changing prefix."""
-        return sum(1 for i in self.instructions if i.has_lcp)
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash mixes in the
+        # label's ``str`` hash, which differs between processes.
+        return (MixBlock, (self.base, self.instructions, self.label))
 
     @property
     def is_aligned(self) -> bool:
         """True if the block starts on a 32-byte window boundary."""
         return self.base % WINDOW_BYTES == 0
-
-    @property
-    def windows(self) -> tuple[int, ...]:
-        """Window-aligned start addresses of every 32B window the block touches."""
-        first = self.base - (self.base % WINDOW_BYTES)
-        last = (self.end - 1) - ((self.end - 1) % WINDOW_BYTES)
-        return tuple(range(first, last + 1, WINDOW_BYTES))
-
-    @property
-    def spans_windows(self) -> bool:
-        """True if the block crosses a 32-byte window boundary (misaligned)."""
-        return len(self.windows) > 1
 
     def instruction_addresses(self) -> Iterator[tuple[int, Instruction]]:
         """Yield ``(address, instruction)`` pairs in program order."""

@@ -12,11 +12,19 @@ the frontend channels is each instruction's
   a branch (ends a DSB line), and whether it needs the complex decoder.
 
 Factories below construct the handful of instructions the paper's
-experiments use.  Byte lengths follow the common x86-64 encodings.
+experiments use.  Byte lengths follow the common x86-64 encodings.  They
+are pure and interned (``functools.cache``): instructions are frozen, so
+every caller shares one object per distinct encoding, and rebuilt block
+bodies compare by identity.
+
+Derived values (``uop_count`` and the hash) are computed once, at
+construction, and stored as plain attributes rather than dataclass
+fields, so ``fields()``, ``repr`` and ``==`` see only the encoding.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.isa.uops import Uop, UopKind
@@ -54,6 +62,9 @@ class Instruction:
         (Section III-D) and the DSB will not cache them.
     is_branch:
         Branches terminate a DSB line even if it is not full.
+
+    ``uop_count`` is derived once, at construction (not a dataclass
+    field).
     """
 
     mnemonic: str
@@ -67,10 +78,23 @@ class Instruction:
             raise ValueError(f"x86 instruction length must be 1..15, got {self.length}")
         if not self.uops:
             raise ValueError("instruction must decode to at least one uop")
+        object.__setattr__(self, "uop_count", len(self.uops))
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.mnemonic, self.length, self.uops, self.has_lcp, self.is_branch)),
+        )
 
-    @property
-    def uop_count(self) -> int:
-        return len(self.uops)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash mixes in the
+        # mnemonic's ``str`` hash, which differs between processes.
+        return (
+            Instruction,
+            (self.mnemonic, self.length, self.uops, self.has_lcp, self.is_branch),
+        )
 
     @property
     def is_complex(self) -> bool:
@@ -86,6 +110,7 @@ class Instruction:
         return f"Instruction({self.mnemonic!r}, {self.length}B, {len(self.uops)}uop{lcp})"
 
 
+@functools.cache
 def mov_imm32(reg: int = 0) -> Instruction:
     """``mov r32, imm32`` — 5 bytes (opcode B8+r, imm32), 1 uop."""
     return Instruction(
@@ -95,6 +120,7 @@ def mov_imm32(reg: int = 0) -> Instruction:
     )
 
 
+@functools.cache
 def mov_reg(dst: int = 0, src: int = 1) -> Instruction:
     """``mov r32, r32`` — 2 bytes, 1 uop."""
     return Instruction(
@@ -104,6 +130,7 @@ def mov_reg(dst: int = 0, src: int = 1) -> Instruction:
     )
 
 
+@functools.cache
 def add_reg(dst: int = 0, src: int = 1) -> Instruction:
     """``add r32, r32`` — 2 bytes, 1 ALU uop."""
     return Instruction(
@@ -113,6 +140,7 @@ def add_reg(dst: int = 0, src: int = 1) -> Instruction:
     )
 
 
+@functools.cache
 def add_imm(reg: int = 0) -> Instruction:
     """``add r32, imm32`` — 6 bytes (81 /0 imm32), 1 ALU uop."""
     return Instruction(
@@ -122,6 +150,7 @@ def add_imm(reg: int = 0) -> Instruction:
     )
 
 
+@functools.cache
 def add_reg_lcp(dst: int = 0, src: int = 1) -> Instruction:
     """``add r16, r16`` with a 0x66 operand-size prefix — 3 bytes, 1 uop.
 
@@ -137,11 +166,13 @@ def add_reg_lcp(dst: int = 0, src: int = 1) -> Instruction:
     )
 
 
+@functools.cache
 def nop() -> Instruction:
     """``nop`` — 1 byte, 1 uop that retires without executing."""
     return Instruction(mnemonic="nop", length=1, uops=(Uop(UopKind.NOP),))
 
 
+@functools.cache
 def jmp_rel32() -> Instruction:
     """``jmp rel32`` — 5 bytes, 1 branch uop.  Ends a DSB line."""
     return Instruction(
@@ -152,6 +183,7 @@ def jmp_rel32() -> Instruction:
     )
 
 
+@functools.cache
 def jmp_rel8() -> Instruction:
     """``jmp rel8`` — 2 bytes, 1 branch uop."""
     return Instruction(
@@ -162,6 +194,7 @@ def jmp_rel8() -> Instruction:
     )
 
 
+@functools.cache
 def load(reg: int = 0) -> Instruction:
     """``mov r64, [mem]`` — 4 bytes, 1 load uop.
 
@@ -175,6 +208,7 @@ def load(reg: int = 0) -> Instruction:
     )
 
 
+@functools.cache
 def store(reg: int = 0) -> Instruction:
     """``mov [mem], r64`` — 4 bytes, store-address + store-data uops."""
     return Instruction(

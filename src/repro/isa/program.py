@@ -4,7 +4,9 @@ All of the paper's experiments execute a *loop body* (a sequence of mix
 blocks chained by jumps) for some number of iterations.  The
 :class:`LoopProgram` captures exactly that: the body, the iteration count,
 and derived structural properties the LSD qualification logic needs (total
-uops, window footprint, misaligned-block count).
+uops, window footprint, misaligned-block count).  Those properties and
+the program's hash are computed once, at construction: the simulator
+reads them on every iteration it interprets.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ class LoopProgram:
         Number of times the body executes.
     label:
         Tag used in traces and reports.
+
+    Derived attributes, set once at construction (not dataclass fields):
+    ``uops_per_iteration``, ``windows`` (all distinct 32B windows the
+    body touches, in first-touch order), ``window_events_per_iteration``
+    (window accesses per iteration; misaligned blocks count twice),
+    ``misaligned_blocks``, ``lcp_instructions_per_iteration`` and
+    ``loop_key`` (the blocks' base addresses, the body's identity for
+    LSD tracking).
     """
 
     body: tuple[MixBlock, ...]
@@ -44,43 +54,36 @@ class LoopProgram:
             raise LayoutError("loop body must contain at least one block")
         if iterations < 1:
             raise LayoutError(f"iterations must be >= 1, got {iterations}")
-        object.__setattr__(self, "body", tuple(body))
-        object.__setattr__(self, "iterations", int(iterations))
-        object.__setattr__(self, "label", label)
+        body = tuple(body)
+        iterations = int(iterations)
+        windows = dict.fromkeys(w for b in body for w in b.windows)
+        set_ = object.__setattr__
+        set_(self, "body", body)
+        set_(self, "iterations", iterations)
+        set_(self, "label", label)
+        set_(self, "uops_per_iteration", sum(b.uop_count for b in body))
+        set_(self, "windows", tuple(windows))
+        set_(self, "window_events_per_iteration", sum(len(b.windows) for b in body))
+        set_(self, "misaligned_blocks", sum(1 for b in body if b.spans_windows))
+        set_(self, "lcp_instructions_per_iteration", sum(b.lcp_count for b in body))
+        set_(self, "loop_key", tuple(b.base for b in body))
+        set_(self, "_hash", hash((body, iterations, label)))
 
-    @property
-    def uops_per_iteration(self) -> int:
-        return sum(block.uop_count for block in self.body)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash mixes in the
+        # label's ``str`` hash, which differs between processes.
+        return (LoopProgram, (self.body, self.iterations, self.label))
 
     @property
     def total_uops(self) -> int:
         return self.uops_per_iteration * self.iterations
 
     @property
-    def windows(self) -> tuple[int, ...]:
-        """All distinct 32B windows the body touches, in first-touch order."""
-        seen: dict[int, None] = {}
-        for block in self.body:
-            for window in block.windows:
-                seen.setdefault(window)
-        return tuple(seen)
-
-    @property
-    def window_events_per_iteration(self) -> int:
-        """Window accesses per iteration (misaligned blocks count twice)."""
-        return sum(len(block.windows) for block in self.body)
-
-    @property
-    def misaligned_blocks(self) -> int:
-        return sum(1 for block in self.body if block.spans_windows)
-
-    @property
     def aligned_blocks(self) -> int:
         return len(self.body) - self.misaligned_blocks
-
-    @property
-    def lcp_instructions_per_iteration(self) -> int:
-        return sum(block.lcp_count for block in self.body)
 
     def with_iterations(self, iterations: int) -> "LoopProgram":
         """Same body, different trip count."""

@@ -75,6 +75,15 @@ class Uop:
             object.__setattr__(self, "ports", self.kind.default_ports)
         if not self.ports <= SKYLAKE_PORTS:
             raise ValueError(f"unknown ports {self.ports - SKYLAKE_PORTS}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.ports)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash mixes in
+        # ``str`` hashes, which differ between processes.
+        return (Uop, (self.kind, self.ports))
 
     @property
     def is_branch(self) -> bool:

@@ -387,6 +387,26 @@ class TestCrossBackendIdentity:
         b = FrontendEngine(backend="vectorized").run_loop(program, exact=True)
         assert dataclasses.astuple(a) == dataclasses.astuple(b)
 
+    @given(arbitrary_programs(), arbitrary_programs())
+    @settings(max_examples=25, deadline=None)
+    def test_memoized_runs_still_apply_state(self, first, second):
+        """Repeated fast-path runs with the same entry residency reuse the
+        table's run memo; the DSB/L1I/LSD write-back must still happen on
+        every call, and a caller mutating a returned report must not
+        corrupt the next one."""
+        ref = FrontendEngine(backend="reference")
+        vec = FrontendEngine(backend="vectorized")
+        for _ in range(3):
+            for program in (first, second, first):
+                a = ref.run_loop(program)
+                b = vec.run_loop(program)
+                assert dataclasses.astuple(a) == dataclasses.astuple(b)
+                b.merge(b)  # callers accumulate into reports in place
+            assert _engine_state(ref) == _engine_state(vec)
+            # Back to a cold DSB: the next pass repeats the memo keys.
+            ref.reset_thread(0)
+            vec.reset_thread(0)
+
 
 # ----------------------------------------------------------------------
 # deterministic replay + cache identity
