@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.caches.presets import l1d_cache, l2_cache, llc_cache
 
 __all__ = ["MemoryHierarchy", "AccessResult", "HierarchyLatencies"]
@@ -54,6 +56,29 @@ class MemoryHierarchy:
         if self.llc.access(addr):
             return AccessResult("LLC", self.latencies.llc)
         return AccessResult("DRAM", self.latencies.dram)
+
+    def load_many(self, addrs) -> np.ndarray:
+        """Load every address of ``addrs`` in order; per-load latencies.
+
+        Exactly equivalent to ``[self.load(a).latency for a in addrs]``,
+        including every level's LRU state and stats.  Levels are
+        independent caches, so each one takes the previous level's
+        misses, in their original order, as a single
+        :meth:`~repro.caches.sa_cache.SetAssociativeCache.access_many`
+        batch.
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        latencies = np.full(len(addrs), self.latencies.dram)
+        pending = np.arange(len(addrs))
+        for cache, latency in (
+            (self.l1, self.latencies.l1),
+            (self.l2, self.latencies.l2),
+            (self.llc, self.latencies.llc),
+        ):
+            hit = cache.access_many(addrs[pending])
+            latencies[pending[hit]] = latency
+            pending = pending[~hit]
+        return latencies
 
     def flush_line(self, addr: int) -> None:
         """``clflush``: evict the line from every level."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = ["SetAssociativeCache", "CacheStats"]
@@ -100,6 +102,60 @@ class SetAssociativeCache:
             self.stats.evictions += 1
         entry_set[line] = None
         return False
+
+    def access_many(self, addrs) -> np.ndarray:
+        """Access every address of ``addrs`` in order; per-address hits.
+
+        Exactly equivalent to ``[self.access(a) for a in addrs]``: the
+        returned bool array, every set's LRU order and all of ``stats``
+        end up the same.  When no set receives more distinct lines than
+        it has ways, a line the batch has touched is never the LRU
+        victim, so only its first occurrence can miss.  The batch then
+        reduces to one pass over the distinct lines in first-occurrence
+        order (hit: move to MRU; miss: evict the LRU if full, insert),
+        followed by a move to MRU in last-occurrence order.  A batch
+        that over-subscribes any set falls back to :meth:`access` per
+        address.
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        n = len(addrs)
+        hits = np.ones(n, dtype=bool)
+        if n == 0:
+            return hits
+        line_numbers = addrs // self.line_bytes
+        # A stable sort groups each line's occurrences in access order:
+        # a group's head is the line's first occurrence, its tail the last.
+        order = np.argsort(line_numbers, kind="stable")
+        grouped = line_numbers[order]
+        heads = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        first = np.sort(order[heads])
+        last = np.sort(order[np.concatenate((heads[1:], [n])) - 1])
+        distinct = line_numbers[first]
+        set_indices = distinct % self.sets
+        if np.bincount(set_indices).max() > self.ways:
+            return np.fromiter(map(self.access, addrs.tolist()), dtype=bool, count=n)
+        missed = []
+        for k, (index, line) in enumerate(
+            zip(set_indices.tolist(), (distinct * self.line_bytes).tolist())
+        ):
+            entry_set = self._data[index]
+            if line in entry_set:
+                entry_set.move_to_end(line)
+                continue
+            missed.append(k)
+            if len(entry_set) >= self.ways:
+                entry_set.popitem(last=False)
+                self.stats.evictions += 1
+            entry_set[line] = None
+        recent = line_numbers[last]
+        for index, line in zip(
+            (recent % self.sets).tolist(), (recent * self.line_bytes).tolist()
+        ):
+            self._data[index].move_to_end(line)
+        hits[first[missed]] = False
+        self.stats.misses += len(missed)
+        self.stats.hits += n - len(missed)
+        return hits
 
     def probe(self, addr: int) -> bool:
         """Check residency without filling or touching LRU state."""

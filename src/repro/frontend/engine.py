@@ -45,6 +45,13 @@ from repro.isa.program import LoopProgram
 
 __all__ = ["FrontendEngine", "LoopReport", "WindowAccess"]
 
+#: ``sim.latency`` bucket edges, in seconds.  One ``run_loop`` call takes
+#: tens to hundreds of microseconds, so the registry's millisecond-scale
+#: default would put almost every observation in its first bucket.
+SIM_LATENCY_EDGES: tuple[float, ...] = (
+    10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 5e-3, 25e-3,
+)
+
 
 @dataclass(frozen=True)
 class WindowAccess:
@@ -649,7 +656,9 @@ class FrontendEngine:
             cache = (
                 registry,
                 registry.counter("sim.points", backend=backend_name),
-                registry.histogram("sim.latency", backend=backend_name),
+                registry.histogram(
+                    "sim.latency", edges=SIM_LATENCY_EDGES, backend=backend_name
+                ),
             )
             self._sim_cache = cache
         return cache[1], cache[2]

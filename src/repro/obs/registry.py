@@ -27,6 +27,7 @@ executor bookkeeping, per-result cluster merges — use them directly.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -181,11 +182,9 @@ class Histogram(_Instrument):
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            slot = len(self.edges)
-            for i, edge in enumerate(self.edges):
-                if value <= edge:
-                    slot = i
-                    break
+            # First edge with ``value <= edge``; NaN compares false with
+            # every edge, so it belongs in the overflow slot.
+            slot = bisect_left(self.edges, value) if value == value else len(self.edges)
             self._buckets[slot] += 1
             self._count += 1
             self._sum += value

@@ -22,6 +22,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.caches.hierarchy import MemoryHierarchy
 from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import SpectreError
@@ -148,14 +150,29 @@ class SpectreChannel(abc.ABC):
         return self._probe_base + 0x100000 + value * self.PROBE_STRIDE
 
     def background(self, calls: int = 1) -> None:
-        """Victim + application work surrounding each channel operation."""
+        """Victim + application work surrounding each channel operation.
+
+        Each call is one batched data load and one batched instruction
+        fetch, state- and stat-identical to issuing them one at a time.
+        """
         for _ in range(calls):
             data = self._rng.integers(0, BG_DATA_LINES, size=BG_DATA_ACCESSES)
-            for index in data:
-                self._load(self._data_base + int(index) * 64)
+            self._charge(self.hierarchy.load_many(self._data_base + data * 64))
             code = self._rng.integers(0, BG_CODE_LINES, size=BG_INST_FETCHES)
-            for index in code:
-                self._ifetch(self._code_base + int(index) * 64)
+            hits = self.l1i.access_many(self._code_base + code * 64)
+            self._charge(
+                np.where(hits, self.IFETCH_HIT_CYCLES, self.IFETCH_MISS_CYCLES)
+            )
+
+    def _charge(self, costs: np.ndarray) -> None:
+        """Add ``costs`` to :attr:`cycles` one by one, in order.
+
+        Float addition is not associative and :attr:`cycles` can carry
+        fractional engine cycles, so adding a pre-summed total could
+        round differently from charging each access as it happens;
+        ``np.add.accumulate`` adds strictly left to right.
+        """
+        self.cycles = float(np.add.accumulate(np.concatenate(([self.cycles], costs)))[-1])
 
     def miss_counts(self) -> MissCounts:
         d = self.hierarchy.l1.stats

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caches.hierarchy import MemoryHierarchy
 from repro.caches.presets import l1d_cache, l1i_cache
@@ -122,3 +125,120 @@ class TestMemoryHierarchy:
         self.mem.load(0x1000)
         self.mem.load(0x1000)
         assert self.mem.l1_miss_rate == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# batch kernels: access_many / load_many against the per-address loop
+# ----------------------------------------------------------------------
+_geometries = st.tuples(
+    st.sampled_from([1, 2, 4, 8]),  # sets
+    st.integers(1, 4),  # ways
+    st.sampled_from([1, 4, 16]),  # line bytes
+)
+
+
+def _cache(geometry, name="cache") -> SetAssociativeCache:
+    sets, ways, line_bytes = geometry
+    return SetAssociativeCache(sets=sets, ways=ways, line_bytes=line_bytes, name=name)
+
+
+@st.composite
+def _streams(draw, geometry):
+    """Addresses with repeats; ``fits`` keeps every set within its ways,
+    so the batch kernel runs instead of the per-address fallback."""
+    sets, ways, line_bytes = geometry
+    if draw(st.booleans(), label="fits"):
+        pool = [
+            (tag * sets + index) * line_bytes + offset
+            for index in range(sets)
+            for tag in draw(st.lists(st.integers(0, 5), max_size=ways, unique=True))
+            for offset in (0, line_bytes - 1)
+        ]
+        if not pool:
+            return []
+        return draw(st.lists(st.sampled_from(pool), max_size=40))
+    limit = sets * (ways + 2) * line_bytes
+    return draw(st.lists(st.integers(0, limit - 1), max_size=40))
+
+
+def _warm(data, *caches: SetAssociativeCache) -> None:
+    """Drive identically-shaped ``caches`` through one random history."""
+    sets, ways, line_bytes = caches[0].sets, caches[0].ways, caches[0].line_bytes
+    limit = sets * (ways + 3) * line_bytes
+    for addr in data.draw(st.lists(st.integers(0, limit - 1), max_size=30), label="warm"):
+        for cache in caches:
+            cache.access(addr)
+
+
+def _assert_same_state(batched: SetAssociativeCache, looped: SetAssociativeCache) -> None:
+    assert batched.stats == looped.stats
+    for index in range(looped.sets):
+        assert batched.lru_stack(index) == looped.lru_stack(index)
+        assert all(type(line) is int for line in batched.lru_stack(index))
+
+
+def _over_subscribed(cache: SetAssociativeCache, addrs) -> bool:
+    lines_per_set: dict[int, set[int]] = {}
+    for addr in addrs:
+        lines_per_set.setdefault(cache.set_index(addr), set()).add(cache.line_addr(addr))
+    return any(len(lines) > cache.ways for lines in lines_per_set.values())
+
+
+class TestBatchKernels:
+    @settings(max_examples=300)
+    @given(geometry=_geometries, data=st.data())
+    def test_access_many_equals_access_loop(self, geometry, data):
+        batched, looped = _cache(geometry), _cache(geometry)
+        _warm(data, batched, looped)
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            addrs = data.draw(_streams(geometry), label="addrs")
+            hits = batched.access_many(addrs)
+            assert isinstance(hits, np.ndarray) and hits.dtype == bool
+            assert hits.tolist() == [looped.access(addr) for addr in addrs]
+            _assert_same_state(batched, looped)
+
+    @settings(max_examples=200)
+    @given(geometries=st.tuples(_geometries, _geometries, _geometries), data=st.data())
+    def test_load_many_equals_load_loop(self, geometries, data):
+        batched, looped = MemoryHierarchy(), MemoryHierarchy()
+        for mem in (batched, looped):
+            mem.l1, mem.l2, mem.llc = (
+                _cache(geometry, name) for geometry, name in zip(geometries, ("L1", "L2", "LLC"))
+            )
+        for level in ("l1", "l2", "llc"):
+            _warm(data, getattr(batched, level), getattr(looped, level))
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            addrs = data.draw(_streams(geometries[0]), label="addrs")
+            latencies = batched.load_many(addrs)
+            assert latencies.tolist() == [looped.load(addr).latency for addr in addrs]
+            for level in ("l1", "l2", "llc"):
+                _assert_same_state(getattr(batched, level), getattr(looped, level))
+
+    def test_empty_batch_changes_nothing(self):
+        cache = SetAssociativeCache(sets=4, ways=2, line_bytes=64)
+        cache.access(0x40)
+        before = (cache.stats.snapshot(), cache.lru_stack(1))
+        assert cache.access_many([]).tolist() == []
+        assert (cache.stats, cache.lru_stack(1)) == before
+        assert MemoryHierarchy().load_many([]).tolist() == []
+
+    def test_fitting_batch_never_falls_back(self, monkeypatch):
+        """No set over-subscribed: the kernel path, not access() per address."""
+        cache = SetAssociativeCache(sets=4, ways=2, line_bytes=64)
+        addrs = [0x000, 0x100, 0x040, 0x000, 0x140, 0x100, 0x040]
+        assert not _over_subscribed(cache, addrs)
+        monkeypatch.setattr(cache, "access", lambda addr: pytest.fail("fell back"))
+        assert cache.access_many(addrs).tolist() == [False, False, False, True, False, True, True]
+        assert cache.lru_stack(0) == [0x000, 0x100]
+        assert cache.lru_stack(1) == [0x140, 0x040]
+
+    def test_over_subscribed_batch_falls_back(self):
+        cache = SetAssociativeCache(sets=4, ways=2, line_bytes=64)
+        addrs = [0x000, 0x100, 0x200, 0x000]
+        assert _over_subscribed(cache, addrs)
+        calls = []
+        access = cache.access
+        cache.access = lambda addr: calls.append(addr) or access(addr)
+        assert cache.access_many(addrs).tolist() == [False, False, False, False]
+        assert calls == addrs
+        assert cache.lru_stack(0) == [0x200, 0x000]

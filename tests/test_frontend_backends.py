@@ -33,6 +33,7 @@ from repro.frontend.backends import (
 from repro.frontend.backends.reference import ReferenceBackend
 from repro.frontend.backends.vectorized import VectorizedBackend
 from repro.frontend.engine import (
+    SIM_LATENCY_EDGES,
     FrontendEngine,
     _IterationCost,
     extrapolate_tail,
@@ -457,3 +458,21 @@ class TestBackendInstruments:
         text = json.dumps(registry.snapshot(), sort_keys=True)
         assert "sim.points" in text and "sim.latency" in text
         assert '"reference"' in text and '"vectorized"' in text
+
+    def test_sim_latency_uses_microsecond_edges(self):
+        """One simulator call takes tens to hundreds of microseconds, so
+        ``sim.latency`` buckets at that scale, not the registry default."""
+        program = LoopProgram([standard_mix_block(LAYOUT.block_address(0, 9))], 25)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for backend in BACKENDS:
+                FrontendEngine(backend=backend).run_loop(program)
+        latencies = [
+            entry for entry in registry.snapshot()["metrics"]
+            if entry["name"] == "sim.latency"
+        ]
+        assert len(latencies) == len(BACKENDS)
+        for entry in latencies:
+            assert tuple(entry["edges"]) == SIM_LATENCY_EDGES
+            assert entry["count"] == 1
+        assert SIM_LATENCY_EDGES[0] < 1e-4 and SIM_LATENCY_EDGES[-1] < 1.0

@@ -112,6 +112,33 @@ class TestInstruments:
         hist = MetricsRegistry().histogram("h")
         assert hist.edges == DEFAULT_LATENCY_EDGES
 
+    @pytest.mark.parametrize(
+        "edges",
+        [(0.1, 1.0), DEFAULT_LATENCY_EDGES, (-1.0, 0.0, 0.0, 2.0), (1.0, float("inf"))],
+    )
+    def test_histogram_slot_matches_the_linear_edge_rule(self, edges):
+        """Each value lands in the first slot with ``value <= edge``; a
+        value above every edge, NaN included, lands in the overflow."""
+
+        def linear_slot(value):
+            for i, edge in enumerate(edges):
+                if value <= edge:
+                    return i
+            return len(edges)
+
+        values = [
+            *edges,
+            *(edge - 1e-9 for edge in edges),
+            *(edge + 1e-9 for edge in edges),
+            float("nan"), float("inf"), float("-inf"), -5.0, 0.0, 100.0,
+        ]
+        for value in values:
+            hist = MetricsRegistry().histogram("h", edges=edges)
+            hist.observe(value)
+            buckets = hist.snapshot()["buckets"]
+            assert buckets.index(1) == linear_slot(value), value
+            assert sum(buckets) == 1
+
 
 # ----------------------------------------------------------------------
 # registry identity and snapshots

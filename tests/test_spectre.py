@@ -9,6 +9,7 @@ from repro.errors import SpectreError
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.spectre.attack import SpectreV1Attack
+from repro.spectre.btb import SpectreV2Attack
 from repro.spectre.channels import (
     ALL_SPECTRE_CHANNELS,
     FrontendDsbChannel,
@@ -187,3 +188,46 @@ class TestChannels:
             SpectreV1Attack(machine, channel, b"x", trainings=0)
         with pytest.raises(SpectreError):
             SpectreV1Attack(machine, channel, b"x", attempts_per_chunk=0)
+
+
+#: Table VII attack outcomes on GOLD_6226, seed 1414, secret b"K7" (four
+#: 5-bit chunks, two 8-bit chunks for mem-flush-reload): recovered hex,
+#: combined L1 accesses, L1 misses and ``channel_cycles.hex()``.  Any
+#: change to the RNG draws, the cache replacement order or the order in
+#: which cycles accumulate moves at least one of them.
+_V1_PINS = {
+    "mem-flush-reload": ("4b37", 12704, 673, "0x1.6085000000000p+17"),
+    "l1d-flush-reload": ("4b37", 25536, 1441, "0x1.0851000000000p+17"),
+    "l1d-lru": ("4b37", 25536, 1440, "0x1.148c000000000p+17"),
+    "l1i-flush-reload": ("4b37", 24512, 289, "0x1.0add000000000p+16"),
+    "l1i-prime-probe": ("4b37", 25152, 396, "0x1.01cc000000000p+16"),
+    "frontend-dsb": ("4b37", 195686, 295, "0x1.da6c6cccccd72p+18"),
+}
+_V2_PIN = ("4b37", 21244, 292, "0x1.81843333332f9p+16")
+
+
+def _pin(report) -> tuple:
+    return (
+        report.recovered.hex(),
+        report.l1.accesses,
+        report.l1.misses,
+        report.channel_cycles.hex(),
+    )
+
+
+class TestTable7GoldenPins:
+    @pytest.mark.parametrize("cls", ALL_SPECTRE_CHANNELS, ids=lambda c: c.name)
+    def test_v1_attack_pinned(self, cls):
+        machine = Machine(GOLD_6226, seed=1414)
+        attempts = 8 if cls is FrontendDsbChannel else 1
+        report = SpectreV1Attack(
+            machine, cls(machine), b"K7", attempts_per_chunk=attempts
+        ).run()
+        assert _pin(report) == _V1_PINS[cls.name]
+
+    def test_v2_attack_pinned(self):
+        machine = Machine(GOLD_6226, seed=1414)
+        report = SpectreV2Attack(
+            machine, FrontendDsbChannel(machine), b"K7", attempts_per_chunk=3
+        ).run()
+        assert _pin(report) == _V2_PIN

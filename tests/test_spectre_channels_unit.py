@@ -8,6 +8,10 @@ from repro.errors import SpectreError
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.spectre.channels import (
+    BG_CODE_LINES,
+    BG_DATA_ACCESSES,
+    BG_DATA_LINES,
+    BG_INST_FETCHES,
     FrontendDsbChannel,
     L1dFlushReload,
     L1dLruChannel,
@@ -110,6 +114,36 @@ class TestCycleAccounting:
         channel.background()
         # 220 data + 650 ifetch accesses, each at least 1 cycle.
         assert channel.cycles - before >= 870
+
+    def test_background_matches_the_per_access_loop(self):
+        """Batched background work leaves the same RNG stream, cache state,
+        stats and cycle count as one load/fetch at a time.  From this
+        fractional starting count, adding each batch's pre-summed cost
+        rounds differently from the per-access ``+=``."""
+        batched, looped = L1iPrimeProbe(machine()), L1iPrimeProbe(machine())
+        for channel in (batched, looped):
+            channel.prepare()
+            channel.cycles = 100 + 1 / 3
+        batched.background(calls=3)
+        for _ in range(3):
+            data = looped._rng.integers(0, BG_DATA_LINES, size=BG_DATA_ACCESSES)
+            for index in data:
+                looped._load(looped._data_base + int(index) * 64)
+            code = looped._rng.integers(0, BG_CODE_LINES, size=BG_INST_FETCHES)
+            for index in code:
+                looped._ifetch(looped._code_base + int(index) * 64)
+        assert batched.cycles.hex() == looped.cycles.hex()
+        assert batched._rng.integers(1 << 30) == looped._rng.integers(1 << 30)
+        for name in ("l1", "l2", "llc"):
+            ours, theirs = getattr(batched.hierarchy, name), getattr(looped.hierarchy, name)
+            assert ours.stats == theirs.stats
+            assert [ours.lru_stack(i) for i in range(ours.sets)] == [
+                theirs.lru_stack(i) for i in range(theirs.sets)
+            ]
+        assert batched.l1i.stats == looped.l1i.stats
+        assert [batched.l1i.lru_stack(i) for i in range(64)] == [
+            looped.l1i.lru_stack(i) for i in range(64)
+        ]
 
 
 class TestMissCounts:
