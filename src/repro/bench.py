@@ -245,8 +245,8 @@ def _median_of(samples: list[float]) -> float:
 def run_lint_bench(root: str | Path = ".", loops: int = 3) -> dict:
     """Time a full-tree lint run, phase by phase (``--suite lint``).
 
-    The interprocedural families (``proto-*``/``race-*``) made the lint
-    run a real analysis pass rather than a per-file scan, so its cost
+    The interprocedural ``race-*`` family made the lint run a real
+    analysis pass rather than a per-file scan, so its cost
     is now worth pinning: ``BENCH_lint.json`` records the median of
     ``loops`` samples for the total run, the parse phase, the
     call-graph build and each rule family, plus files/sec — a lint
@@ -300,8 +300,8 @@ def run_lint_bench(root: str | Path = ".", loops: int = 3) -> dict:
         families.setdefault(rule_cls.family, []).append(rule_cls)
     family_samples: dict[str, list[float]] = {name: [] for name in families}
     for _ in range(loops):
-        # A fresh project per sample keeps memoised analyses (call
-        # graph, protocol tables) *inside* the family that builds them.
+        # A fresh project per sample keeps memoised analyses (the call
+        # graph) *inside* the family that builds them.
         project = Project.load(root, files, config=config)
         for name in sorted(families):
             start = time.perf_counter()

@@ -36,12 +36,22 @@ from typing import Callable, Mapping, Sequence
 
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
+    WORKER_FRAMES,
     ClusterError,
+    ClusterFrame,
     ClusterProtocolError,
+    Goodbye,
+    Heartbeat,
+    PointResult,
+    Register,
+    ShardDone,
+    ShardError,
+    ShardWork,
+    Shutdown,
+    Welcome,
     encode_obj,
     encode_points,
-    read_message,
-    send_message,
+    read_frame,
 )
 from repro.cluster.shards import Shard, plan_shards
 from repro.errors import ConfigurationError
@@ -49,8 +59,12 @@ from repro.obs import MetricsRegistry, Span, get_registry, merge_snapshot
 from repro.service.endpoints import Endpoint, parse_endpoint, start_endpoint_server
 from repro.service.events import Event
 from repro.sweep import SweepPoint
+from repro.wire import frame_table, send_frame
 
 __all__ = ["Coordinator", "ShardState", "WorkerHandle"]
+
+#: The only frame a new connection may open with.
+_HELLO = frame_table(Register)
 
 
 @dataclass
@@ -285,7 +299,7 @@ class Coordinator:
             except asyncio.CancelledError:
                 pass
         for worker in list(self._workers.values()):
-            await self._send_safe(worker, {"type": "shutdown", "reason": reason})
+            await self._send_safe(worker, Shutdown(reason=reason))
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -358,32 +372,26 @@ class Coordinator:
             task.add_done_callback(self._handlers.discard)
         worker: WorkerHandle | None = None
         try:
-            register = await read_message(reader)
-            if register is None or register.get("type") != "register":
+            register = await read_frame(reader, _HELLO)
+            if register is None:
                 return
-            if register.get("version") != PROTOCOL_VERSION:
-                await send_message(
+            if register.version != PROTOCOL_VERSION:
+                await send_frame(
                     writer,
-                    {
-                        "type": "shutdown",
-                        "reason": f"protocol version mismatch "
-                        f"(coordinator speaks {PROTOCOL_VERSION})",
-                    },
+                    Shutdown(
+                        reason=f"protocol version mismatch "
+                        f"(coordinator speaks {PROTOCOL_VERSION})"
+                    ),
                 )
                 return
             worker = self._register(register, writer)
-            await send_message(
-                writer,
-                {"type": "welcome", "worker": worker.name,
-                 "version": PROTOCOL_VERSION},
+            await send_frame(
+                writer, Welcome(worker=worker.name, version=PROTOCOL_VERSION)
             )
             self._assign(worker)
-            while True:
-                message = await read_message(reader)
-                if message is None:
-                    break
+            while (frame := await read_frame(reader, WORKER_FRAMES)) is not None:
                 worker.last_seen = self._clock()
-                self._dispatch_message(worker, message)
+                self._HANDLERS[type(frame)](self, worker, frame)
         except (ConnectionResetError, BrokenPipeError, ClusterProtocolError):
             pass
         except asyncio.CancelledError:
@@ -397,8 +405,8 @@ class Coordinator:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    def _register(self, message: dict, writer: asyncio.StreamWriter) -> WorkerHandle:
-        requested = str(message.get("worker") or f"worker-{next(self._names)}")
+    def _register(self, frame: Register, writer: asyncio.StreamWriter) -> WorkerHandle:
+        requested = frame.worker or f"worker-{next(self._names)}"
         name = requested
         suffix = 1
         while name in self._workers:
@@ -408,7 +416,7 @@ class Coordinator:
             name=name,
             writer=writer,
             last_seen=self._clock(),
-            slots=max(1, int(message.get("slots") or 1)),
+            slots=max(1, frame.slots),
         )
         self._workers[name] = worker
         self._ever_had_workers = True
@@ -423,40 +431,27 @@ class Coordinator:
         )
         return worker
 
-    def _dispatch_message(self, worker: WorkerHandle, message: dict) -> None:
-        kind = message.get("type")
-        if kind == "heartbeat":
-            return
-        if kind == "point-result":
-            self._on_point_result(worker, message)
-        elif kind == "shard-done":
-            self._on_shard_done(worker, message)
-        elif kind == "shard-error":
-            self._on_shard_error(worker, message)
-        elif kind == "goodbye":
-            self._on_goodbye(worker, message)
-        else:
-            raise ClusterProtocolError(f"unexpected worker message {kind!r}")
-
     # ------------------------------------------------------------------
     # result merging (idempotent by point index)
     # ------------------------------------------------------------------
-    def _on_point_result(self, worker: WorkerHandle, message: dict) -> None:
-        state = self._states_by_id.get(int(message.get("shard", -1)))
-        index = int(message.get("index", -1))
-        metrics = message.get("metrics")
-        if state is None or not isinstance(metrics, dict):
-            raise ClusterProtocolError(f"malformed point-result: {message}")
+    def _on_heartbeat(self, worker: WorkerHandle, frame: Heartbeat) -> None:
+        """Liveness only: every frame already refreshed ``last_seen``."""
+
+    def _on_point_result(self, worker: WorkerHandle, frame: PointResult) -> None:
+        state = self._states_by_id.get(frame.shard)
+        index = frame.index
+        if state is None:
+            raise ClusterProtocolError(f"point-result for unknown shard: {frame}")
         if index in self._results or index not in set(state.shard.indices):
             # Late duplicate from an evicted worker, a retried shard or
             # a stolen copy: merged already, drop it.
             self._c_duplicates.inc()
             return
-        self._results[index] = (metrics, float(message.get("elapsed_s", 0.0)))
+        self._results[index] = (dict(frame.metrics), frame.elapsed_s)
         state.remaining.discard(index)
         worker.points_done += 1
         self.registry.counter("cluster.points_done", worker=worker.name).inc()
-        if message.get("cached"):
+        if frame.cached:
             self._c_remote_hits.inc()
         if len(self._results) >= self.total_points:
             self._emit(
@@ -468,11 +463,11 @@ class Coordinator:
             )
             self._finished.set()
 
-    def _on_shard_done(self, worker: WorkerHandle, message: dict) -> None:
-        self._merge_worker_metrics(worker, message.get("snapshot"))
-        state = self._states_by_id.get(int(message.get("shard", -1)))
+    def _on_shard_done(self, worker: WorkerHandle, frame: ShardDone) -> None:
+        self._merge_worker_metrics(worker, frame.snapshot)
+        state = self._states_by_id.get(frame.shard)
         if state is None:
-            raise ClusterProtocolError(f"shard-done for unknown shard: {message}")
+            raise ClusterProtocolError(f"shard-done for unknown shard: {frame}")
         self._end_span(state.shard.id, worker.name)
         worker.shards.discard(state.shard.id)
         state.active.discard(worker.name)
@@ -482,25 +477,27 @@ class Coordinator:
             self._requeue(state, reason=f"incomplete shard-done from {worker.name}")
         self._assign(worker)
 
-    def _on_shard_error(self, worker: WorkerHandle, message: dict) -> None:
-        state = self._states_by_id.get(int(message.get("shard", -1)))
+    def _on_shard_error(self, worker: WorkerHandle, frame: ShardError) -> None:
+        state = self._states_by_id.get(frame.shard)
         if state is None:
-            raise ClusterProtocolError(f"shard-error for unknown shard: {message}")
+            raise ClusterProtocolError(f"shard-error for unknown shard: {frame}")
         self._end_span(state.shard.id, worker.name)
         worker.shards.discard(state.shard.id)
         state.active.discard(worker.name)
         if not state.done and not state.active:
             self._requeue(
                 state,
-                reason=f"worker {worker.name} failed: {message.get('message')}",
+                reason=f"worker {worker.name} failed: {frame.message}",
             )
         self._assign(worker)
 
-    def _on_goodbye(self, worker: WorkerHandle, message: dict) -> None:
+    def _on_goodbye(self, worker: WorkerHandle, frame: Goodbye) -> None:
         """A worker honouring ``shutdown``: take its parting snapshot."""
-        self._merge_worker_metrics(worker, message.get("snapshot"))
+        self._merge_worker_metrics(worker, frame.snapshot)
 
-    def _merge_worker_metrics(self, worker: WorkerHandle, snapshot: object) -> None:
+    def _merge_worker_metrics(
+        self, worker: WorkerHandle, snapshot: Mapping[str, object] | None
+    ) -> None:
         """Fold one shipped registry snapshot into the fleet registry.
 
         Delta-based against the worker's previous shipment, so the
@@ -508,7 +505,7 @@ class Coordinator:
         the final ``goodbye``) never double-count; a worker that
         reconnects under a new name simply starts a fresh baseline.
         """
-        if not isinstance(snapshot, dict):
+        if snapshot is None:
             return
         self._metric_baselines[worker.name] = merge_snapshot(
             self.registry, snapshot, self._metric_baselines.get(worker.name)
@@ -564,14 +561,13 @@ class Coordinator:
                 "shard.dispatch", shard=state.shard.id, worker=worker.name
             )
         )
-        message = {
-            "type": "shard",
-            "shard": state.shard.id,
-            "factory": self._factory_b64,
-            "points": encode_points(
+        frame = ShardWork(
+            shard=state.shard.id,
+            factory=self._factory_b64,
+            points=encode_points(
                 [(i, p) for i, p in state.shard.pending if i in state.remaining]
             ),
-        }
+        )
         self._emit(
             "shard-dispatched",
             shard=state.shard.id,
@@ -583,20 +579,20 @@ class Coordinator:
         # asyncio holds only a weak reference to running tasks: retain
         # the send until it completes, and cancel stragglers in stop().
         loop = asyncio.get_running_loop()
-        task = loop.create_task(self._send_or_drop(worker, message))
+        task = loop.create_task(self._send_or_drop(worker, frame))
         self._send_tasks.add(task)
         task.add_done_callback(self._send_tasks.discard)
 
-    async def _send_or_drop(self, worker: WorkerHandle, message: dict) -> None:
+    async def _send_or_drop(self, worker: WorkerHandle, frame: ClusterFrame) -> None:
         try:
-            await send_message(worker.writer, message)
+            await send_frame(worker.writer, frame)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             if worker.name in self._workers:
                 self._drop_worker(worker, reason="send failed")
 
-    async def _send_safe(self, worker: WorkerHandle, message: dict) -> None:
+    async def _send_safe(self, worker: WorkerHandle, frame: ClusterFrame) -> None:
         try:
-            await send_message(worker.writer, message)
+            await send_frame(worker.writer, frame)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass
 
@@ -669,9 +665,7 @@ class Coordinator:
             for worker in list(self._workers.values()):
                 if now - worker.last_seen > self.heartbeat_timeout:
                     self._drop_worker(worker, reason="heartbeat timeout")
-                    await self._send_safe(
-                        worker, {"type": "shutdown", "reason": "heartbeat timeout"}
-                    )
+                    await self._send_safe(worker, Shutdown(reason="heartbeat timeout"))
                     worker.writer.close()
             # Backoffs expire and workers go idle between messages; give
             # every idle worker a dispatch opportunity each tick.
@@ -698,3 +692,13 @@ class Coordinator:
         if self._on_event is None:
             return
         self._on_event(Event(kind, {**data, "seq": next(self._seq)}))
+
+    #: One handler per frame a coordinator accepts after register
+    #: (``tests/test_frames.py`` holds the keys to :data:`WORKER_FRAMES`).
+    _HANDLERS = {
+        Heartbeat: _on_heartbeat,
+        PointResult: _on_point_result,
+        ShardDone: _on_shard_done,
+        ShardError: _on_shard_error,
+        Goodbye: _on_goodbye,
+    }

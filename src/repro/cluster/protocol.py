@@ -1,34 +1,26 @@
-"""Wire protocol of the cluster fabric: JSONL frames over a socket.
+"""Wire protocol of the cluster fabric: typed JSONL frames over a socket.
 
 Coordinator and workers exchange newline-delimited JSON objects, one
-message per line, over TCP or a Unix socket (the same framing as the
-sweep service's front door).  The vocabulary:
+frame per line, over TCP or a Unix socket (the same framing as the
+sweep service's front door).  Each frame kind is a frozen dataclass
+below, keyed by ``"type"``; both sides decode every line strictly with
+:func:`read_frame`, so a malformed frame raises
+:class:`ClusterProtocolError` on the side that received it.
 
-worker -> coordinator:
+* worker -> coordinator: :class:`Register`, then any of
+  :data:`WORKER_FRAMES` — :class:`Heartbeat`, :class:`PointResult`,
+  :class:`ShardDone`, :class:`ShardError`, :class:`Goodbye`;
+* coordinator -> worker: :class:`Welcome` (or a refusing
+  :class:`Shutdown`), then any of :data:`COORDINATOR_FRAMES` —
+  :class:`ShardWork`, :class:`Shutdown`.
 
-* ``{"type": "register", "worker": name, "slots": n, "version": 1}``
-  — join the cluster; the coordinator answers ``welcome`` (possibly
-  renaming the worker to keep names unique);
-* ``{"type": "heartbeat", "worker": name}`` — liveness, sent every
-  ``heartbeat_interval`` seconds while idle *and* while computing;
-* ``{"type": "point-result", "shard": id, "index": i, "metrics": {...},
-  "elapsed_s": x, "cached": bool}`` — one computed (or locally cached)
-  point, streamed the moment it finishes;
-* ``{"type": "shard-done", "shard": id}`` — every point of the shard
-  was reported;
-* ``{"type": "shard-error", "shard": id, "message": str}`` — the
-  factory raised; the coordinator retries the shard elsewhere.
+Changing a frame class changes the protocol: bump
+:data:`PROTOCOL_VERSION` when the bytes on the wire change
+incompatibly.
 
-coordinator -> worker:
-
-* ``{"type": "welcome", "worker": name, "version": 1}``;
-* ``{"type": "shard", "shard": id, "factory": b64, "points":
-  [[index, b64], ...]}`` — one work unit;
-* ``{"type": "shutdown", "reason": str}`` — the run is over (or the
-  coordinator is stopping); the worker disconnects.
-
-Sweep points and the factory cross the wire as base64-encoded pickles —
-the exact serialisation contract :class:`~repro.exec.parallel.ParallelExecutor`
+An optional field that is ``None`` is left out of the line.  Sweep points
+and the factory cross the wire as base64-encoded pickles — the exact
+serialisation contract :class:`~repro.exec.parallel.ParallelExecutor`
 already imposes on factories (module-level functions or
 ``functools.partial``), extended from process boundaries to host
 boundaries.  Pickle is executable by construction, so the transport is
@@ -40,19 +32,31 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import json
 import pickle
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ReproError
 from repro.sweep import SweepPoint
+from repro.wire import Frame, decode_frame, frame_table
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "COORDINATOR_FRAMES",
     "ClusterError",
+    "ClusterFrame",
     "ClusterProtocolError",
-    "send_message",
-    "read_message",
+    "Goodbye",
+    "Heartbeat",
+    "PointResult",
+    "Register",
+    "ShardDone",
+    "ShardError",
+    "ShardWork",
+    "Shutdown",
+    "WORKER_FRAMES",
+    "Welcome",
+    "read_frame",
     "encode_obj",
     "decode_obj",
     "encode_points",
@@ -75,24 +79,130 @@ class ClusterProtocolError(ClusterError):
     """A peer sent a malformed or unexpected message."""
 
 
-async def send_message(writer: asyncio.StreamWriter, message: Mapping) -> None:
-    """Write one JSONL frame and flush it."""
-    writer.write(json.dumps(message, separators=(",", ":")).encode() + b"\n")
-    await writer.drain()
+class ClusterFrame(Frame):
+    """A frame of the cluster fabric."""
+
+    key = "type"
 
 
-async def read_message(reader: asyncio.StreamReader) -> dict | None:
-    """Read one JSONL frame; ``None`` means the peer closed the stream."""
+# -- worker -> coordinator ----------------------------------------------
+@dataclass(frozen=True)
+class Register(ClusterFrame):
+    """First frame on a worker connection; answered by :class:`Welcome`
+    (the name may come back uniquified) or a refusing :class:`Shutdown`."""
+
+    tag = "register"
+    #: Requested name; ``None`` lets the coordinator pick one.
+    worker: str | None
+    #: The worker's local pool width (its ``jobs=``).
+    slots: int
+    version: int
+
+
+@dataclass(frozen=True)
+class Heartbeat(ClusterFrame):
+    """Liveness, every ``heartbeat_interval`` even while computing."""
+
+    tag = "heartbeat"
+    #: For humans tailing the wire; liveness is per connection.
+    worker: str
+
+
+@dataclass(frozen=True)
+class PointResult(ClusterFrame):
+    """One finished (or locally cached) point, sent the moment it is done."""
+
+    tag = "point-result"
+    shard: int
+    index: int
+    #: The factory's metrics exactly as computed (ints stay ints).
+    metrics: Mapping[str, object]
+    elapsed_s: float
+    cached: bool
+
+
+@dataclass(frozen=True)
+class ShardDone(ClusterFrame):
+    """Every point of the shard was reported; optionally the worker's
+    cumulative metrics-registry snapshot for the fleet merge."""
+
+    tag = "shard-done"
+    shard: int
+    snapshot: Mapping[str, object] | None = None
+
+
+@dataclass(frozen=True)
+class ShardError(ClusterFrame):
+    """The shard failed (undecodable, or the factory raised); the
+    coordinator retries it elsewhere."""
+
+    tag = "shard-error"
+    shard: int
+    message: str
+
+
+@dataclass(frozen=True)
+class Goodbye(ClusterFrame):
+    """The worker honours :class:`Shutdown`; optionally its parting
+    metrics-registry snapshot."""
+
+    tag = "goodbye"
+    #: For humans tailing the wire; the coordinator knows the connection.
+    worker: str
+    snapshot: Mapping[str, object] | None = None
+
+
+# -- coordinator -> worker ----------------------------------------------
+@dataclass(frozen=True)
+class Welcome(ClusterFrame):
+    """Registration accepted: the final worker name and the
+    coordinator's protocol version."""
+
+    tag = "welcome"
+    worker: str
+    version: int
+
+
+@dataclass(frozen=True)
+class ShardWork(ClusterFrame):
+    """One work unit: compute these points with this factory."""
+
+    tag = "shard"
+    shard: int
+    #: :func:`encode_obj` of the factory; see :func:`decode_factory`.
+    factory: str
+    #: ``[[index, encode_obj(point)], ...]``; see :func:`decode_points`.
+    points: object
+
+
+@dataclass(frozen=True)
+class Shutdown(ClusterFrame):
+    """The run is over, or the registration was refused; the worker
+    answers :class:`Goodbye` and disconnects."""
+
+    tag = "shutdown"
+    #: For humans tailing the wire.
+    reason: str
+
+
+#: What a coordinator accepts after :class:`Register`.
+WORKER_FRAMES = frame_table(Heartbeat, PointResult, ShardDone, ShardError, Goodbye)
+#: What a worker accepts after :class:`Welcome`.
+COORDINATOR_FRAMES = frame_table(ShardWork, Shutdown)
+
+
+async def read_frame(
+    reader: asyncio.StreamReader, table: Mapping[str, type[ClusterFrame]]
+) -> ClusterFrame | None:
+    """Read and strictly decode one frame; ``None`` means the peer closed.
+
+    Anything but one of ``table``'s frames raises
+    :class:`ClusterProtocolError`.
+    """
     line = await reader.readline()
     if not line:
         return None
-    try:
-        message = json.loads(line)
-    except ValueError as exc:
-        raise ClusterProtocolError(f"undecodable frame: {line[:80]!r}") from exc
-    if not isinstance(message, dict) or "type" not in message:
-        raise ClusterProtocolError(f"frame is not a typed object: {line[:80]!r}")
-    return message
+    return decode_frame(table, line, ClusterProtocolError)
 
 
 def encode_obj(obj: object) -> str:
@@ -120,17 +230,19 @@ def decode_points(payload: object) -> list[tuple[int, SweepPoint]]:
         if not isinstance(item, list) or len(item) != 2:
             raise ClusterProtocolError(f"bad shard point entry: {item!r}")
         index, encoded = item
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ClusterProtocolError(f"bad shard point index: {index!r}")
         point = decode_obj(encoded)
         if not isinstance(point, SweepPoint):
             raise ClusterProtocolError(
                 f"shard point {index} decoded to {type(point).__name__}"
             )
-        pending.append((int(index), point))
+        pending.append((index, point))
     return pending
 
 
-def decode_factory(payload: object) -> Callable:
-    factory = decode_obj(str(payload))
+def decode_factory(payload: str) -> Callable:
+    factory = decode_obj(payload)
     if not callable(factory):
         raise ClusterProtocolError(
             f"shard factory decoded to non-callable {type(factory).__name__}"

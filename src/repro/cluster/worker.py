@@ -24,13 +24,23 @@ import asyncio
 from typing import Callable, Mapping, Sequence
 
 from repro.cluster.protocol import (
+    COORDINATOR_FRAMES,
     PROTOCOL_VERSION,
     ClusterError,
+    ClusterFrame,
     ClusterProtocolError,
+    Goodbye,
+    Heartbeat,
+    PointResult,
+    Register,
+    ShardDone,
+    ShardError,
+    ShardWork,
+    Shutdown,
+    Welcome,
     decode_factory,
     decode_points,
-    read_message,
-    send_message,
+    read_frame,
 )
 from repro.errors import ConfigurationError
 from repro.exec.base import Executor
@@ -41,8 +51,12 @@ from repro.exec.serial import SerialExecutor
 from repro.obs import Counter, MetricsRegistry, get_registry
 from repro.service.endpoints import Endpoint, open_endpoint, parse_endpoint
 from repro.sweep import SweepPoint
+from repro.wire import frame_table, send_frame
 
 __all__ = ["ClusterWorker", "run_worker"]
+
+#: The coordinator's answer to ``register``: welcome, or a refusal.
+_HELLO = frame_table(Welcome, Shutdown)
 
 
 class ClusterWorker:
@@ -160,50 +174,29 @@ class ClusterWorker:
         try:
             await self._send(
                 writer,
-                {
-                    "type": "register",
-                    "worker": self.name,
-                    "slots": self.jobs,
-                    "version": PROTOCOL_VERSION,
-                },
+                Register(worker=self.name, slots=self.jobs, version=PROTOCOL_VERSION),
             )
-            welcome = await read_message(reader)
-            if welcome is None:
+            welcome = await read_frame(reader, _HELLO)
+            if not isinstance(welcome, Welcome):
                 return  # coordinator refused us (e.g. version mismatch)
-            if welcome.get("type") == "shutdown":
-                return
-            if welcome.get("type") != "welcome":
-                raise ClusterProtocolError(
-                    f"expected welcome, got {welcome.get('type')!r}"
-                )
-            if welcome.get("version") != PROTOCOL_VERSION:
+            if welcome.version != PROTOCOL_VERSION:
                 # The coordinator vets our version on register, but the
                 # check must hold in both directions: a newer
                 # coordinator welcoming an older worker would otherwise
                 # fail later, mid-shard, with an opaque frame error.
                 raise ClusterProtocolError(
-                    f"coordinator speaks protocol {welcome.get('version')!r}, "
+                    f"coordinator speaks protocol {welcome.version!r}, "
                     f"this worker speaks {PROTOCOL_VERSION}"
                 )
-            self.name = str(welcome.get("worker"))
+            self.name = welcome.worker
             self._bind_instruments()
             heartbeat = asyncio.get_running_loop().create_task(
                 self._heartbeat(writer), name=f"heartbeat-{self.name}"
             )
-            while True:
-                message = await read_message(reader)
-                if message is None:
+            while (frame := await read_frame(reader, COORDINATOR_FRAMES)) is not None:
+                await self._HANDLERS[type(frame)](self, writer, frame)
+                if isinstance(frame, Shutdown):
                     break
-                kind = message.get("type")
-                if kind == "shard":
-                    await self._run_shard(writer, message)
-                elif kind == "shutdown":
-                    await self._send_goodbye(writer)
-                    break
-                else:
-                    raise ClusterProtocolError(
-                        f"unexpected coordinator message {kind!r}"
-                    )
         except (ConnectionResetError, BrokenPipeError):
             pass  # coordinator went away; nothing left to serve
         finally:
@@ -232,47 +225,45 @@ class ClusterWorker:
             f"could not reach coordinator at {self.endpoint}: {last}"
         )
 
-    async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
+    async def _send(self, writer: asyncio.StreamWriter, frame: ClusterFrame) -> None:
         # One lock per connection: the heartbeat task and the shard loop
         # both write, and frames must never interleave mid-line.
         async with self._send_lock:
-            await send_message(writer, message)
+            await send_frame(writer, frame)
 
     async def _heartbeat(self, writer: asyncio.StreamWriter) -> None:
         try:
             while True:
                 await asyncio.sleep(self.heartbeat_interval)
-                await self._send(
-                    writer, {"type": "heartbeat", "worker": self.name}
-                )
+                await self._send(writer, Heartbeat(worker=self.name))
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             return  # connection is gone; the main loop will notice too
 
-    async def _send_goodbye(self, writer: asyncio.StreamWriter) -> None:
+    async def _on_shutdown(self, writer: asyncio.StreamWriter, frame: Shutdown) -> None:
         """Final frame before honouring ``shutdown``: the parting snapshot.
 
         Best-effort — a coordinator tearing the connection down right
         after its ``shutdown`` must not turn the clean exit into a
         traceback.
         """
-        goodbye: dict = {"type": "goodbye", "worker": self.name}
-        if self.ship_metrics:
-            goodbye["snapshot"] = self._registry.snapshot()
+        goodbye = Goodbye(worker=self.name, snapshot=self._shipped_snapshot())
         try:
             await self._send(writer, goodbye)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass
 
     # ------------------------------------------------------------------
-    async def _run_shard(self, writer: asyncio.StreamWriter, message: dict) -> None:
-        shard_id = int(message.get("shard", -1))
+    def _shipped_snapshot(self) -> dict | None:
+        return self._registry.snapshot() if self.ship_metrics else None
+
+    async def _run_shard(self, writer: asyncio.StreamWriter, frame: ShardWork) -> None:
+        shard_id = frame.shard
         try:
-            factory = decode_factory(message.get("factory"))
-            pending = decode_points(message.get("points"))
+            factory = decode_factory(frame.factory)
+            pending = decode_points(frame.points)
         except ClusterProtocolError as exc:
             await self._send(
-                writer,
-                {"type": "shard-error", "shard": shard_id, "message": str(exc)},
+                writer, ShardError(shard=shard_id, message=str(exc))
             )
             return
         try:
@@ -303,22 +294,18 @@ class ClusterWorker:
                 await self._report(writer, shard_id, index, metrics, elapsed, False)
             assert self._c_shards is not None  # bound at welcome
             self._c_shards.inc()
-            done: dict = {"type": "shard-done", "shard": shard_id}
-            if self.ship_metrics:
-                # Counted *before* snapshotting so the shipped totals
-                # include the shard they close.
-                done["snapshot"] = self._registry.snapshot()
-            await self._send(writer, done)
+            # Counted *before* snapshotting so the shipped totals
+            # include the shard they close.
+            await self._send(
+                writer,
+                ShardDone(shard=shard_id, snapshot=self._shipped_snapshot()),
+            )
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             raise
         except Exception as exc:  # the factory failed: report, stay alive
             await self._send(
                 writer,
-                {
-                    "type": "shard-error",
-                    "shard": shard_id,
-                    "message": f"{type(exc).__name__}: {exc}",
-                },
+                ShardError(shard=shard_id, message=f"{type(exc).__name__}: {exc}"),
             )
 
     async def _report(
@@ -334,14 +321,13 @@ class ClusterWorker:
         self._c_points.inc()
         await self._send(
             writer,
-            {
-                "type": "point-result",
-                "shard": shard_id,
-                "index": index,
-                "metrics": dict(metrics),
-                "elapsed_s": elapsed_s,
-                "cached": cached,
-            },
+            PointResult(
+                shard=shard_id,
+                index=index,
+                metrics=dict(metrics),
+                elapsed_s=elapsed_s,
+                cached=cached,
+            ),
         )
 
     async def _stream(
@@ -381,6 +367,11 @@ class ClusterWorker:
                 yield payload
         finally:
             await pump_task
+
+    #: One handler per frame a worker accepts after welcome
+    #: (``tests/test_frames.py`` holds the keys to
+    #: :data:`COORDINATOR_FRAMES`).
+    _HANDLERS = {ShardWork: _run_shard, Shutdown: _on_shutdown}
 
 
 def run_worker(connect: str, **kwargs) -> None:

@@ -14,18 +14,16 @@ constants — so this package checks those structures mechanically:
   def`` bodies in the service layer;
 * **paper fidelity** (``fidelity-*``): simulator constants and doc
   phrases match :mod:`repro.lint.manifest` exactly;
-* **wire protocol** (``proto-*``): every service/cluster JSONL frame
-  matches the declarative manifest in
-  :mod:`repro.lint.protocol_manifest` — ops, frame keys, JSON safety —
-  on both the sender and the handler side;
 * **asyncio races** (``race-*``): no read-modify-writes of shared
   state across ``await`` points without a lock, no dropped
   ``create_task`` results, no never-awaited coroutine calls.
 
-The ``proto-*``/``race-*`` families are built on a shared
-interprocedural core: a project call graph
-(:mod:`repro.lint.callgraph`) and a forward dataflow framework
-(:mod:`repro.lint.dataflow`).
+The ``race-*`` family is built on a shared interprocedural core: a
+project call graph (:mod:`repro.lint.callgraph`) and a forward dataflow
+framework (:mod:`repro.lint.dataflow`).  The service and cluster wire
+protocols are not linted: their frames are typed dataclasses decoded
+strictly at the socket (:mod:`repro.service.frames`,
+:mod:`repro.cluster.protocol`), so a malformed frame fails at run time.
 
 Run it as ``python -m repro.cli lint [--format json] [--baseline FILE]``
 or programmatically::
@@ -50,23 +48,11 @@ from repro.lint.core import (
     all_rules,
     rules_by_name,
 )
-from repro.lint.dataflow import (
-    ForwardPass,
-    NameBindings,
-    dict_key_flow,
-    fixpoint_functions,
-)
-from repro.lint.protocol_manifest import (
-    CLUSTER_OPS,
-    PROTOCOL_OPS,
-    SERVICE_OPS,
-    OpSpec,
-)
+from repro.lint.dataflow import ForwardPass, fixpoint_functions
 from repro.lint.runner import Finding, LintReport, changed_files, run_lint
 
 __all__ = [
     "Baseline",
-    "CLUSTER_OPS",
     "CallGraph",
     "CallSite",
     "DEFAULT_LAYERS",
@@ -76,19 +62,14 @@ __all__ = [
     "LintConfig",
     "LintReport",
     "ModuleInfo",
-    "NameBindings",
-    "OpSpec",
-    "PROTOCOL_OPS",
     "Project",
     "Rule",
-    "SERVICE_OPS",
     "Severity",
     "Violation",
     "all_rules",
     "build_call_graph",
     "changed_files",
     "default_config",
-    "dict_key_flow",
     "fixpoint_functions",
     "rules_by_name",
     "run_lint",

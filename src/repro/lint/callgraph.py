@@ -16,8 +16,8 @@ scope — the rules built on top only act on *resolved* edges, so an
 unresolvable call can hide a problem but never invent one.
 
 Build cost is one AST walk per module; :func:`build_call_graph`
-memoises the graph on the :class:`~repro.lint.core.Project`, so the
-protocol and race families share a single construction per lint run.
+memoises the graph on the :class:`~repro.lint.core.Project`, so every
+rule that asks shares a single construction per lint run.
 """
 
 from __future__ import annotations

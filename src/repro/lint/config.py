@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.lint.core import Severity
-from repro.lint.protocol_manifest import PROTOCOL_OPS
 
 __all__ = ["LintConfig", "DEFAULT_LAYERS", "default_config"]
 
@@ -40,7 +39,8 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     "rng": frozenset({"errors"}),
     "isa": frozenset({"errors"}),
     "caches": frozenset({"errors"}),
-    # The strict JSON codec every wire-crossing spec dataclass shares.
+    # The strict JSON codec every wire-crossing spec dataclass and
+    # service/cluster frame shares.
     "wire": frozenset({"errors"}),
     "analysis": frozenset({"errors", "wire"}),
     # -- simulator core -------------------------------------------------
@@ -141,7 +141,8 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     # -- cluster fabric ---------------------------------------------------
     # Sits above the service layer: it reuses the service's endpoint
     # grammar and event vocabulary, and drives executors over the wire.
-    "cluster": frozenset({"errors", "exec", "obs", "service", "sweep"}),
+    # Its frames are typed with the shared ``wire`` codec.
+    "cluster": frozenset({"errors", "exec", "obs", "service", "sweep", "wire"}),
     # -- tooling ---------------------------------------------------------
     # The linter inspects everything but imports only foundations.
     "lint": frozenset({"errors"}),
@@ -259,12 +260,6 @@ class LintConfig:
     #: and whose shared state the ``race-*`` family audits for
     #: read-modify-writes across ``await`` points.
     async_units: tuple[str, ...] = ("service", "cluster")
-    #: Packages scanned for wire-protocol frames (dict literals carrying
-    #: an ``"op"``/``"type"`` discriminator) by the ``proto-*`` family.
-    protocol_units: tuple[str, ...] = ("service", "cluster")
-    #: The wire-protocol manifest the ``proto-*`` family checks against
-    #: (fixture trees substitute their own OpSpec tuples).
-    protocol_ops: tuple = PROTOCOL_OPS
     #: The import DAG (see module docstring).
     layers: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: dict(DEFAULT_LAYERS)

@@ -1,20 +1,11 @@
 """Forward dataflow framework over function bodies.
 
-PR 5 grew a one-off cross-function pass inside the ``det-set-iteration``
-rule (which module functions provably return sets?).  The protocol and
-race rule families need the same two ingredients — *flow of values
-through local names* and *position of effects relative to control
-points* — so this module generalises them into a small reusable core:
+Two small reusable pieces, shared by the ``det-set-iteration`` rule
+and the ``race-*`` family:
 
-* :func:`fixpoint_functions` — the module-level fixed point the set
-  rule pioneered: accept functions whose bodies satisfy a predicate,
-  feeding already-accepted names back in until nothing changes;
-* :class:`NameBindings` — every value expression assigned to each local
-  name of one function (the "what might this name be?" question the
-  protocol rules ask about frame dicts and ``request.get("op")``
-  results);
-* :func:`dict_key_flow` — definite/possible key sets of locals bound to
-  dict literals, following later ``name["k"] = ...`` stores;
+* :func:`fixpoint_functions` — a module-level fixed point: accept
+  functions whose bodies satisfy a predicate, feeding already-accepted
+  names back in until nothing changes;
 * :class:`ForwardPass` — a statement-ordered forward walk of one
   function body that tracks ``await`` points, ``async with`` lock
   scopes and the stack of governing branch tests, with overridable
@@ -31,14 +22,11 @@ proving schedules.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 __all__ = [
     "fixpoint_functions",
-    "NameBindings",
-    "DictKeys",
-    "dict_key_flow",
     "GuardFrame",
     "ForwardPass",
 ]
@@ -70,128 +58,6 @@ def fixpoint_functions(
                 accepted.add(name)
                 changed = True
     return frozenset(accepted)
-
-
-class NameBindings:
-    """Every value expression assigned to each local name of a function.
-
-    Records plain assignments, annotated assignments and named
-    expressions (``:=``); tuple-unpacking targets are recorded with an
-    unknown (``None``) value, as are ``for`` targets and ``with ... as``
-    names — the *set* of binding sites is complete even where the value
-    expression is not recoverable.
-    """
-
-    def __init__(self, func: ast.AST) -> None:
-        #: name -> list of (lineno, value expression or None).
-        self.sites: dict[str, list[tuple[int, ast.expr | None]]] = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    self._record_target(target, node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._record_target(node.target, node.value)
-            elif isinstance(node, ast.NamedExpr):
-                self._record_target(node.target, node.value)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._record_target(node.target, None)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if item.optional_vars is not None:
-                        self._record_target(item.optional_vars, None)
-
-    def _record_target(self, target: ast.expr, value: ast.expr | None) -> None:
-        if isinstance(target, ast.Name):
-            self.sites.setdefault(target.id, []).append(
-                (getattr(target, "lineno", 0), value)
-            )
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._record_target(element, None)
-
-    def values(self, name: str) -> list[ast.expr]:
-        """Known value expressions bound to ``name`` (unknowns omitted)."""
-        return [v for _, v in self.sites.get(name, []) if v is not None]
-
-    def sole_value(self, name: str) -> ast.expr | None:
-        """The value expression iff ``name`` is bound exactly once."""
-        sites = self.sites.get(name, [])
-        if len(sites) == 1 and sites[0][1] is not None:
-            return sites[0][1]
-        return None
-
-
-@dataclass
-class DictKeys:
-    """Key-set facts about one local bound to a dict literal."""
-
-    node: ast.Dict
-    #: Keys present in the literal itself (set on every path).
-    definite: frozenset[str]
-    #: ``definite`` plus keys added by later ``name["k"] = ...`` stores.
-    possible: frozenset[str]
-    #: key -> value expression (literal entries and subscript stores).
-    values: dict[str, ast.expr] = field(default_factory=dict)
-    #: A ``**spread`` or non-constant key makes the key set open-ended.
-    open_ended: bool = False
-
-
-def literal_dict_keys(node: ast.Dict) -> tuple[frozenset[str], dict[str, ast.expr], bool]:
-    """Constant string keys of a dict display, their values, and whether
-    the display also has unknowable entries (``**spread`` / computed keys)."""
-    keys: set[str] = set()
-    values: dict[str, ast.expr] = {}
-    open_ended = False
-    for key, value in zip(node.keys, node.values):
-        if key is None:  # **spread
-            open_ended = True
-        elif isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.add(key.value)
-            values[key.value] = value
-        else:
-            open_ended = True
-    return frozenset(keys), values, open_ended
-
-
-def dict_key_flow(func: ast.AST) -> dict[str, DictKeys]:
-    """Locals of ``func`` bound (exactly once) to a dict literal, with
-    the literal's keys plus any later constant ``name["k"] = v`` stores.
-
-    Names rebound more than once are dropped — their key set is not a
-    single literal's story any more.
-    """
-    bindings = NameBindings(func)
-    flows: dict[str, DictKeys] = {}
-    for name, sites in bindings.sites.items():
-        if len(sites) != 1 or not isinstance(sites[0][1], ast.Dict):
-            continue
-        definite, values, open_ended = literal_dict_keys(sites[0][1])
-        flows[name] = DictKeys(
-            node=sites[0][1],
-            definite=definite,
-            possible=definite,
-            values=dict(values),
-            open_ended=open_ended,
-        )
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Subscript)
-            and isinstance(node.targets[0].value, ast.Name)
-        ):
-            continue
-        target = node.targets[0]
-        flow = flows.get(target.value.id)
-        if flow is None:
-            continue
-        index = target.slice
-        if isinstance(index, ast.Constant) and isinstance(index.value, str):
-            flow.possible = flow.possible | {index.value}
-            flow.values.setdefault(index.value, node.value)
-        else:
-            flow.open_ended = True
-    return flows
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ Families (rule-name prefixes):
 * ``layer-*`` — layering / import DAG (:mod:`repro.lint.rules.layering`);
 * ``async-*`` — event-loop hygiene (:mod:`repro.lint.rules.concurrency`);
 * ``fidelity-*`` — paper-constant drift (:mod:`repro.lint.rules.fidelity`);
-* ``proto-*`` — wire-protocol conformance (:mod:`repro.lint.rules.protocol`);
 * ``race-*``  — asyncio race shapes (:mod:`repro.lint.rules.races`).
 """
 
@@ -15,7 +14,6 @@ from repro.lint.rules import (
     determinism,
     fidelity,
     layering,
-    protocol,
     races,
 )
 
@@ -24,6 +22,5 @@ __all__ = [
     "determinism",
     "fidelity",
     "layering",
-    "protocol",
     "races",
 ]

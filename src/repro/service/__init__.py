@@ -26,6 +26,8 @@ Layers (bottom up):
   paths and ``tcp://host:port``), shared with the cluster fabric;
 * :mod:`repro.service.spec` — :class:`SweepSpec`, the JSON-safe
   submission format, plus the channel-sweep factory;
+* :mod:`repro.service.frames` — the typed request and refusal frames
+  of the socket protocol;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   socket protocol behind ``python -m repro serve`` / ``submit`` /
   ``watch``.
@@ -33,9 +35,10 @@ Layers (bottom up):
 See ``docs/service.md`` for the architecture and event schema.
 """
 
-from repro.service.auth import AuthPolicy, ClientAccount, Denial, Quota
+from repro.service.auth import AuthPolicy, ClientAccount, Quota
 from repro.service.endpoints import Endpoint, parse_endpoint
 from repro.service.events import EVENT_KINDS, Event, jsonl_progress
+from repro.service.frames import Deny, QuotaExceeded
 from repro.service.jobs import Job, JobQueue, JobStatus
 from repro.service.scheduler import Scheduler
 from repro.service.server import SweepServer
@@ -56,7 +59,7 @@ from repro.service.client import (
 __all__ = [
     "AuthPolicy",
     "ClientAccount",
-    "Denial",
+    "Deny",
     "EVENT_KINDS",
     "Endpoint",
     "Event",
@@ -68,6 +71,7 @@ __all__ = [
     "load_spec",
     "parse_endpoint",
     "Quota",
+    "QuotaExceeded",
     "Scheduler",
     "ServiceClient",
     "ServiceDeniedError",

@@ -7,10 +7,9 @@ carry a ``"token"`` key, the policy maps it to a :class:`ClientAccount`
 :class:`Quota` — a cap on concurrently active jobs, a cap on points per
 job, and a token-bucket submit rate.  Refusals are values, not
 exceptions: :meth:`AuthPolicy.authenticate` and
-:meth:`AuthPolicy.admit_submit` return a :class:`Denial` that the
-server serialises as a ``deny`` or ``quota-exceeded`` protocol frame
-(see the lint protocol manifest) and the client surfaces as a typed
-exception.
+:meth:`AuthPolicy.admit_submit` return a ``deny`` or
+``quota-exceeded`` frame (:mod:`repro.service.frames`) that the server
+sends as it is and the client surfaces as a typed exception.
 
 Fairness between admitted tenants is the queue's business, not the
 policy's: see :class:`~repro.service.jobs.JobQueue`'s round-robin.
@@ -43,8 +42,9 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError
+from repro.service.frames import Deny, QuotaExceeded
 
-__all__ = ["Quota", "Denial", "ClientAccount", "AuthPolicy"]
+__all__ = ["Quota", "ClientAccount", "AuthPolicy"]
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,6 @@ class Quota:
             raise ConfigurationError(
                 f"submit_burst must be >= 1, got {self.submit_burst}"
             )
-
-
-@dataclass(frozen=True)
-class Denial:
-    """A refusal, ready to serialise as a protocol frame.
-
-    ``kind`` selects the frame (``deny`` for authentication failures,
-    ``quota-exceeded`` for admission failures), ``reason`` is the
-    machine-readable slug clients can branch on, ``message`` the human
-    sentence, and ``retry_after_s`` — set only for rate denials — when
-    the bucket next has a token.
-    """
-
-    kind: str
-    reason: str
-    message: str
-    retry_after_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -248,23 +231,21 @@ class AuthPolicy:
         )
 
     # ------------------------------------------------------------------
-    def authenticate(self, token: object) -> "ClientAccount | Denial":
-        """Resolve a request's token; a :class:`Denial` refuses it."""
+    def authenticate(self, token: str | None) -> "ClientAccount | Deny":
+        """Resolve a request's token; a ``deny`` frame refuses it."""
         if token is None:
             if self.allow_anonymous:
                 return self._anonymous
-            return Denial(
-                kind="deny",
+            return Deny(
                 reason="unauthenticated",
                 message=(
                     "this service requires a client token; pass one with "
                     '--token (the request\'s "token" key)'
                 ),
             )
-        account = self._accounts.get(str(token))
+        account = self._accounts.get(token)
         if account is None:
-            return Denial(
-                kind="deny",
+            return Deny(
                 reason="unknown-token",
                 message="unrecognised client token",
             )
@@ -272,7 +253,7 @@ class AuthPolicy:
 
     def admit_submit(
         self, account: ClientAccount, *, points: int, active_jobs: int
-    ) -> "Denial | None":
+    ) -> "QuotaExceeded | None":
         """Admit one submission, or say exactly why not.
 
         Checks (in order): concurrently active jobs, points per job,
@@ -285,8 +266,7 @@ class AuthPolicy:
             quota.max_active_jobs is not None
             and active_jobs >= quota.max_active_jobs
         ):
-            return Denial(
-                kind="quota-exceeded",
+            return QuotaExceeded(
                 reason="active-jobs",
                 message=(
                     f"client {account.name!r} already has {active_jobs} "
@@ -295,8 +275,7 @@ class AuthPolicy:
                 ),
             )
         if quota.max_points is not None and points > quota.max_points:
-            return Denial(
-                kind="quota-exceeded",
+            return QuotaExceeded(
                 reason="points-per-job",
                 message=(
                     f"submission expands to {points} point(s), over client "
@@ -317,8 +296,7 @@ class AuthPolicy:
             bucket.updated_at = now
             if bucket.tokens < 1.0:
                 wait = (1.0 - bucket.tokens) / quota.submit_rate_per_s
-                return Denial(
-                    kind="quota-exceeded",
+                return QuotaExceeded(
                     reason="submit-rate",
                     message=(
                         f"client {account.name!r} is over its submit rate of "

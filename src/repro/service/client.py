@@ -11,8 +11,9 @@ Server-side refusals arrive as protocol frames and surface here as
 typed exceptions: a ``deny`` frame raises :class:`ServiceDeniedError`,
 ``quota-exceeded`` raises :class:`ServiceQuotaError` (carrying
 ``retry_after_s`` for rate denials), an undecodable or non-event frame
-raises :class:`ServiceProtocolError` instead of hanging the stream, and
-``timeout_s`` bounds every read with :class:`ServiceTimeoutError`.  The
+(or a malformed refusal) raises :class:`ServiceProtocolError` instead
+of hanging the stream, and ``timeout_s`` bounds every read with
+:class:`ServiceTimeoutError`.  The
 server's in-band ``error`` events (a bad spec, an unknown op) still
 stream through as events — they answer a request that *was* accepted.
 """
@@ -28,7 +29,19 @@ from typing import IO, AsyncIterator
 from repro.errors import ConfigurationError, ReproError
 from repro.service.endpoints import open_endpoint, parse_endpoint
 from repro.service.events import Event
+from repro.service.frames import (
+    REFUSALS,
+    CancelRequest,
+    Deny,
+    MetricsRequest,
+    PingRequest,
+    QuotaExceeded,
+    Request,
+    SubmitRequest,
+    WatchRequest,
+)
 from repro.service.spec import SweepSpec
+from repro.wire import decode_frame, send_frame
 
 __all__ = [
     "ServiceClient",
@@ -76,25 +89,13 @@ class ServiceProtocolError(ServiceError):
     """The server sent bytes that are not a protocol frame."""
 
 
-def _raise_for_denial(payload: dict) -> None:
-    """Map a refusal frame to its typed exception (no-op otherwise)."""
-    kind = payload.get("event")
-    if kind == "quota-exceeded":
-        retry_after = payload.get("retry_after_s")
-        raise ServiceQuotaError(
-            reason=str(payload.get("reason")),
-            message=str(payload.get("message")),
-            retry_after_s=(
-                float(retry_after)
-                if isinstance(retry_after, (int, float))
-                else None
-            ),
-        )
-    if kind == "deny":
-        raise ServiceDeniedError(
-            reason=str(payload.get("reason")),
-            message=str(payload.get("message")),
-        )
+#: The typed error each refusal frame raises.
+_REFUSAL_ERRORS = {
+    Deny: lambda frame: ServiceDeniedError(frame.reason, frame.message),
+    QuotaExceeded: lambda frame: ServiceQuotaError(
+        frame.reason, frame.message, frame.retry_after_s
+    ),
+}
 
 
 class ServiceClient:
@@ -125,10 +126,9 @@ class ServiceClient:
         """Submit one spec; yields its events through ``job-done``."""
         reader, writer = await self._connect()
         try:
-            request: dict = {"op": "submit", "spec": spec.to_dict()}
-            if self.token is not None:
-                request["token"] = self.token
-            await self._send(writer, request)
+            await send_frame(
+                writer, SubmitRequest(spec=spec.to_dict(), token=self.token)
+            )
             async for event in self._events(reader):
                 yield event
                 if event.kind in ("job-done", "error"):
@@ -142,25 +142,16 @@ class ServiceClient:
 
     async def cancel(self, job_id: str) -> bool:
         """Request cancellation of a job by id; True if it was live."""
-        cancel_request: dict = {"op": "cancel", "job": job_id}
-        if self.token is not None:
-            cancel_request["token"] = self.token
-        event = await self._round_trip(cancel_request)
+        event = await self._round_trip(CancelRequest(job=job_id, token=self.token))
         return bool(event.get("ok"))
 
     async def ping(self) -> Event:
         """Liveness check; returns the server's ``pong`` counters."""
-        ping_request: dict = {"op": "ping"}
-        if self.token is not None:
-            ping_request["token"] = self.token
-        return await self._round_trip(ping_request)
+        return await self._round_trip(PingRequest(token=self.token))
 
     async def metrics(self) -> Event:
         """The server's metrics snapshot (the ``metrics`` op)."""
-        metrics_request: dict = {"op": "metrics"}
-        if self.token is not None:
-            metrics_request["token"] = self.token
-        return await self._round_trip(metrics_request)
+        return await self._round_trip(MetricsRequest(token=self.token))
 
     async def watch(self, kinds: list[str] | None = None) -> AsyncIterator[Event]:
         """Stream the service-wide event feed (the ``watch`` op).
@@ -172,12 +163,13 @@ class ServiceClient:
         """
         reader, writer = await self._connect()
         try:
-            request: dict = {"op": "watch"}
-            if kinds is not None:
-                request["kinds"] = list(kinds)
-            if self.token is not None:
-                request["token"] = self.token
-            await self._send(writer, request)
+            await send_frame(
+                writer,
+                WatchRequest(
+                    kinds=tuple(kinds) if kinds is not None else None,
+                    token=self.token,
+                ),
+            )
             async for event in self._events(reader):
                 yield event
         finally:
@@ -198,10 +190,10 @@ class ServiceClient:
                 f"{self.socket_path})"
             ) from exc
 
-    async def _round_trip(self, request: dict) -> Event:
+    async def _round_trip(self, request: Request) -> Event:
         reader, writer = await self._connect()
         try:
-            await self._send(writer, request)
+            await send_frame(writer, request)
             line = await self._readline(reader)
             if not line:
                 raise ConfigurationError("sweep service closed the connection")
@@ -237,14 +229,12 @@ class ServiceClient:
             raise ServiceProtocolError(
                 f"sweep service sent a non-event frame: {line[:200]!r}"
             )
-        _raise_for_denial(payload)
-        kind = payload.pop("event")
+        kind = payload["event"]
+        if isinstance(kind, str) and kind in REFUSALS:
+            refusal = decode_frame(REFUSALS, payload, ServiceProtocolError)
+            raise _REFUSAL_ERRORS[type(refusal)](refusal)
+        del payload["event"]
         return Event(str(kind), payload)
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, request: dict) -> None:
-        writer.write(json.dumps(request, separators=(",", ":")).encode() + b"\n")
-        await writer.drain()
 
     async def _events(self, reader: asyncio.StreamReader) -> AsyncIterator[Event]:
         while True:

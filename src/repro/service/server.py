@@ -1,6 +1,9 @@
 """Socket front door for the sweep service (JSONL protocol).
 
-One request per connection, newline-delimited JSON both ways:
+One request per connection, newline-delimited JSON both ways.  The
+request line is decoded strictly into one of the frame classes of
+:mod:`repro.service.frames` and handed to that class's handler; a
+malformed request answers one ``error`` event.  The ops:
 
 * ``{"op": "submit", "spec": {...}}`` — validate the
   :class:`~repro.service.spec.SweepSpec`, queue it, then stream the
@@ -41,12 +44,11 @@ binding TCP beyond loopback.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from pathlib import Path
 
 from repro.errors import ConfigurationError, ReproError
-from repro.service.auth import AuthPolicy, ClientAccount, Denial
+from repro.service.auth import AuthPolicy, ClientAccount
 from repro.service.endpoints import (
     LINE_LIMIT,
     Endpoint,
@@ -54,8 +56,18 @@ from repro.service.endpoints import (
     start_endpoint_server,
 )
 from repro.service.events import Event
+from repro.service.frames import (
+    REQUESTS,
+    CancelRequest,
+    Deny,
+    MetricsRequest,
+    PingRequest,
+    SubmitRequest,
+    WatchRequest,
+)
 from repro.service.service import SweepService
 from repro.service.spec import load_spec
+from repro.wire import decode_frame, send_frame
 
 __all__ = ["SweepServer"]
 
@@ -145,46 +157,15 @@ class SweepServer:
             if not line:
                 return
             try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
+                request = decode_frame(REQUESTS, line)
                 account: ClientAccount | None = None
                 if self.auth is not None:
-                    outcome = self.auth.authenticate(request.get("token"))
-                    if isinstance(outcome, Denial):
-                        await self._refuse(writer, outcome)
+                    outcome = self.auth.authenticate(request.token)
+                    if isinstance(outcome, Deny):
+                        await send_frame(writer, outcome)
                         return
                     account = outcome
-                op = request.get("op")
-                if op == "submit":
-                    await self._handle_submit(request, writer, account)
-                elif op == "cancel":
-                    await self._handle_cancel(request, writer, account)
-                elif op == "ping":
-                    await self._send(
-                        writer,
-                        Event(
-                            "pong",
-                            {
-                                "jobs": len(self.service.jobs),
-                                "queued": len(self.service.queue),
-                                "executions": self.service.scheduler.executions,
-                                "watchers": self.service.subscriber_count,
-                            },
-                        ),
-                    )
-                elif op == "metrics":
-                    await self._send(
-                        writer,
-                        Event(
-                            "metrics",
-                            {"snapshot": self.service.registry.snapshot()},
-                        ),
-                    )
-                elif op == "watch":
-                    await self._handle_watch(request, writer, account)
-                else:
-                    raise ValueError(f"unknown op {op!r}")
+                await self._HANDLERS[type(request)](self, request, writer, account)
             except (ValueError, ReproError) as exc:
                 await self._send(writer, Event("error", {"message": str(exc)}))
         except (ConnectionResetError, BrokenPipeError):  # client went away
@@ -198,14 +179,11 @@ class SweepServer:
 
     async def _handle_submit(
         self,
-        request: dict,
+        request: SubmitRequest,
         writer: asyncio.StreamWriter,
-        account: ClientAccount | None = None,
+        account: ClientAccount | None,
     ) -> None:
-        spec_payload = request.get("spec")
-        if not isinstance(spec_payload, dict):
-            raise ConfigurationError("submit request needs a spec object")
-        spec = load_spec(spec_payload)
+        spec = load_spec(request.spec)
         if self.auth is not None and account is not None:
             # Admit on the grid's axis-length product, *before*
             # build_sweep() materialises the cross-product: the points
@@ -217,7 +195,7 @@ class SweepServer:
                 active_jobs=self.service.active_jobs(account.name),
             )
             if denial is not None:
-                await self._refuse(writer, denial)
+                await send_frame(writer, denial)
                 return
         sweep = spec.build_sweep()
         job = self.service.submit(
@@ -225,7 +203,7 @@ class SweepServer:
             priority=spec.priority,
             label=spec.label,
             client=account.name if account is not None else "anonymous",
-            spec_payload=dict(spec_payload),
+            spec_payload=dict(request.spec),
         )
         # job.event_queue carries every event from "submitted" onwards
         # (the job is created inside submit(), before any emission), so
@@ -248,9 +226,9 @@ class SweepServer:
 
     async def _handle_cancel(
         self,
-        request: dict,
+        request: CancelRequest,
         writer: asyncio.StreamWriter,
-        account: ClientAccount | None = None,
+        account: ClientAccount | None,
     ) -> None:
         """Cancel a job — but only the requesting tenant's own.
 
@@ -261,14 +239,13 @@ class SweepServer:
         may cancel anything.  Unknown ids answer ``ok: false`` as
         before.
         """
-        job_id = str(request.get("job"))
+        job_id = request.job
         if account is not None and not account.admin:
             job = self.service.jobs.get(job_id)
             if job is not None and job.client != account.name:
-                await self._refuse(
+                await send_frame(
                     writer,
-                    Denial(
-                        kind="deny",
+                    Deny(
                         reason="not-owner",
                         message=(
                             f"job {job_id} belongs to another tenant; only "
@@ -286,11 +263,41 @@ class SweepServer:
             ),
         )
 
+    async def _handle_ping(
+        self,
+        request: PingRequest,
+        writer: asyncio.StreamWriter,
+        account: ClientAccount | None,
+    ) -> None:
+        await self._send(
+            writer,
+            Event(
+                "pong",
+                {
+                    "jobs": len(self.service.jobs),
+                    "queued": len(self.service.queue),
+                    "executions": self.service.scheduler.executions,
+                    "watchers": self.service.subscriber_count,
+                },
+            ),
+        )
+
+    async def _handle_metrics(
+        self,
+        request: MetricsRequest,
+        writer: asyncio.StreamWriter,
+        account: ClientAccount | None,
+    ) -> None:
+        await self._send(
+            writer,
+            Event("metrics", {"snapshot": self.service.registry.snapshot()}),
+        )
+
     async def _handle_watch(
         self,
-        request: dict,
+        request: WatchRequest,
         writer: asyncio.StreamWriter,
-        account: ClientAccount | None = None,
+        account: ClientAccount | None,
     ) -> None:
         """Stream the service event feed until hangup or shutdown.
 
@@ -302,12 +309,7 @@ class SweepServer:
         stream (including other tenants' labels and result rows) is
         reserved for admin accounts and policy-less servers.
         """
-        kinds_payload = request.get("kinds")
-        kinds: frozenset[str] | None = None
-        if kinds_payload is not None:
-            if not isinstance(kinds_payload, list):
-                raise ConfigurationError("watch 'kinds' must be a list of strings")
-            kinds = frozenset(str(kind) for kind in kinds_payload)
+        kinds = frozenset(request.kinds) if request.kinds is not None else None
         scope = (
             account.name
             if account is not None and not account.admin
@@ -337,35 +339,16 @@ class SweepServer:
             self.service.unsubscribe(queue)
 
     @staticmethod
-    async def _refuse(writer: asyncio.StreamWriter, denial: Denial) -> None:
-        """Answer one request with its :class:`Denial` frame and stop.
-
-        Frames are spelled as dict literals (not :class:`Event`) so the
-        ``proto-*`` lint sees the senders: deleting either frame, or the
-        manifest entry covering it, fails the build.
-        """
-        if denial.kind == "quota-exceeded":
-            throttled: dict = {
-                "event": "quota-exceeded",
-                "reason": denial.reason,
-                "message": denial.message,
-            }
-            if denial.retry_after_s is not None:
-                throttled["retry_after_s"] = denial.retry_after_s
-            writer.write(
-                json.dumps(throttled, separators=(",", ":")).encode() + b"\n"
-            )
-            await writer.drain()
-            return
-        refusal = {
-            "event": "deny",
-            "reason": denial.reason,
-            "message": denial.message,
-        }
-        writer.write(json.dumps(refusal, separators=(",", ":")).encode() + b"\n")
-        await writer.drain()
-
-    @staticmethod
     async def _send(writer: asyncio.StreamWriter, event: Event) -> None:
         writer.write(event.to_json().encode() + b"\n")
         await writer.drain()
+
+    #: One handler per request frame (``tests/test_frames.py`` holds the
+    #: keys to :data:`~repro.service.frames.REQUESTS`).
+    _HANDLERS = {
+        SubmitRequest: _handle_submit,
+        CancelRequest: _handle_cancel,
+        PingRequest: _handle_ping,
+        MetricsRequest: _handle_metrics,
+        WatchRequest: _handle_watch,
+    }

@@ -1,4 +1,4 @@
-"""The one strict JSON codec for frozen spec dataclasses.
+"""The one strict JSON codec for frozen spec dataclasses and wire frames.
 
 Everything that crosses a process boundary as JSON — sweep and scenario
 submissions, scenario specs and their success criteria, synthesised
@@ -31,6 +31,16 @@ Range and vocabulary checks stay in each class's ``__post_init__``,
 which decoding runs like any other construction.  :class:`Wire` mixes
 the codec into a class as ``to_dict``/``from_dict``/``to_json``/
 ``from_json`` methods.
+
+The same rules type the JSONL frames of the sweep service and the
+cluster fabric.  A :class:`Frame` subclass is a frozen dataclass whose
+class attributes name its discriminator: ``key`` (``"op"``, ``"type"``
+or ``"event"``) and ``tag`` (``"submit"``, ``"point-result"``, ...).
+:func:`encode_frame` writes one line with the tag first, then the
+fields in declaration order, leaving out optional fields that are
+``None``; :func:`decode_frame` looks the tag up in a
+:func:`frame_table` and decodes the rest strictly, raising the
+caller's protocol error.
 """
 
 from __future__ import annotations
@@ -42,11 +52,21 @@ import json
 import re
 import types
 import typing
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, ClassVar, Mapping, TypeVar
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Wire", "canonical_json", "from_dict", "to_dict"]
+__all__ = [
+    "Frame",
+    "Wire",
+    "canonical_json",
+    "decode_frame",
+    "encode_frame",
+    "frame_table",
+    "from_dict",
+    "send_frame",
+    "to_dict",
+]
 
 T = TypeVar("T")
 
@@ -280,3 +300,83 @@ class Wire:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid {_label(cls)} JSON: {exc}") from exc
         return from_dict(cls, payload)
+
+
+# ----------------------------------------------------------------------
+# frames
+# ----------------------------------------------------------------------
+class Frame:
+    """Base of the typed JSONL frames (subclasses are frozen dataclasses)."""
+
+    __slots__ = ()
+
+    #: Discriminator key: ``"op"``, ``"type"`` or ``"event"``.
+    key: ClassVar[str]
+    #: Discriminator value, e.g. ``"submit"`` or ``"point-result"``.
+    tag: ClassVar[str]
+
+
+F = TypeVar("F", bound=Frame)
+
+
+def frame_table(*classes: type[F]) -> dict[str, type[F]]:
+    """``{tag: class}`` lookup for :func:`decode_frame` (one shared key)."""
+    if len({cls.key for cls in classes}) != 1:
+        raise TypeError(f"frame classes disagree on their key: {classes}")
+    return {cls.tag: cls for cls in classes}
+
+
+def encode_frame(frame: Frame) -> bytes:
+    """One JSONL line: the tag, then the fields in declaration order.
+
+    An optional field (default ``None``) that is ``None`` is left out,
+    so an absent optional key stays absent on the wire; a required
+    field that may be ``None`` is written as ``null``.
+    """
+    optional = _optional_fields(type(frame))
+    payload = {frame.key: frame.tag}
+    for name in _field_names(type(frame)):
+        value = getattr(frame, name)
+        if value is not None or name not in optional:
+            payload[name] = _encode(value)
+    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+
+
+@functools.cache
+def _optional_fields(cls: type) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.default is None)
+
+
+def decode_frame(
+    table: Mapping[str, type[F]],
+    payload: Any,
+    error: Callable[[str], Exception] = ConfigurationError,
+) -> F:
+    """Strictly decode one frame (a JSON line or a parsed object).
+
+    An undecodable line, a non-object, a missing or unknown tag, and an
+    unknown, missing or wrong-typed field all raise ``error(message)``.
+    """
+    key = next(iter(table.values())).key
+    if isinstance(payload, (bytes, str)):
+        try:
+            payload = json.loads(payload)
+        except ValueError as exc:
+            raise error(f"undecodable frame: {exc}") from None
+    if not isinstance(payload, Mapping) or key not in payload:
+        raise error(f"frame must be a JSON object with a {key!r} tag")
+    fields = dict(payload)
+    tag = fields.pop(key)
+    cls = table.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise error(f"unknown {key} {tag!r}")
+    try:
+        return from_dict(cls, fields)
+    except ConfigurationError as exc:
+        raise error(str(exc)) from None
+
+
+async def send_frame(writer: Any, frame: Frame) -> None:
+    """Write one frame to an ``asyncio.StreamWriter`` and drain it."""
+    writer.write(encode_frame(frame))
+    await writer.drain()

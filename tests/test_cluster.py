@@ -38,16 +38,26 @@ from repro.cluster import (
     plan_shards,
 )
 from repro.cluster.protocol import (
+    COORDINATOR_FRAMES,
     PROTOCOL_VERSION,
+    Heartbeat,
+    PointResult,
+    Register,
+    ShardDone,
+    ShardWork,
+    Welcome,
     decode_factory,
     decode_points,
-    read_message,
-    send_message,
+    read_frame,
 )
 from repro.errors import ConfigurationError
 from repro.exec import SerialExecutor
 from repro.service.endpoints import open_endpoint, parse_endpoint
 from repro.sweep import ParameterSweep, SweepResult
+from repro.wire import frame_table, send_frame
+
+#: What a hand-rolled worker stub reads after registering.
+WELCOME = frame_table(Welcome)
 
 
 def run(coro):
@@ -255,15 +265,14 @@ class TestFaultTolerance:
 
             # A hostile stub: registers, accepts a shard, then goes silent.
             reader, writer = await open_endpoint(address)
-            await send_message(
+            await send_frame(
                 writer,
-                {"type": "register", "worker": "zombie", "slots": 1,
-                 "version": PROTOCOL_VERSION},
+                Register(worker="zombie", slots=1, version=PROTOCOL_VERSION),
             )
-            welcome = await read_message(reader)
-            assert welcome["type"] == "welcome"
-            shard_msg = await read_message(reader)
-            assert shard_msg["type"] == "shard"
+            welcome = await read_frame(reader, WELCOME)
+            assert isinstance(welcome, Welcome)
+            shard_msg = await read_frame(reader, COORDINATOR_FRAMES)
+            assert isinstance(shard_msg, ShardWork)
 
             # Now a real worker joins and must end up doing everything.
             worker = asyncio.ensure_future(
@@ -298,27 +307,24 @@ class TestFaultTolerance:
 
             # A stub worker that reports every point TWICE.
             reader, writer = await open_endpoint(address)
-            await send_message(
+            await send_frame(
                 writer,
-                {"type": "register", "worker": "stutter", "slots": 1,
-                 "version": PROTOCOL_VERSION},
+                Register(worker="stutter", slots=1, version=PROTOCOL_VERSION),
             )
-            await read_message(reader)  # welcome
-            shard_msg = await read_message(reader)
-            factory = decode_factory(shard_msg["factory"])
-            for index, point in decode_points(shard_msg["points"]):
-                result = {
-                    "type": "point-result",
-                    "shard": shard_msg["shard"],
-                    "index": index,
-                    "metrics": dict(factory(point)),
-                    "elapsed_s": 0.001,
-                    "cached": False,
-                }
-                await send_message(writer, result)
-                await send_message(writer, result)  # the duplicate
-            await send_message(writer, {"type": "shard-done",
-                                        "shard": shard_msg["shard"]})
+            await read_frame(reader, WELCOME)
+            shard_msg = await read_frame(reader, COORDINATOR_FRAMES)
+            factory = decode_factory(shard_msg.factory)
+            for index, point in decode_points(shard_msg.points):
+                result = PointResult(
+                    shard=shard_msg.shard,
+                    index=index,
+                    metrics=dict(factory(point)),
+                    elapsed_s=0.001,
+                    cached=False,
+                )
+                await send_frame(writer, result)
+                await send_frame(writer, result)  # the duplicate
+            await send_frame(writer, ShardDone(shard=shard_msg.shard))
             try:
                 results = await asyncio.wait_for(coordinator.results(), 30)
             finally:
@@ -405,20 +411,17 @@ class TestFaultTolerance:
             # The straggler: takes its shard, heartbeats forever, never
             # delivers a result.
             reader, writer = await open_endpoint(address)
-            await send_message(
+            await send_frame(
                 writer,
-                {"type": "register", "worker": "straggler", "slots": 1,
-                 "version": PROTOCOL_VERSION},
+                Register(worker="straggler", slots=1, version=PROTOCOL_VERSION),
             )
-            await read_message(reader)  # welcome
-            straggler_shard = await read_message(reader)
+            await read_frame(reader, WELCOME)
+            straggler_shard = await read_frame(reader, COORDINATOR_FRAMES)
 
             async def keep_beating():
                 while True:
                     await asyncio.sleep(0.05)
-                    await send_message(
-                        writer, {"type": "heartbeat", "worker": "straggler"}
-                    )
+                    await send_frame(writer, Heartbeat(worker="straggler"))
 
             beat = asyncio.ensure_future(keep_beating())
             worker = asyncio.ensure_future(
@@ -432,7 +435,7 @@ class TestFaultTolerance:
                 worker.cancel()
                 await asyncio.gather(beat, worker, return_exceptions=True)
                 writer.close()
-            return results, coordinator.steals, straggler_shard["shard"]
+            return results, coordinator.steals, straggler_shard.shard
 
         results, steals, straggler_shard_id = run(scenario())
         assert len(results) == 2
@@ -462,14 +465,13 @@ class TestFaultTolerance:
             # The stale worker: registers with the first incarnation and
             # holds a shard when that coordinator dies.
             reader, writer = await open_endpoint(address_a)
-            await send_message(
+            await send_frame(
                 writer,
-                {"type": "register", "worker": "stale", "slots": 1,
-                 "version": PROTOCOL_VERSION},
+                Register(worker="stale", slots=1, version=PROTOCOL_VERSION),
             )
-            await read_message(reader)  # welcome
-            shard_msg = await read_message(reader)
-            assert shard_msg["type"] == "shard"
+            await read_frame(reader, WELCOME)
+            shard_msg = await read_frame(reader, COORDINATOR_FRAMES)
+            assert isinstance(shard_msg, ShardWork)
             await first.stop("simulated crash")
             with pytest.raises(ClusterError):
                 await first.results()
@@ -480,9 +482,7 @@ class TestFaultTolerance:
                 while True:
                     await asyncio.sleep(0.02)
                     try:
-                        await send_message(
-                            writer, {"type": "heartbeat", "worker": "stale"}
-                        )
+                        await send_frame(writer, Heartbeat(worker="stale"))
                     except (ConnectionResetError, BrokenPipeError, OSError):
                         await asyncio.sleep(0.02)
 

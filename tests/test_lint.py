@@ -750,7 +750,6 @@ class TestRepoIsClean:
             "layering",
             "concurrency",
             "fidelity",
-            "protocol",
             "races",
         }
 

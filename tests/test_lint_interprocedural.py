@@ -1,26 +1,24 @@
-"""Tests for the interprocedural lint core and the proto-*/race-* families.
+"""Tests for the interprocedural lint core and the race-* family.
 
-Four layers, mirroring the new machinery:
+Three layers, mirroring the machinery:
 
 * **call graph** — hypothesis property tests over synthetic modules:
   shuffled definition order, methods, aliased imports, assigned
   lambdas and decorated defs all resolve (or stay conservatively
   unresolved);
-* **dataflow** — the shared fixed point (now also backing
-  ``det-set-iteration``), dict key flow and the forward pass;
+* **dataflow** — the shared fixed point (also backing
+  ``det-set-iteration``) and the forward pass;
 * **fixtures** — tiny ``src/repro/service`` trees seeded with one
-  violation per ``proto-*``/``race-*`` rule, each shown firing and
-  suppressed;
-* **acceptance** — the real wire protocol: the manifest matches every
-  frame literal in ``repro.service``/``repro.cluster`` exactly, and
-  deleting any one handler dispatch makes the lint fail.  Plus the
-  ``--changed`` scoping contract against a real git repo.
+  violation per ``race-*`` rule, each shown firing and suppressed.
+
+Plus the ``--changed`` scoping contract against a real git repo.  The
+wire protocols are checked at run time, not by lint: see
+``tests/test_frames.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import shutil
 import subprocess
 import textwrap
 from pathlib import Path
@@ -36,19 +34,10 @@ from repro.lint import (
     build_call_graph,
     changed_files,
     default_config,
-    dict_key_flow,
     fixpoint_functions,
     run_lint,
 )
-from repro.lint.protocol_manifest import PROTOCOL_OPS, OpSpec
 from repro.lint.rules.determinism import SetIterationRule
-from repro.lint.rules.protocol import (
-    FrameKeysRule,
-    JsonUnsafeRule,
-    MissingHandlerRule,
-    UnknownOpRule,
-    _ProtocolAnalysis,
-)
 from repro.lint.rules.races import (
     AwaitSharedStateRule,
     DroppedTaskRule,
@@ -57,7 +46,6 @@ from repro.lint.rules.races import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-PROTOCOL_RULES = [UnknownOpRule, MissingHandlerRule, FrameKeysRule, JsonUnsafeRule]
 RACE_RULES = [AwaitSharedStateRule, DroppedTaskRule, UnawaitedCoroutineRule]
 
 
@@ -195,265 +183,6 @@ class TestDataflow:
         tree = ast.parse("\n".join(parts))
         accepted = fixpoint_functions(tree, SetIterationRule._returns_only_sets)
         assert accepted == frozenset({f"s{i}" for i in range(4)})
-
-    def test_dict_key_flow_tracks_literal_and_subscript_stores(self):
-        func = ast.parse(
-            textwrap.dedent(
-                """
-                def build(kinds):
-                    frame: dict = {"op": "watch"}
-                    if kinds:
-                        frame["kinds"] = list(kinds)
-                    return frame
-                """
-            )
-        ).body[0]
-        flows = dict_key_flow(func)
-        assert flows["frame"].definite == frozenset({"op"})
-        assert flows["frame"].possible == frozenset({"op", "kinds"})
-        assert not flows["frame"].open_ended
-
-    def test_dict_key_flow_spread_is_open_ended(self):
-        func = ast.parse(
-            "def build(extra):\n    frame = {'op': 'x', **extra}\n    return frame\n"
-        ).body[0]
-        assert dict_key_flow(func)["frame"].open_ended
-
-
-# ----------------------------------------------------------------------
-# proto-* fixtures (custom manifest, full control)
-# ----------------------------------------------------------------------
-_HELLO = OpSpec(
-    op="hello",
-    key="op",
-    senders=("repro.service.a",),
-    handlers=("repro.service.b",),
-    required=frozenset({"op", "payload"}),
-    optional=frozenset({"extra"}),
-    informational=frozenset({"extra"}),
-)
-
-_SENDER_OK = """
-    import json
-
-
-    def send(sock):
-        frame = {"op": "hello", "payload": 1}
-        sock.write(json.dumps(frame).encode())
-"""
-
-_HANDLER_OK = """
-    import json
-
-
-    def handle(line):
-        frame = json.loads(line)
-        op = frame.get("op")
-        if op == "hello":
-            return frame.get("payload")
-        return None
-"""
-
-
-def proto_config(*ops) -> LintConfig:
-    return LintConfig(protocol_ops=tuple(ops) or (_HELLO,))
-
-
-class TestProtocolRules:
-    def test_conforming_pair_is_clean(self, tmp_path):
-        write_module(tmp_path, "src/repro/service/a.py", _SENDER_OK)
-        write_module(tmp_path, "src/repro/service/b.py", _HANDLER_OK)
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert report.active == []
-
-    def test_unknown_op_fires_and_suppresses(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/service/a.py",
-            """
-            def send(sock):
-                frame = {"op": "hello", "payload": 1}
-                bogus = {"op": "bogus"}
-                sock.write(frame, bogus)
-            """,
-        )
-        write_module(tmp_path, "src/repro/service/b.py", _HANDLER_OK)
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-unknown-op"]
-        write_module(
-            tmp_path,
-            "src/repro/service/a.py",
-            """
-            def send(sock):
-                frame = {"op": "hello", "payload": 1}
-                bogus = {"op": "bogus"}  # repro: lint-disable=proto-unknown-op
-                sock.write(frame, bogus)
-            """,
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert report.active == []
-
-    def test_unknown_dispatch_literal_fires(self, tmp_path):
-        write_module(tmp_path, "src/repro/service/a.py", _SENDER_OK)
-        write_module(
-            tmp_path,
-            "src/repro/service/b.py",
-            """
-            import json
-
-
-            def handle(line):
-                frame = json.loads(line)
-                if frame.get("op") == "hello":
-                    return frame.get("payload")
-                if frame.get("op") == "goodbye":
-                    return None
-                return None
-            """,
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-unknown-op"]
-
-    def test_missing_handler_fires_and_file_suppresses(self, tmp_path):
-        write_module(tmp_path, "src/repro/service/a.py", _SENDER_OK)
-        write_module(
-            tmp_path, "src/repro/service/b.py", "def handle(line):\n    return None\n"
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-missing-handler"]
-        assert report.active[0].path == "src/repro/service/b.py"
-        write_module(
-            tmp_path,
-            "src/repro/service/b.py",
-            "# repro: lint-disable-file=proto-missing-handler\n"
-            "def handle(line):\n    return None\n",
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert report.active == []
-
-    def test_missing_sender_fires(self, tmp_path):
-        write_module(
-            tmp_path, "src/repro/service/a.py", "def send(sock):\n    pass\n"
-        )
-        write_module(tmp_path, "src/repro/service/b.py", _HANDLER_OK)
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-missing-handler"]
-        assert "no send site" in report.active[0].message
-
-    def test_frame_keys_missing_required_and_undeclared(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/service/a.py",
-            """
-            def send(sock):
-                frame = {"op": "hello", "junk": 2}
-                sock.write(frame)
-            """,
-        )
-        write_module(tmp_path, "src/repro/service/b.py", _HANDLER_OK)
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-frame-keys"] * 2
-        messages = " | ".join(v.message for v in report.active)
-        assert "payload" in messages and "junk" in messages
-
-    def test_frame_keys_handler_reads_undeclared_key(self, tmp_path):
-        write_module(tmp_path, "src/repro/service/a.py", _SENDER_OK)
-        write_module(
-            tmp_path,
-            "src/repro/service/b.py",
-            """
-            import json
-
-
-            def handle(line):
-                frame = json.loads(line)
-                if frame.get("op") == "hello":
-                    return frame.get("payload"), frame.get("phantom")
-                return None
-            """,
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-frame-keys"]
-        assert "phantom" in report.active[0].message
-
-    def test_frame_keys_sent_but_never_read_fires_and_suppresses(self, tmp_path):
-        write_module(tmp_path, "src/repro/service/a.py", _SENDER_OK)
-        handler = """
-            import json
-
-
-            def handle(line):
-                frame = json.loads(line)
-                if frame.get("op") == "hello":{suffix}
-                    return True
-                return None
-        """
-        write_module(
-            tmp_path, "src/repro/service/b.py", handler.format(suffix="")
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-frame-keys"]
-        assert "payload" in report.active[0].message
-        write_module(
-            tmp_path,
-            "src/repro/service/b.py",
-            handler.format(
-                suffix="  # repro: lint-disable=proto-frame-keys"
-            ),
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert report.active == []
-
-    def test_handler_reads_count_through_frame_passing_calls(self, tmp_path):
-        write_module(tmp_path, "src/repro/service/a.py", _SENDER_OK)
-        write_module(
-            tmp_path,
-            "src/repro/service/b.py",
-            """
-            import json
-
-
-            def handle(line):
-                frame = json.loads(line)
-                if frame.get("op") == "hello":
-                    return _on_hello(frame)
-                return None
-
-
-            def _on_hello(message):
-                return message.get("payload"), message.get("extra")
-            """,
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert report.active == []
-
-    def test_json_unsafe_fires_and_suppresses(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/service/a.py",
-            """
-            def send(sock):
-                frame = {"op": "hello", "payload": {"a", "b"}}
-                sock.write(frame)
-            """,
-        )
-        write_module(tmp_path, "src/repro/service/b.py", _HANDLER_OK)
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert active_rules(report) == ["proto-json-unsafe"]
-        write_module(
-            tmp_path,
-            "src/repro/service/a.py",
-            """
-            def send(sock):
-                frame = {
-                    "op": "hello",
-                    "payload": {"a", "b"},  # repro: lint-disable=proto-json-unsafe
-                }
-                sock.write(frame)
-            """,
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=proto_config())
-        assert report.active == []
 
 
 # ----------------------------------------------------------------------
@@ -645,98 +374,6 @@ class TestRaceRules:
         )
         report = lint_tree(tmp_path, [UnawaitedCoroutineRule])
         assert report.active == []
-
-
-# ----------------------------------------------------------------------
-# acceptance: the real wire protocol
-# ----------------------------------------------------------------------
-_REAL_PROTOCOL_FILES = (
-    "src/repro/service/client.py",
-    "src/repro/service/server.py",
-    "src/repro/cluster/worker.py",
-    "src/repro/cluster/coordinator.py",
-)
-
-
-def _copy_real_protocol_tree(tmp_path: Path) -> None:
-    for rel in _REAL_PROTOCOL_FILES:
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(REPO_ROOT / rel, target)
-
-
-class TestRealProtocolAcceptance:
-    def test_manifest_enumerates_every_real_frame_literal(self):
-        """The manifest and the tree agree exactly: every ``"op"``/``"type"``
-        frame literal in repro.service + repro.cluster is declared, and
-        every declared op is sent somewhere."""
-        config = default_config()
-        files = [
-            path
-            for unit in ("service", "cluster")
-            for path in sorted((REPO_ROOT / "src" / "repro" / unit).rglob("*.py"))
-        ]
-        project = Project.load(REPO_ROOT, files, config=config)
-        analysis = _ProtocolAnalysis(project)
-        sent = {(site.key, site.op) for site in analysis.send_sites}
-        declared = {(spec.key, spec.op) for spec in PROTOCOL_OPS}
-        assert sent == declared
-
-    def test_real_sources_lint_clean_in_isolation(self, tmp_path):
-        _copy_real_protocol_tree(tmp_path)
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=default_config())
-        assert report.active == []
-
-    @pytest.mark.parametrize(
-        "spec", PROTOCOL_OPS, ids=[spec.op for spec in PROTOCOL_OPS]
-    )
-    def test_deleting_any_handler_fails_the_lint(self, tmp_path, spec):
-        """Renaming the dispatch literal out from under any one op (the
-        static shape of deleting its handler branch) must fail lint."""
-        _copy_real_protocol_tree(tmp_path)
-        handler_rel = "src/" + spec.handlers[0].replace(".", "/") + ".py"
-        handler = tmp_path / handler_rel
-        handler.write_text(
-            handler.read_text().replace(f'"{spec.op}"', '"zz-disabled"')
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=default_config())
-        assert "proto-missing-handler" in active_rules(report)
-        assert report.exit_code() == 1
-
-    def test_deleting_a_sender_fails_the_lint(self, tmp_path):
-        _copy_real_protocol_tree(tmp_path)
-        client = tmp_path / "src/repro/service/client.py"
-        client.write_text(
-            client.read_text().replace('{"op": "metrics"}', '{"op": "ping"}')
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=default_config())
-        assert "proto-missing-handler" in active_rules(report)
-        assert any("metrics" in v.message for v in report.active)
-
-    @pytest.mark.parametrize("event", ["deny", "quota-exceeded"])
-    def test_deleting_an_auth_refusal_sender_fails_the_lint(
-        self, tmp_path, event
-    ):
-        """The auth refusal frames are load-bearing protocol surface.
-
-        ``deny`` and ``quota-exceeded`` are what an unauthenticated or
-        over-quota client *sees*; silently dropping either sender from
-        ``server.py`` would strand typed client errors on a read
-        timeout.  The manifest declares both, so the lint must flag the
-        orphaned declaration (and the renamed literal as undeclared).
-        """
-        _copy_real_protocol_tree(tmp_path)
-        server = tmp_path / "src/repro/service/server.py"
-        server.write_text(
-            server.read_text().replace(
-                f'"event": "{event}"', '"event": "zz-refused"'
-            )
-        )
-        report = lint_tree(tmp_path, PROTOCOL_RULES, config=default_config())
-        rules = active_rules(report)
-        assert "proto-missing-handler" in rules
-        assert "proto-unknown-op" in rules
-        assert any(event in v.message for v in report.active)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,14 @@ import threading
 import pytest
 
 from repro.cluster import ClusterWorker, Coordinator
-from repro.cluster.protocol import PROTOCOL_VERSION, read_message, send_message
+from repro.cluster.protocol import (
+    COORDINATOR_FRAMES,
+    PROTOCOL_VERSION,
+    Register,
+    ShardWork,
+    Welcome,
+    read_frame,
+)
 from repro.exec import ResultCache
 from repro.obs import ManualClock, MetricsRegistry
 from repro.service import (
@@ -57,6 +64,7 @@ from repro.service import (
 from repro.service.client import submit_and_stream
 from repro.service.endpoints import open_endpoint
 from repro.sweep import ParameterSweep
+from repro.wire import frame_table, send_frame
 
 from tests._faults import (
     ServiceProcess,
@@ -717,15 +725,14 @@ class TestClockSkew:
 
             # The zombie: registers at t=0, accepts a shard, goes dark.
             reader, writer = await open_endpoint(address)
-            await send_message(
+            await send_frame(
                 writer,
-                {"type": "register", "worker": "zombie", "slots": 1,
-                 "version": PROTOCOL_VERSION},
+                Register(worker="zombie", slots=1, version=PROTOCOL_VERSION),
             )
-            welcome = await read_message(reader)
-            assert welcome["type"] == "welcome"
-            shard_msg = await read_message(reader)
-            assert shard_msg["type"] == "shard"
+            welcome = await read_frame(reader, frame_table(Welcome))
+            assert isinstance(welcome, Welcome)
+            shard_msg = await read_frame(reader, COORDINATOR_FRAMES)
+            assert isinstance(shard_msg, ShardWork)
 
             # The clock steps past the heartbeat window, then a live
             # worker joins (its frames are stamped post-step).
