@@ -24,10 +24,8 @@ Gives each of the library's headline capabilities a one-line invocation:
 * ``watch``       — mirror a running service's event feed as JSONL;
 * ``metrics``     — fetch a running service's metrics snapshot;
 * ``worker``      — join a cluster coordinator as a compute node;
-* ``bench``       — benchmark a pinned micro suite (``--suite frontend``
-  writes ``BENCH_frontend.json``, ``--suite scenarios`` writes
-  ``BENCH_scenarios.json``, ``--suite service`` writes
-  ``BENCH_service.json``);
+* ``lint``        — run the determinism/layering/fidelity linter
+  (``repro.lint``);
 * ``validate``    — run the 10-point model-invariant checklist;
 * ``report``      — assemble benchmark results into REPORT.md.
 
@@ -42,11 +40,12 @@ a service (``submit``, ``watch``, ``metrics``, ``scenario submit``)
 take ``--token`` (default ``$REPRO_SERVICE_TOKEN``) for servers
 started with ``--auth``, and ``--timeout`` for a per-read deadline.
 
-``sweep``, ``serve`` and ``worker`` accept ``--backend`` to pick the
-frontend simulation backend (see ``docs/backends.md``).  The flag is
-applied as the process default *and* exported via ``REPRO_SIM_BACKEND``
-so spawned worker processes inherit it; it never enters sweep point
-keys, so caches stay valid across backends.
+``sweep``, ``serve``, ``worker``, ``scenario run``, ``synth run`` and
+``synth minimize`` accept ``--backend`` to pick the frontend simulation
+backend (see ``docs/backends.md``).  The flag is applied as the process
+default *and* exported via ``REPRO_SIM_BACKEND`` so spawned worker
+processes inherit it; it never enters sweep point keys, so caches stay
+valid across backends.
 """
 
 from __future__ import annotations
@@ -519,57 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_argument(worker)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark a pinned micro suite (frontend, scenarios, lint, "
-        "synth or service)",
-        parents=[common],
-    )
-    bench.add_argument(
-        "--suite",
-        default="frontend",
-        choices=["frontend", "scenarios", "lint", "synth", "service"],
-        help="frontend: raw run_loop dispatch (BENCH_frontend.json); "
-        "scenarios: whole scenario trials (BENCH_scenarios.json); "
-        "lint: full-tree analysis timing (BENCH_lint.json); "
-        "synth: pinned search campaign (BENCH_synth.json); "
-        "service: submit latency, multi-tenant throughput and "
-        "restart recovery (BENCH_service.json)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="result file (canonical JSON; default: BENCH_<suite>.json)",
-    )
-    bench.add_argument(
-        "--loops",
-        type=int,
-        default=None,
-        help="samples per latency median (default: 300 frontend, "
-        "5 scenarios)",
-    )
-    bench.add_argument(
-        "--reps",
-        type=int,
-        default=200,
-        help="loop executions per sweep point (frontend suite)",
-    )
-    bench.add_argument(
-        "--trials",
-        type=int,
-        default=2,
-        help="sweep trials per grid point (scenarios suite)",
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=2, help="parallel executor process count"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="fail unless the vectorized speedup clears the committed "
-        "floor (frontend suite only)",
-    )
-
     sub.add_parser(
         "validate",
         help="check the model's paper invariants (10-point checklist)",
@@ -636,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The simulation-backend option shared by sweep/serve/worker."""
+    """The simulation-backend option of ``sweep``, ``serve``, ``worker``,
+    ``scenario run``, ``synth run`` and ``synth minimize``."""
     parser.add_argument(
         "--backend",
         default=None,
@@ -1368,132 +1317,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import check_floor, run_bench, write_bench
-
-    if args.suite == "lint":
-        from repro.bench import run_lint_bench
-        from repro.errors import ConfigurationError
-
-        if args.check:
-            raise ConfigurationError(
-                "--check applies to the frontend suite only"
-            )
-        result = run_lint_bench(
-            loops=args.loops if args.loops is not None else 3
-        )
-        target = write_bench(result, args.output or "BENCH_lint.json")
-        print(
-            f"lint        full tree        {result['total_s']:9.3f} s/run "
-            f"({result['files']} files, {result['files_per_sec']:.0f} files/s)"
-        )
-        for phase, seconds in sorted(result["phases_s"].items()):
-            print(f"lint        {phase:16s} {seconds:9.3f} s")
-        for family, seconds in sorted(result["families_s"].items()):
-            print(f"lint        family:{family:9s} {seconds:9.3f} s")
-        print(f"wrote {target}", file=sys.stderr)
-        return 0
-    if args.suite == "synth":
-        from repro.bench import run_synth_bench
-        from repro.errors import ConfigurationError
-
-        if args.check:
-            raise ConfigurationError(
-                "--check applies to the frontend suite only"
-            )
-        result = run_synth_bench(
-            loops=args.loops if args.loops is not None else 5,
-            jobs=args.jobs,
-        )
-        target = write_bench(result, args.output or "BENCH_synth.json")
-        print(f"synth       oracle          {result['oracle_ms']:9.2f} ms/eval")
-        for label, rate in sorted(result["candidates_per_sec"].items()):
-            print(f"synth       {label:15s} {rate:9.2f} candidates/s")
-        minimizer = result["minimizer"]
-        print(
-            f"synth       minimizer       {minimizer['steps']:9d} steps "
-            f"(cost {minimizer['cost_before']} -> {minimizer['cost_after']}, "
-            f"{minimizer['seconds']:.3f} s)"
-        )
-        print(f"wrote {target}", file=sys.stderr)
-        return 0
-    if args.suite == "service":
-        from repro.bench import run_service_bench
-        from repro.errors import ConfigurationError
-
-        if args.check:
-            raise ConfigurationError(
-                "--check applies to the frontend suite only"
-            )
-        result = run_service_bench(
-            loops=args.loops if args.loops is not None else 30
-        )
-        target = write_bench(result, args.output or "BENCH_service.json")
-        print(
-            f"service     submit latency  {result['submit_ms']:9.2f} ms/job"
-        )
-        for tenants, rate in sorted(
-            result["jobs_per_sec"].items(), key=lambda kv: int(kv[0])
-        ):
-            print(
-                f"service     {tenants:>2s} tenant(s)    {rate:9.1f} jobs/s"
-            )
-        recovery = result["recovery"]
-        print(
-            f"service     recovery        {recovery['ms']:9.2f} ms "
-            f"({recovery['jobs']} jobs, {recovery['wal_records']} WAL "
-            "records)"
-        )
-        print(f"wrote {target}", file=sys.stderr)
-        return 0
-    if args.suite == "scenarios":
-        from repro.errors import ConfigurationError
-        from repro.scenarios.bench import run_bench as run_scenario_bench
-
-        if args.check:
-            raise ConfigurationError(
-                "--check applies to the frontend suite only"
-            )
-        result = run_scenario_bench(
-            loops=args.loops if args.loops is not None else 5,
-            trials=args.trials,
-        )
-        target = write_bench(result, args.output or "BENCH_scenarios.json")
-        for backend, per_scenario in result["latency_ms"].items():
-            for name, millis in per_scenario.items():
-                print(f"{backend:11s} {name:20s} {millis:9.2f} ms/trial")
-        for backend, rates in result["points_per_sec"].items():
-            for name, rate in rates.items():
-                print(f"{backend:11s} {name:20s} {rate:9.2f} points/s")
-        print(f"wrote {target}", file=sys.stderr)
-        return 0
-    result = run_bench(
-        loops=args.loops if args.loops is not None else 300,
-        reps=args.reps,
-        jobs=args.jobs,
-    )
-    target = write_bench(result, args.output or "BENCH_frontend.json")
-    for backend, per_program in result["latency_us"].items():
-        for name, micros in per_program.items():
-            print(f"{backend:11s} {name:16s} {micros:9.1f} us/point")
-    for backend, rates in result["points_per_sec"].items():
-        print(
-            f"{backend:11s} {rates['serial']:8.1f} points/s serial, "
-            f"{rates['parallel']:8.1f} parallel"
-        )
-    speedup = result.get("speedup")
-    if speedup is not None:
-        print(
-            f"vectorized speedup: {speedup['serial']:.2f}x serial, "
-            f"{speedup['parallel']:.2f}x parallel "
-            f"(floor {result['floor']:.1f}x)"
-        )
-    print(f"wrote {target}", file=sys.stderr)
-    if args.check:
-        check_floor(result)
-    return 0
-
-
 _COMMANDS = {
     "machines": _cmd_machines,
     "transmit": _cmd_transmit,
@@ -1510,7 +1333,6 @@ _COMMANDS = {
     "watch": _cmd_watch,
     "metrics": _cmd_metrics,
     "worker": _cmd_worker,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
     "validate": _cmd_validate,
     "report": _cmd_report,

@@ -110,7 +110,6 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "channels",
             "errors",
             "exec",
-            "frontend",
             "isa",
             "machine",
             "measure",
@@ -146,33 +145,10 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     # -- tooling ---------------------------------------------------------
     # The linter inspects everything but imports only foundations.
     "lint": frozenset({"errors"}),
-    # The backend benchmark harness builds machines and drives sweeps to
-    # time them; it also times the linter itself (``--suite lint``), the
-    # synthesis pipeline (``--suite synth``), and the sweep service's
-    # submit/persistence paths (``--suite service``) — the sanctioned
-    # bench -> lint / bench -> synth / bench -> service edges.  Like
-    # ``benchmarks`` it is a subject of tooling, not a driver, so it
-    # never reaches cli/__main__.
-    "bench": frozenset(
-        {
-            "errors",
-            "exec",
-            "frontend",
-            "isa",
-            "lint",
-            "machine",
-            "obs",
-            "service",
-            "sweep",
-            "synth",
-            "workloads",
-        }
-    ),
     # -- entry points ----------------------------------------------------
     "cli": frozenset(
         {
             "analysis",
-            "bench",
             "channels",
             "cluster",
             "defense",

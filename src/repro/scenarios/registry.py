@@ -1,9 +1,9 @@
 """The name → :class:`ScenarioSpec` registry.
 
-One flat namespace: the CLI (``python -m repro scenario run <name>``),
-the sweep service (scenario grid submissions), and the bench suite all
-resolve scenarios through :func:`get`.  Builtin scenarios are installed
-when ``repro.scenarios`` is imported — including inside pickled sweep
+One flat namespace: the CLI (``python -m repro scenario run <name>``)
+and the sweep service (scenario grid submissions) resolve scenarios
+through :func:`get`.  Builtin scenarios are installed when
+``repro.scenarios`` is imported — including inside pickled sweep
 factories in worker processes, which only ever reference scenarios by
 name.
 """

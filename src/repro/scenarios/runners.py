@@ -1,7 +1,7 @@
 """Scenario execution: kind → runner dispatch, trials, criteria, metrics.
 
 :func:`run_scenario` is the one entry point every consumer shares — the
-CLI verb, the sweep-service factories, the bench suite, and the tests.
+CLI verb, the sweep-service factories, and the tests.
 It derives one seed per trial from the spec's base seed (canonical
 ``derive_seed`` naming, so results are reproducible and cacheable),
 runs the kind's runner, pools the per-trial outcomes with

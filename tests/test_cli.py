@@ -190,39 +190,3 @@ class TestBackendFlag:
         assert vectorized_out == reference_out
         assert default_backend_name() == "vectorized"
         assert os.environ[ENV_VAR] == "vectorized"
-
-
-class TestBench:
-    def test_bench_writes_result_and_reports_speedup(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "BENCH_frontend.json"
-        argv = [
-            "bench", "--loops", "3", "--reps", "4", "--jobs", "2",
-            "--output", str(target),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "vectorized speedup" in out
-        document = json.loads(target.read_text())
-        assert document["suite"] == "frontend-micro-v1"
-        assert set(document["latency_us"]) == {"reference", "vectorized"}
-        assert "serial" in document["speedup"]
-        assert any(
-            "sim.points" in str(key) for key in document["metrics"]
-        ) or "sim.points" in json.dumps(document["metrics"])
-
-    def test_bench_check_flag_enforces_floor(self, capsys, tmp_path):
-        from unittest import mock
-
-        import repro.bench
-
-        argv = [
-            "bench", "--loops", "2", "--reps", "3", "--jobs", "2",
-            "--output", str(tmp_path / "b.json"), "--check",
-        ]
-        with mock.patch.object(
-            repro.bench, "VECTORIZED_SPEEDUP_FLOOR", 10_000.0
-        ):
-            assert main(argv) == 1
-        assert "below the committed floor" in capsys.readouterr().err

@@ -147,11 +147,34 @@ class TestCacheIdentityPins:
             "08105098f5a9e884754e570d47ac4f6f42a04cf2c3c968a6c584f3d28c4bf3a4"
         )
 
-    def test_bench_synth_winner_key(self):
-        from repro.bench import _SYNTH_WINNER
+    def test_synth_winner_key(self):
         from repro.synth import CandidateProgram
 
-        assert CandidateProgram.from_dict(_SYNTH_WINNER).key() == (
+        # The seed-7, budget-16 campaign's first finding, as discovered
+        # (before shrinking).
+        winner = {
+            "decoy_stride": 19,
+            "encode": [
+                {
+                    "count": 4,
+                    "dsb_set": 28,
+                    "kind": "std",
+                    "lcp_sets": 5,
+                    "misaligned": False,
+                }
+            ],
+            "iterations": 6,
+            "probe": [
+                {
+                    "count": 7,
+                    "dsb_set": 28,
+                    "kind": "std",
+                    "lcp_sets": 2,
+                    "misaligned": False,
+                }
+            ],
+        }
+        assert CandidateProgram.from_dict(winner).key() == (
             '{"decoy_stride":19,"encode":[{"count":4,"dsb_set":28,'
             '"kind":"std","lcp_sets":5,"misaligned":false}],"iterations":6,'
             '"probe":[{"count":7,"dsb_set":28,"kind":"std","lcp_sets":2,'

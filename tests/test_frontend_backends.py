@@ -16,7 +16,7 @@ import functools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -51,6 +51,28 @@ from tests._replay import assert_replay
 LAYOUT = BlockChainLayout()
 
 BACKENDS = ("reference", "vectorized")
+
+#: Steady-state loops at an iteration count high enough that every run
+#: extrapolates: eight and four aligned blocks, which stream from the
+#: LSD when it is enabled and from the DSB when it is not, and four
+#: aligned blocks plus two LCP windows, which pay decode stalls and
+#: DSB/MITE path switches every iteration.
+DSB_RESIDENT_8 = LoopProgram(
+    [standard_mix_block(LAYOUT.block_address(s, 40)) for s in range(8)],
+    20_000_000,
+)
+LSD_CAPTURE_4 = LoopProgram(
+    [standard_mix_block(LAYOUT.block_address(s, 41)) for s in range(4)],
+    20_000_000,
+)
+LCP_MIXED_6 = LoopProgram(
+    [standard_mix_block(LAYOUT.block_address(s, 42)) for s in range(4)]
+    + [
+        lcp_block(LAYOUT.block_address(10 + s, 42), lcp_sets=4, mixed=True)
+        for s in range(2)
+    ],
+    20_000_000,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -327,6 +349,10 @@ class TestCrossBackendIdentity:
         st.booleans(),
         st.integers(min_value=1, max_value=2),
     )
+    @example(DSB_RESIDENT_8, True, 2)
+    @example(DSB_RESIDENT_8, False, 2)
+    @example(LSD_CAPTURE_4, True, 2)
+    @example(LCP_MIXED_6, True, 2)
     @settings(max_examples=50, deadline=None)
     def test_reports_and_state_byte_identical(self, program, lsd_enabled, runs):
         ref = FrontendEngine(lsd_enabled=lsd_enabled, backend="reference")

@@ -407,9 +407,3 @@ class TestCli:
             assert "FAIL" in out
         finally:
             unregister("impossible")
-
-    def test_bench_suite_scenarios_rejects_check(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--suite", "scenarios", "--check"]) == 1
-        assert "frontend suite only" in capsys.readouterr().err

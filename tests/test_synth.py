@@ -23,6 +23,7 @@ from repro.defense import (
 from repro.defense.evaluation import evaluate_spectre_v2
 from repro.errors import ConfigurationError, ReproError
 from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
+from repro.frontend.backends import set_default_backend
 from repro.isa.layout import BlockChainLayout
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226, spec_by_name
@@ -314,6 +315,19 @@ class TestSynthSearch:
             executor=ParallelExecutor(jobs=2)
         )
         assert serial.to_json() == parallel.to_json()
+
+    def test_campaign_report_byte_identical_across_backends(self):
+        """A whole campaign, candidates through shrinking and defense
+        re-scores, must not notice which simulation backend ran it."""
+        config = SearchConfig(seed=7, budget=16, bits=24)
+        reports = {}
+        for backend in ("reference", "vectorized"):
+            previous = set_default_backend(backend)
+            try:
+                reports[backend] = SynthSearch(config).run().to_json()
+            finally:
+                set_default_backend(previous)
+        assert reports["vectorized"] == reports["reference"]
 
     def test_cache_resume_replays_byte_identical(self, tmp_path):
         cache = ResultCache(str(tmp_path))
