@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 __all__ = ["edit_distance", "error_rate"]
 
 
@@ -27,20 +25,23 @@ def edit_distance(sent: Sequence, received: Sequence) -> int:
         return m
     if m == 0:
         return n
-    previous = np.arange(m + 1, dtype=np.int64)
-    current = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        current[0] = i
-        sent_item = sent[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if sent_item == received[j - 1] else 1
-            current[j] = min(
-                previous[j] + 1,  # deletion
-                current[j - 1] + 1,  # insertion
-                previous[j - 1] + cost,  # substitution / match
-            )
-        previous, current = current, previous
-    return int(previous[m])
+    # Plain int lists and comparisons instead of NumPy cells and ``min``:
+    # per-cell call overhead dominates this loop.
+    previous = list(range(m + 1))
+    for i, sent_item in enumerate(sent, 1):
+        current = [i]
+        left = i
+        for j, received_item in enumerate(received):
+            # substitution / match
+            best = previous[j] + (0 if sent_item == received_item else 1)
+            if previous[j + 1] + 1 < best:  # deletion
+                best = previous[j + 1] + 1
+            if left + 1 < best:  # insertion
+                best = left + 1
+            current.append(best)
+            left = best
+        previous = current
+    return previous[m]
 
 
 def error_rate(sent: Sequence, received: Sequence) -> float:

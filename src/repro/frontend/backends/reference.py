@@ -54,7 +54,7 @@ class ReferenceBackend:
             min_warmup = max(min_warmup, engine.params.lsd_detect_iterations + 2)
         while iteration < limit:
             prev_cost, cost = cost, engine.run_iteration(program, thread, smt_active)
-            report.merge(cost.to_report())
+            report.add_iteration(cost)
             history.append(cost.key())
             iteration += 1
             if not exact and iteration >= min_warmup and engine._is_steady(history):
@@ -68,7 +68,7 @@ class ReferenceBackend:
                 prev_cost, cost = None, engine.run_iteration(
                     program, thread, smt_active
                 )
-                report.merge(cost.to_report())
+                report.add_iteration(cost)
                 remaining -= 1
             if remaining > 0:
                 period_two = steady and history[-1] != history[-2]

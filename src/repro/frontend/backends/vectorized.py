@@ -616,7 +616,6 @@ class VectorizedBackend:
             return None
         dsb = engine.dsb
         params = engine.params
-        sets = dsb._sets
 
         probes = table.probes[thread]
         h0_key: _HitsKey = tuple(
@@ -633,7 +632,7 @@ class VectorizedBackend:
                 set_i = table.set_list[i]
                 need[set_i] = need.get(set_i, 0) + table.ways_list[i]
             for set_i, extra in need.items():
-                if dsb._used_ways(sets[set_i]) + extra > params.dsb_ways:
+                if dsb._ways[set_i] + extra > params.dsb_ways:
                     return None
 
         qualifies = table.body_qualifies and lsd.enabled

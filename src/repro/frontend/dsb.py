@@ -100,6 +100,9 @@ class DecodedStreamBuffer:
         self._sets: list[OrderedDict[LineKey, DsbLine]] = [
             OrderedDict() for _ in range(self.params.dsb_sets)
         ]
+        # Running ways-in-use per set: every mutation of ``_sets`` keeps
+        # ``_ways[i] == sum(line.ways for line in _sets[i].values())``.
+        self._ways: list[int] = [0] * self.params.dsb_sets
         self._listeners: list[EvictionListener] = []
         self.stats = DsbStats()
 
@@ -149,15 +152,19 @@ class DecodedStreamBuffer:
     # ------------------------------------------------------------------
     def lookup(self, thread: int, window_addr: int, smt_active: bool) -> bool:
         """Probe for a window; updates LRU on hit."""
-        entry_set = self._sets[self.effective_index(window_addr, smt_active, thread)]
-        key = (thread, window_addr)
-        line = entry_set.get(key)
-        if line is None:
-            self.stats.misses += 1
-            return False
-        entry_set.move_to_end(key)
-        self.stats.hits += 1
-        return True
+        return self.lookup_at(
+            self.effective_index(window_addr, smt_active, thread), (thread, window_addr)
+        )
+
+    def lookup_at(self, index: int, key: LineKey) -> bool:
+        """:meth:`lookup` with the set index already resolved."""
+        entry_set = self._sets[index]
+        if key in entry_set:
+            entry_set.move_to_end(key)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
 
     def resident(self, thread: int, window_addr: int, smt_active: bool) -> bool:
         """Probe without touching LRU state or statistics."""
@@ -173,23 +180,33 @@ class DecodedStreamBuffer:
         counted in ``stats.uncacheable_lookups``.
         """
         ways = self.ways_for_uops(uops)
-        if ways == 0:
+        # An uncacheable window never reaches a set, so it needs no index.
+        index = self.effective_index(window_addr, smt_active, thread) if ways else 0
+        return self.insert_at(index, (thread, window_addr), uops, ways)
+
+    def insert_at(
+        self, index: int, key: LineKey, uops: int, ways: int
+    ) -> list[LineKey]:
+        """:meth:`insert` with the set index and ``ways_for_uops(uops)``
+        already resolved (``ways == 0`` marks an uncacheable window)."""
+        if not ways:
             self.stats.uncacheable_lookups += 1
             return []
-        index = self.effective_index(window_addr, smt_active, thread)
         entry_set = self._sets[index]
-        key = (thread, window_addr)
         if key in entry_set:
             entry_set.move_to_end(key)
             return []
         evicted: list[LineKey] = []
-        while self._used_ways(entry_set) + ways > self.params.dsb_ways:
+        used = self._ways
+        capacity = self.params.dsb_ways
+        while used[index] + ways > capacity:
             victim_key = self._pick_victim(entry_set)
-            del entry_set[victim_key]
+            used[index] -= entry_set.pop(victim_key).ways
             evicted.append(victim_key)
             self.stats.evictions += 1
             self._notify_eviction(victim_key)
         entry_set[key] = DsbLine(uops=uops, ways=ways)
+        used[index] += ways
         self.stats.insertions += 1
         return evicted
 
@@ -216,19 +233,20 @@ class DecodedStreamBuffer:
     def invalidate(self, thread: int, window_addr: int) -> bool:
         """Drop a specific line wherever it currently resides."""
         key = (thread, window_addr)
-        for entry_set in self._sets:
-            if key in entry_set:
-                del entry_set[key]
+        for index, entry_set in enumerate(self._sets):
+            line = entry_set.pop(key, None)
+            if line is not None:
+                self._ways[index] -= line.ways
                 return True
         return False
 
     def flush_thread(self, thread: int) -> int:
         """Invalidate every line belonging to ``thread``; returns the count."""
         dropped = 0
-        for entry_set in self._sets:
+        for index, entry_set in enumerate(self._sets):
             victims = [key for key in entry_set if key[0] == thread]
             for key in victims:
-                del entry_set[key]
+                self._ways[index] -= entry_set.pop(key).ways
                 dropped += 1
         return dropped
 
@@ -236,17 +254,14 @@ class DecodedStreamBuffer:
         """Invalidate the whole DSB (used on repartition in strict mode)."""
         for entry_set in self._sets:
             entry_set.clear()
+        self._ways[:] = [0] * len(self._ways)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @staticmethod
-    def _used_ways(entry_set: OrderedDict[LineKey, DsbLine]) -> int:
-        return sum(line.ways for line in entry_set.values())
-
     def occupancy(self) -> int:
         """Total ways currently in use across all sets."""
-        return sum(self._used_ways(s) for s in self._sets)
+        return sum(self._ways)
 
     def set_contents(self, index: int) -> list[LineKey]:
         """Keys resident in physical set ``index``, LRU-oldest first."""

@@ -76,6 +76,8 @@ class WindowAccess:
     window_addr: int
     instructions: tuple[Instruction, ...]
     uops: int
+    #: Uops of the window's non-LCP instructions.
+    plain_uops: int
     bytes_used: int
     lcp_count: int
     lcp_runs: int = 0
@@ -90,10 +92,6 @@ class WindowAccess:
         return self.lcp_count == len(self.instructions)
 
     @property
-    def plain_uops(self) -> int:
-        return sum(i.uop_count for i in self.instructions if not i.has_lcp)
-
-    @property
     def lcp_uops(self) -> int:
         return self.uops - self.plain_uops
 
@@ -101,6 +99,15 @@ class WindowAccess:
     def cacheable(self) -> bool:
         """At least the plain part of the window can live in the DSB."""
         return self.lcp_count < len(self.instructions)
+
+
+#: One window of a DSB plan: the access, its set index, its line key and
+#: the ways its plain part needs (0 when it cannot be cached).
+_PlanStep = tuple[WindowAccess, int, tuple[int, int], int]
+#: A loop body's window accesses and its plans per (thread, smt_active).
+_BodyEntry = tuple[
+    tuple[WindowAccess, ...], dict[tuple[int, bool], tuple[_PlanStep, ...]]
+]
 
 
 @dataclass
@@ -135,8 +142,43 @@ class LoopReport:
 
     def merge(self, other: "LoopReport") -> "LoopReport":
         """Accumulate another report into this one (in place) and return self."""
-        for name in _REPORT_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.cycles += other.cycles
+        self.iterations += other.iterations
+        self.uops_lsd += other.uops_lsd
+        self.uops_dsb += other.uops_dsb
+        self.uops_mite += other.uops_mite
+        self.windows_lsd += other.windows_lsd
+        self.windows_dsb += other.windows_dsb
+        self.windows_mite += other.windows_mite
+        self.switches_to_mite += other.switches_to_mite
+        self.switches_to_dsb += other.switches_to_dsb
+        self.lcp_stalls += other.lcp_stalls
+        self.lsd_flushes += other.lsd_flushes
+        self.lsd_captures += other.lsd_captures
+        self.dsb_evictions += other.dsb_evictions
+        self.energy_nj += other.energy_nj
+        self.simulated_iterations += other.simulated_iterations
+        return self
+
+    def add_iteration(self, cost: "_IterationCost") -> "LoopReport":
+        """Accumulate one simulated iteration; same as
+        ``merge(cost.to_report())`` without building the report."""
+        self.cycles += cost.cycles
+        self.iterations += 1
+        self.uops_lsd += cost.uops_lsd
+        self.uops_dsb += cost.uops_dsb
+        self.uops_mite += cost.uops_mite
+        self.windows_lsd += cost.windows_lsd
+        self.windows_dsb += cost.windows_dsb
+        self.windows_mite += cost.windows_mite
+        self.switches_to_mite += cost.switches_to_mite
+        self.switches_to_dsb += cost.switches_to_dsb
+        self.lcp_stalls += cost.lcp_stalls
+        self.lsd_flushes += cost.lsd_flushes
+        self.lsd_captures += cost.lsd_captures
+        self.dsb_evictions += cost.dsb_evictions
+        self.energy_nj += cost.energy_nj
+        self.simulated_iterations += 1
         return self
 
     def scaled(self, factor: float) -> "LoopReport":
@@ -173,9 +215,9 @@ class LoopReport:
         return max(counts, key=counts.get)  # type: ignore[arg-type]
 
 
-#: ``LoopReport`` field names in declaration order: ``merge`` and
-#: ``scaled`` walk them on every simulated iteration, so they are read
-#: once here instead of through ``dataclasses.fields`` per call.
+#: ``LoopReport`` field names in declaration order: ``scaled`` walks
+#: them on every extrapolation, so they are read once here instead of
+#: through ``dataclasses.fields`` per call.
 _REPORT_FIELDS = tuple(f.name for f in fields(LoopReport))
 
 
@@ -334,7 +376,9 @@ class FrontendEngine:
         self._last_path: dict[int, DeliveryPath | None] = {
             thread: None for thread in range(n_threads)
         }
-        self._window_cache: dict[tuple[MixBlock, ...], tuple[WindowAccess, ...]] = {}
+        # Per loop body: its window accesses, and the DSB plans built
+        # from them per (thread, smt_active).
+        self._window_cache: dict[tuple[MixBlock, ...], _BodyEntry] = {}
         # Backend resolution is lazy: resolving at first run_loop keeps
         # construction cheap and lets the process default / env var set
         # after engine creation still take effect.
@@ -355,13 +399,19 @@ class FrontendEngine:
         hashable dataclass) — two different bodies placed at the same
         addresses, e.g. JIT-recycled code regions, must not alias.
         """
-        key = program.body
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._window_entry(program.body)[0]
+
+    def _window_entry(self, body: tuple[MixBlock, ...]) -> _BodyEntry:
+        entry = self._window_cache.get(body)
+        if entry is None:
+            entry = (self._split_windows(body), {})
+            self._window_cache[body] = entry
+        return entry
+
+    def _split_windows(self, body: tuple[MixBlock, ...]) -> tuple[WindowAccess, ...]:
         accesses: list[WindowAccess] = []
         wb = self.params.window_bytes
-        for block in program.body:
+        for block in body:
             groups: dict[int, list[Instruction]] = {}
             order: list[int] = []
             for addr, instruction in block.instruction_addresses():
@@ -387,6 +437,7 @@ class FrontendEngine:
                         window_addr=window,
                         instructions=instructions,
                         uops=sum(i.uop_count for i in instructions),
+                        plain_uops=sum(i.uop_count for i in plain),
                         bytes_used=bytes_used,
                         lcp_count=sum(1 for i in instructions if i.has_lcp),
                         lcp_runs=lcp_runs,
@@ -395,9 +446,32 @@ class FrontendEngine:
                         plain_decode_cycles=plain_decode.cycles,
                     )
                 )
-        result = tuple(accesses)
-        self._window_cache[key] = result
-        return result
+        return tuple(accesses)
+
+    def _plan(
+        self, program: LoopProgram, thread: int, smt_active: bool
+    ) -> tuple[_PlanStep, ...]:
+        """Each window access of ``program`` with its DSB set index, line
+        key and way count on ``thread`` under ``smt_active``.
+
+        Everything here is static in (body, thread, mode), so it is built
+        once per body and mode and kept with the body's window accesses.
+        """
+        accesses, plans = self._window_entry(program.body)
+        plan = plans.get((thread, smt_active))
+        if plan is None:
+            dsb = self.dsb
+            plan = tuple(
+                (
+                    access,
+                    dsb.effective_index(access.window_addr, smt_active, thread),
+                    (thread, access.window_addr),
+                    dsb.ways_for_uops(access.plain_uops) if access.cacheable else 0,
+                )
+                for access in accesses
+            )
+            plans[(thread, smt_active)] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # eviction plumbing (DSB -> LSD inclusivity)
@@ -456,7 +530,10 @@ class FrontendEngine:
             lsd.observe_iteration(program, all_from_dsb=True)
             return cost
 
-        accesses = self.window_accesses(program)
+        plan = self._plan(program, thread, smt_active)
+        lookup_at = self.dsb.lookup_at
+        insert_at = self.dsb.insert_at
+        l1i = self.l1i
         uops_dsb = uops_mite = 0
         windows_dsb = windows_mite = 0
         to_mite = to_dsb = 0
@@ -471,10 +548,10 @@ class FrontendEngine:
         mite_streak = 0
         streak_limit = params.mite_fill_streak_limit
         path = self._last_path[thread]
-        for access in accesses:
+        for access, index, key, ways in plan:
             if access.lcp_count == 0:
                 # Plain window: DSB on hit, MITE + fill on miss.
-                if self.dsb.lookup(thread, access.window_addr, smt_active):
+                if lookup_at(index, key):
                     uops_dsb += access.uops
                     windows_dsb += 1
                     mite_streak = 0
@@ -487,8 +564,8 @@ class FrontendEngine:
                         to_dsb += 1
                     path = DeliveryPath.DSB
                 else:
-                    if self.l1i is not None:
-                        self.l1i.access(access.window_addr)
+                    if l1i is not None:
+                        l1i.access(access.window_addr)
                     mite_cycles += access.decode_cycles
                     uops_mite += access.uops
                     windows_mite += 1
@@ -500,16 +577,13 @@ class FrontendEngine:
                         # Sustained MITE streaks stop filling the DSB, so
                         # far-over-capacity loops keep a stable resident
                         # prefix instead of thrashing it (Figure 3).
-                        evicted = self.dsb.insert(
-                            thread, access.window_addr, access.uops, smt_active
-                        )
-                        evictions += len(evicted)
+                        evictions += len(insert_at(index, key, access.uops, ways))
                 if access.spans_from_misaligned:
                     self._notify_misaligned_touch(thread, access.window_addr, smt_active)
             elif access.pure_lcp:
                 # LCP-only window: never cached, always legacy-decoded.
-                if self.l1i is not None:
-                    self.l1i.access(access.window_addr)
+                if l1i is not None:
+                    l1i.access(access.window_addr)
                 mite_cycles += access.decode_cycles
                 lcp_stalls += access.lcp_count
                 uops_mite += access.uops
@@ -521,24 +595,21 @@ class FrontendEngine:
                 # Mixed window: plain uops via DSB (once cached), LCP
                 # uops via MITE, one DSB->MITE->DSB round trip per
                 # maximal LCP run (the Figure 6 / slow-switch mechanism).
-                plain_hit = self.dsb.lookup(thread, access.window_addr, smt_active)
+                plain_hit = lookup_at(index, key)
                 if plain_hit:
                     uops_dsb += access.plain_uops
                     windows_dsb += 1
                     if path is DeliveryPath.MITE:
                         to_dsb += 1
                 else:
-                    if self.l1i is not None:
-                        self.l1i.access(access.window_addr)
+                    if l1i is not None:
+                        l1i.access(access.window_addr)
                     mite_cycles += access.plain_decode_cycles
                     uops_mite += access.plain_uops
                     windows_mite += 1
                     if path in (DeliveryPath.DSB, DeliveryPath.LSD):
                         to_mite += 1
-                    evicted = self.dsb.insert(
-                        thread, access.window_addr, access.plain_uops, smt_active
-                    )
-                    evictions += len(evicted)
+                    evictions += len(insert_at(index, key, access.plain_uops, ways))
                 # The LCP part always issues from MITE.
                 uops_mite += access.lcp_uops
                 lcp_stalls += access.lcp_count

@@ -83,8 +83,9 @@ class SmtExecutor:
             round_primary = LoopReport()
             burst = min(ratio, primary_left)
             for _ in range(burst):
-                cost = engine.run_iteration(primary, thread=0, smt_active=True)
-                round_primary.merge(cost.to_report())
+                round_primary.add_iteration(
+                    engine.run_iteration(primary, thread=0, smt_active=True)
+                )
             primary_left -= burst
             cost = engine.run_iteration(secondary, thread=1, smt_active=True)
             round_secondary = cost.to_report()
@@ -97,7 +98,7 @@ class SmtExecutor:
             if (
                 not exact
                 and rounds_done >= self.MIN_WARMUP_ROUNDS
-                and self._is_steady(history)
+                and engine._is_steady(history)
                 and rounds_done < total_rounds
             ):
                 remaining = total_rounds - rounds_done
@@ -137,14 +138,6 @@ class SmtExecutor:
         if primary_drained:
             engine.lsds[0].flush()
         return SmtRunResult(primary=primary_report, secondary=secondary_report)
-
-    @staticmethod
-    def _is_steady(history: list[tuple]) -> bool:
-        if len(history) >= 2 and history[-1] == history[-2]:
-            return True
-        if len(history) >= 4 and history[-1] == history[-3] and history[-2] == history[-4]:
-            return True
-        return False
 
     @staticmethod
     def _scale_round(round_report: LoopReport, remaining: int) -> LoopReport:

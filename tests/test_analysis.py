@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.analysis.bits import (
     MESSAGE_PATTERNS,
@@ -19,6 +21,29 @@ from repro.analysis.stats import separation, summarize
 from repro.analysis.threshold import calibrate_threshold
 from repro.analysis.wagner_fischer import edit_distance, error_rate
 from repro.errors import ChannelError, MeasurementError
+
+
+#: Lists of bits and short strings; either may be empty.
+sequences = st.one_of(
+    st.lists(st.integers(0, 1), max_size=24), st.text(alphabet="abc", max_size=24)
+)
+
+
+def full_table_levenshtein(a, b) -> int:
+    """The textbook dynamic program over the whole (n+1) x (m+1) table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        table[i][0] = i
+    for j in range(len(b) + 1):
+        table[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (0 if a[i - 1] == b[j - 1] else 1),
+            )
+    return table[len(a)][len(b)]
 
 
 class TestWagnerFischer:
@@ -48,6 +73,15 @@ class TestWagnerFischer:
 
     def test_symmetry(self):
         assert edit_distance("abc", "yabd") == edit_distance("yabd", "abc")
+
+    @given(sequences, sequences)
+    @example("", "")
+    @example([], [1, 0])
+    @example("01", [])
+    def test_matches_full_table_levenshtein(self, a, b):
+        distance = edit_distance(a, b)
+        assert type(distance) is int
+        assert distance == full_table_levenshtein(a, b)
 
 
 class TestBits:

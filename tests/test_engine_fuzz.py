@@ -80,7 +80,7 @@ class TestEngineInvariants:
         engine.run_loop(program, exact=True)
         for index in range(engine.params.dsb_sets):
             used = sum(line.ways for line in engine.dsb._sets[index].values())
-            assert used <= engine.params.dsb_ways
+            assert used == engine.dsb._ways[index] <= engine.params.dsb_ways
 
     @given(arbitrary_programs())
     @settings(max_examples=30, deadline=None)

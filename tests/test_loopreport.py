@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend.engine import FrontendEngine, LoopReport
+from repro.frontend.engine import FrontendEngine, LoopReport, _IterationCost
 from repro.frontend.paths import DeliveryPath
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
@@ -16,15 +18,39 @@ def report(**kwargs) -> LoopReport:
     return LoopReport(**kwargs)
 
 
+def drawn(cls):
+    """Instances of a report dataclass with every field drawn by its type."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    counts = st.integers(min_value=0, max_value=10**9)
+    return st.builds(
+        cls, **{f.name: floats if f.type == "float" else counts for f in fields(cls)}
+    )
+
+
+def bits(report: LoopReport) -> list:
+    """Every field, floats as ``float.hex`` so that equality is bitwise."""
+    return [v.hex() if isinstance(v, float) else v for v in astuple(report)]
+
+
 class TestLoopReportArithmetic:
     def test_merge_accumulates_every_field(self):
-        a = report(cycles=10.0, uops_dsb=5, lcp_stalls=1, energy_nj=2.0)
-        b = report(cycles=4.0, uops_dsb=3, lcp_stalls=2, energy_nj=1.0)
+        """Walks the dataclass fields, so a field added to LoopReport
+        but not to the explicit ``merge`` fails here."""
+        names = [f.name for f in fields(LoopReport)]
+        kinds = {name: type(getattr(LoopReport(), name)) for name in names}
+        a = report(**{n: kinds[n](i + 1) for i, n in enumerate(names)})
+        b = report(**{n: kinds[n](100 * (i + 1)) for i, n in enumerate(names)})
         a.merge(b)
-        assert a.cycles == 14.0
-        assert a.uops_dsb == 8
-        assert a.lcp_stalls == 3
-        assert a.energy_nj == 3.0
+        for i, name in enumerate(names):
+            assert getattr(a, name) == kinds[name](101 * (i + 1)), name
+
+    @given(drawn(LoopReport), drawn(_IterationCost))
+    @settings(max_examples=60)
+    def test_add_iteration_is_merge_of_to_report(self, start, cost):
+        via_merge = report(**vars(start)).merge(cost.to_report())
+        direct = report(**vars(start))
+        assert direct.add_iteration(cost) is direct
+        assert bits(direct) == bits(via_merge)
 
     def test_merge_returns_self(self):
         a = report()

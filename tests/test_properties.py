@@ -19,6 +19,16 @@ from repro.isa.uops import Uop, UopKind
 
 bitstrings = st.text(alphabet="01", max_size=24)
 
+#: DSB operation mix: fills outnumber the whole-thread and whole-DSB
+#: flushes, so sets fill up and evict between flushes.
+DSB_OPERATIONS = (
+    ("insert",) * 8
+    + ("insert_at",) * 8
+    + ("lookup",) * 4
+    + ("invalidate",) * 4
+    + ("flush_thread", "flush")
+)
+
 
 class TestEditDistanceMetric:
     """Wagner–Fischer must satisfy the metric axioms."""
@@ -111,7 +121,54 @@ class TestDsbInvariants:
             dsb.insert(thread, 0x400000 + slot * 32, 5, smt)
         for index in range(dsb.params.dsb_sets):
             used = sum(line.ways for line in dsb._sets[index].values())
-            assert used <= dsb.params.dsb_ways
+            assert used == dsb._ways[index] <= dsb.params.dsb_ways
+
+    @given(
+        st.sampled_from(["lru", "hashed"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(DSB_OPERATIONS),
+                st.integers(min_value=0, max_value=1),  # thread
+                # Sets 0/1 and 16/17 fold together in SMT mode; four tags
+                # per set make conflicts, evictions and repeat keys common.
+                st.sampled_from([0, 1, 16, 17]),  # single-thread set
+                st.integers(min_value=0, max_value=3),  # tag
+                st.integers(min_value=1, max_value=20),  # uops (> 18: uncacheable)
+                st.booleans(),  # smt_active
+            ),
+            min_size=40,
+            max_size=150,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_running_way_count_matches_sets(self, policy, operations):
+        """``_ways`` equals the ways resident in each set after every
+        operation, and already during eviction callbacks."""
+        dsb = DecodedStreamBuffer(FrontendParams(dsb_replacement=policy))
+
+        def check(*_evicted):
+            for index, entry_set in enumerate(dsb._sets):
+                used = sum(line.ways for line in entry_set.values())
+                assert dsb._ways[index] == used <= dsb.params.dsb_ways
+
+        dsb.add_eviction_listener(check)
+        for name, thread, dsb_set, tag, uops, smt in operations:
+            addr = 0x400000 + tag * 1024 + dsb_set * 32
+            if name == "lookup":
+                dsb.lookup(thread, addr, smt)
+            elif name == "insert":
+                dsb.insert(thread, addr, uops, smt)
+            elif name == "insert_at":
+                index = dsb.effective_index(addr, smt, thread)
+                dsb.insert_at(index, (thread, addr), uops, dsb.ways_for_uops(uops))
+            elif name == "invalidate":
+                dsb.invalidate(thread, addr)
+            elif name == "flush_thread":
+                dsb.flush_thread(thread)
+            else:
+                dsb.flush()
+            check()
+        assert dsb.occupancy() == sum(dsb._ways)
 
     @given(st.integers(min_value=0, max_value=2**16))
     def test_smt_fold_consistency(self, window_slot):
