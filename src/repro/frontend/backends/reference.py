@@ -6,7 +6,9 @@ against.  Every iteration goes through
 :meth:`FrontendEngine.run_iteration` (full per-window interpretation);
 once the per-iteration cost repeats with period 1 or 2 the remaining
 iterations are extrapolated analytically via
-:func:`repro.frontend.engine.extrapolate_tail`.
+:func:`repro.frontend.engine.extrapolate_tail`.  Runs go through the
+engine's run memo (:meth:`FrontendEngine.memo_run`), so a run from an
+entry state already seen replays instead of being interpreted.
 """
 
 from __future__ import annotations
@@ -29,6 +31,21 @@ class ReferenceBackend:
 
     def run_loop(
         self,
+        engine: FrontendEngine,
+        program: LoopProgram,
+        thread: int,
+        smt_active: bool,
+        exact: bool,
+    ) -> LoopReport:
+        (report,) = engine.memo_run(
+            (program, thread, smt_active, exact),
+            engine._plan(program, thread, smt_active)[1],
+            lambda: (self._interpret(engine, program, thread, smt_active, exact),),
+        )
+        return report
+
+    @staticmethod
+    def _interpret(
         engine: FrontendEngine,
         program: LoopProgram,
         thread: int,

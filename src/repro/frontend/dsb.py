@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.frontend.params import FrontendParams
@@ -45,9 +45,9 @@ EvictionListener = Callable[[int, int], None]
 MAX_WAYS_PER_WINDOW = 3
 
 
-@dataclass
-class DsbLine:
-    """One cached instruction window.
+class DsbLine(NamedTuple):
+    """One cached instruction window (immutable, so a set's contents
+    hash without a Python call per line).
 
     Attributes
     ----------

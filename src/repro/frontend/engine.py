@@ -24,17 +24,22 @@ repeating with period 1 or 2) and extrapolates the remaining iterations
 analytically, which lets the 20-million-iteration experiments of
 Section III run in milliseconds without changing the modelled state
 machine behaviour.
+
+Whole loop runs are memoized per engine (:meth:`FrontendEngine.memo_run`):
+a run that starts from frontend state already seen with the same
+arguments replays its recorded reports and state changes instead of
+being interpreted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import ExecutionError
 from repro.obs import get_registry
-from repro.frontend.dsb import DecodedStreamBuffer
+from repro.frontend.dsb import DecodedStreamBuffer, DsbLine, LineKey
 from repro.frontend.lsd import LoopStreamDetector
 from repro.frontend.mite import MiteDecoder
 from repro.frontend.params import EnergyParams, FrontendParams
@@ -51,6 +56,9 @@ __all__ = ["FrontendEngine", "LoopReport", "WindowAccess"]
 SIM_LATENCY_EDGES: tuple[float, ...] = (
     10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 5e-3, 25e-3,
 )
+
+#: Most recorded loop runs one engine keeps; the oldest is dropped first.
+RUN_MEMO_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -104,10 +112,10 @@ class WindowAccess:
 #: One window of a DSB plan: the access, its set index, its line key and
 #: the ways its plain part needs (0 when it cannot be cached).
 _PlanStep = tuple[WindowAccess, int, tuple[int, int], int]
+#: A DSB plan and the sorted, distinct set indices its steps touch.
+_Plan = tuple[tuple[_PlanStep, ...], tuple[int, ...]]
 #: A loop body's window accesses and its plans per (thread, smt_active).
-_BodyEntry = tuple[
-    tuple[WindowAccess, ...], dict[tuple[int, bool], tuple[_PlanStep, ...]]
-]
+_BodyEntry = tuple[tuple[WindowAccess, ...], dict[tuple[int, bool], _Plan]]
 
 
 @dataclass
@@ -288,6 +296,61 @@ class _IterationCost:
         )
 
 
+class _FetchLog:
+    """Stands in for the L1I while a run is recorded: forwards every
+    fetch and keeps its address, so a replay can re-issue them in order."""
+
+    __slots__ = ("cache", "addrs")
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        self.addrs: list[int] = []
+
+    def access(self, addr: int) -> bool:
+        self.addrs.append(addr)
+        return self.cache.access(addr)
+
+
+class _RunEffect(NamedTuple):
+    """Everything one recorded loop run did, as :meth:`FrontendEngine._replay`
+    re-applies it.  Stats are deltas; the rest is the state the run left."""
+
+    #: Field values of each returned ``LoopReport``.
+    reports: tuple[tuple, ...]
+    #: Contents (LRU order) and ways in use of each touched DSB set.
+    sets: tuple[tuple[tuple[LineKey, DsbLine], ...], ...]
+    ways: tuple[int, ...]
+    #: hits, misses, insertions, evictions, uncacheable lookups.
+    dsb_stats: tuple[int, ...]
+    #: Per LSD: (state, candidate, qualify streak, loop windows).
+    lsds: tuple[tuple, ...]
+    #: Per LSD: captures, flushes, streamed iterations.
+    lsd_stats: tuple[tuple[int, ...], ...]
+    #: ``_pending_penalty``, ``_pending_flushes``, ``_last_path``,
+    #: ``_mite_streak`` as items.
+    threads: tuple[tuple, tuple, tuple, tuple]
+    #: L1I fetch addresses, in issue order.
+    fetches: tuple[int, ...]
+
+
+def _dsb_stats(dsb: DecodedStreamBuffer) -> tuple[int, ...]:
+    st = dsb.stats
+    return (st.hits, st.misses, st.insertions, st.evictions, st.uncacheable_lookups)
+
+
+def _lsd_state(lsd: LoopStreamDetector) -> tuple:
+    return (lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows)
+
+
+def _lsd_stats(lsd: LoopStreamDetector) -> tuple[int, ...]:
+    st = lsd.stats
+    return (st.captures, st.flushes, st.streamed_iterations)
+
+
+def _delta(after: tuple[int, ...], before: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([a - b for a, b in zip(after, before)])
+
+
 def extrapolate_tail(
     prev_cost: "_IterationCost | None",
     last_cost: "_IterationCost",
@@ -387,6 +450,11 @@ class FrontendEngine:
         # (registry, sim.points counter, sim.latency histogram) — rebuilt
         # whenever the process registry is swapped (use_registry in tests).
         self._sim_cache: tuple | None = None
+        # (registry, sim.replays counter), rebuilt the same way.
+        self._replays_cache: tuple | None = None
+        # Recorded loop runs, keyed on their arguments and the frontend
+        # state they read (see memo_run); at most RUN_MEMO_LIMIT.
+        self._runs: dict[tuple, _RunEffect] = {}
 
     # ------------------------------------------------------------------
     # static program analysis
@@ -448,11 +516,10 @@ class FrontendEngine:
                 )
         return tuple(accesses)
 
-    def _plan(
-        self, program: LoopProgram, thread: int, smt_active: bool
-    ) -> tuple[_PlanStep, ...]:
+    def _plan(self, program: LoopProgram, thread: int, smt_active: bool) -> _Plan:
         """Each window access of ``program`` with its DSB set index, line
-        key and way count on ``thread`` under ``smt_active``.
+        key and way count on ``thread`` under ``smt_active``, plus the
+        sorted set indices those steps touch.
 
         Everything here is static in (body, thread, mode), so it is built
         once per body and mode and kept with the body's window accesses.
@@ -461,7 +528,7 @@ class FrontendEngine:
         plan = plans.get((thread, smt_active))
         if plan is None:
             dsb = self.dsb
-            plan = tuple(
+            steps = tuple(
                 (
                     access,
                     dsb.effective_index(access.window_addr, smt_active, thread),
@@ -470,6 +537,9 @@ class FrontendEngine:
                 )
                 for access in accesses
             )
+            # Pure-LCP windows never reach the DSB, so their sets stay out.
+            touched = {index for access, index, _, _ in steps if not access.pure_lcp}
+            plan = (steps, tuple(sorted(touched)))
             plans[(thread, smt_active)] = plan
         return plan
 
@@ -530,7 +600,7 @@ class FrontendEngine:
             lsd.observe_iteration(program, all_from_dsb=True)
             return cost
 
-        plan = self._plan(program, thread, smt_active)
+        plan = self._plan(program, thread, smt_active)[0]
         lookup_at = self.dsb.lookup_at
         insert_at = self.dsb.insert_at
         l1i = self.l1i
@@ -757,6 +827,123 @@ class FrontendEngine:
         points.inc()
         latency.observe(registry.clock() - start)
         return report
+
+    # ------------------------------------------------------------------
+    # whole-run memo
+    # ------------------------------------------------------------------
+    def memo_run(
+        self,
+        head: tuple,
+        sets: tuple[int, ...],
+        run: Callable[[], tuple[LoopReport, ...]],
+    ) -> tuple[LoopReport, ...]:
+        """Call ``run`` (one whole loop-run driver), or replay its record.
+
+        ``head`` names the run: ``(program, thread, smt_active, exact)``
+        for one thread, ``(primary, secondary, exact)`` for an SMT pair.
+        ``sets`` lists every DSB set the run can touch.  The run is
+        keyed on ``head`` plus everything of the frontend it reads: the
+        contents of those sets (keys, LRU order, uops and ways), every
+        LSD, the per-thread pending penalties and flushes, last paths and
+        MITE streaks, and under ``hashed`` replacement the insertion
+        counter that picks victims.  Equal keys therefore mean equal
+        runs, so a repeat re-applies the recorded effect — set contents,
+        stat deltas, LSD and per-thread state, the L1I fetches in order —
+        and returns fresh copies of the recorded reports.
+        """
+        dsb = self.dsb
+        if len(dsb._listeners) != 1:
+            return run()  # a foreign eviction listener must see every call
+        dsb_sets = dsb._sets
+        lsds = self.lsds.values()
+        key = (
+            head,
+            tuple([tuple(dsb_sets[i].items()) for i in sets]),
+            tuple([(lsd.enabled, _lsd_state(lsd)) for lsd in lsds]),
+            tuple(self._pending_penalty.values()),
+            tuple(self._pending_flushes.values()),
+            tuple(self._last_path.values()),
+            tuple(self._mite_streak.values()),
+            dsb.stats.insertions if self.params.dsb_replacement == "hashed" else 0,
+        )
+        runs = self._runs
+        effect = runs.get(key)
+        if effect is not None:
+            self._replay(sets, effect)
+            return tuple([LoopReport(*values) for values in effect.reports])
+
+        dsb_before = _dsb_stats(dsb)
+        lsd_before = [_lsd_stats(lsd) for lsd in lsds]
+        l1i = self.l1i
+        log = None if l1i is None else _FetchLog(l1i)
+        if log is not None:
+            self.l1i = log
+        try:
+            reports = run()
+        finally:
+            self.l1i = l1i
+        if len(runs) >= RUN_MEMO_LIMIT:
+            del runs[next(iter(runs))]
+        runs[key] = _RunEffect(
+            reports=tuple(
+                tuple([getattr(report, name) for name in _REPORT_FIELDS])
+                for report in reports
+            ),
+            sets=tuple([tuple(dsb_sets[i].items()) for i in sets]),
+            ways=tuple([dsb._ways[i] for i in sets]),
+            dsb_stats=_delta(_dsb_stats(dsb), dsb_before),
+            lsds=tuple([_lsd_state(lsd) for lsd in lsds]),
+            lsd_stats=tuple(
+                [_delta(_lsd_stats(lsd), before) for lsd, before in zip(lsds, lsd_before)]
+            ),
+            threads=(
+                tuple(self._pending_penalty.items()),
+                tuple(self._pending_flushes.items()),
+                tuple(self._last_path.items()),
+                tuple(self._mite_streak.items()),
+            ),
+            fetches=() if log is None else tuple(log.addrs),
+        )
+        return reports
+
+    def _replay(self, sets: tuple[int, ...], effect: _RunEffect) -> None:
+        """Re-apply a recorded run's effect (see :meth:`memo_run`)."""
+        dsb = self.dsb
+        # Set dicts are updated in place: the vectorized backend holds
+        # references to them.
+        dsb_sets = dsb._sets
+        ways = dsb._ways
+        for index, items, used in zip(sets, effect.sets, effect.ways):
+            entry_set = dsb_sets[index]
+            entry_set.clear()
+            entry_set.update(items)
+            ways[index] = used
+        st = dsb.stats
+        hits, misses, insertions, evictions, uncacheable = effect.dsb_stats
+        st.hits += hits
+        st.misses += misses
+        st.insertions += insertions
+        st.evictions += evictions
+        st.uncacheable_lookups += uncacheable
+        for lsd, state, stats in zip(self.lsds.values(), effect.lsds, effect.lsd_stats):
+            lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows = state
+            lsd.stats.captures += stats[0]
+            lsd.stats.flushes += stats[1]
+            lsd.stats.streamed_iterations += stats[2]
+        penalty, flushes, last_path, mite_streak = effect.threads
+        self._pending_penalty.update(penalty)
+        self._pending_flushes.update(flushes)
+        self._last_path.update(last_path)
+        self._mite_streak.update(mite_streak)
+        l1i = self.l1i
+        if l1i is not None:
+            for addr in effect.fetches:
+                l1i.access(addr)
+        registry = get_registry()
+        cache = self._replays_cache
+        if cache is None or cache[0] is not registry:
+            cache = self._replays_cache = (registry, registry.counter("sim.replays"))
+        cache[1].inc()
 
     @staticmethod
     def _is_steady(history: list[tuple]) -> bool:

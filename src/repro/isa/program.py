@@ -86,8 +86,20 @@ class LoopProgram:
         return len(self.body) - self.misaligned_blocks
 
     def with_iterations(self, iterations: int) -> "LoopProgram":
-        """Same body, different trip count."""
-        return LoopProgram(self.body, iterations, self.label)
+        """Same body, different trip count.
+
+        The derived attributes depend on the body alone, so they are
+        copied; only ``iterations`` and the hash are recomputed.
+        """
+        if iterations < 1:
+            raise LayoutError(f"iterations must be >= 1, got {iterations}")
+        iterations = int(iterations)
+        clone = object.__new__(LoopProgram)
+        clone.__dict__.update(self.__dict__)
+        set_ = object.__setattr__
+        set_(clone, "iterations", iterations)
+        set_(clone, "_hash", hash((self.body, iterations, self.label)))
+        return clone
 
     def concat(self, other: "LoopProgram", label: str = "") -> "LoopProgram":
         """Fuse two bodies into one loop (iteration counts must match).

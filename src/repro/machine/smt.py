@@ -11,7 +11,8 @@ Interleaving granularity is one loop iteration, with the ratio of
 iterations chosen proportionally (e.g. the MT channels run p=10 receiver
 decode iterations per sender encode iteration).  A steady-state detector
 extrapolates long runs (the 20M-iteration partitioning experiments)
-without simulating every round.
+without simulating every round, and the engine's run memo replays a
+whole run whose entry state was already seen.
 """
 
 from __future__ import annotations
@@ -68,6 +69,24 @@ class SmtExecutor:
         threads see ``smt_active`` frontend behaviour (folded DSB index,
         shared decode bandwidth) for the whole overlap.
         """
+        engine = self.core.engine
+        # Both threads' SMT plans, plus the primary's single-thread plan
+        # for the drain.
+        sets = {
+            *engine._plan(primary, 0, True)[1],
+            *engine._plan(secondary, 1, True)[1],
+            *engine._plan(primary, 0, False)[1],
+        }
+        reports = engine.memo_run(
+            (primary, secondary, exact),
+            tuple(sorted(sets)),
+            lambda: self._interleave(primary, secondary, exact),
+        )
+        return SmtRunResult(primary=reports[0], secondary=reports[1])
+
+    def _interleave(
+        self, primary: LoopProgram, secondary: LoopProgram, exact: bool
+    ) -> tuple[LoopReport, LoopReport]:
         engine = self.core.engine
         ratio = max(1, round(primary.iterations / secondary.iterations))
         total_rounds = secondary.iterations
@@ -137,7 +156,7 @@ class SmtExecutor:
             engine.lsds[thread].flush()
         if primary_drained:
             engine.lsds[0].flush()
-        return SmtRunResult(primary=primary_report, secondary=secondary_report)
+        return primary_report, secondary_report
 
     @staticmethod
     def _scale_round(round_report: LoopReport, remaining: int) -> LoopReport:

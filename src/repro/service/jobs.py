@@ -65,27 +65,36 @@ class Job:
     #: Every event emitted for this job, in emission order.
     events: list[Event] = field(default_factory=list)
     #: Live event feed (one reader); ``None`` is the end-of-stream mark.
-    event_queue: "asyncio.Queue[Event | None]" = field(
+    #: The socket server drops it (sets ``None``) once it has read that
+    #: mark, so a finished job does not keep an idle queue.
+    event_queue: "asyncio.Queue[Event | None] | None" = field(
         default_factory=asyncio.Queue
     )
     #: Monotonic timestamp of the terminal transition (service clock);
     #: ``None`` while the job is live.  Drives TTL-based job GC.
     finished_at: float | None = None
-    _cancel: asyncio.Event = field(default_factory=asyncio.Event)
-    _finished: asyncio.Event = field(default_factory=asyncio.Event)
+    # Set by cancel(); outlives the _cancel event.  Both events exist
+    # only while the job is live: finish() releases them, since a
+    # finished job never waits again.
+    _cancel_requested: bool = False
+    _cancel: asyncio.Event | None = field(default_factory=asyncio.Event)
+    _finished: asyncio.Event | None = field(default_factory=asyncio.Event)
 
     # ------------------------------------------------------------------
     def cancel(self) -> None:
         """Request cancellation; takes effect at the next point boundary."""
-        self._cancel.set()
+        self._cancel_requested = True
+        if self._cancel is not None:
+            self._cancel.set()
 
     @property
     def cancel_requested(self) -> bool:
-        return self._cancel.is_set()
+        return self._cancel_requested
 
     async def wait(self) -> JobStatus:
         """Block until the job reaches a terminal status."""
-        await self._finished.wait()
+        if self._finished is not None:
+            await self._finished.wait()
         return self.status
 
     def result(self) -> "SweepTable":
@@ -101,6 +110,7 @@ class Job:
         self.status = status
         self.finished_at = at
         self._finished.set()
+        self._cancel = self._finished = None
 
 
 class JobQueue:

@@ -211,6 +211,7 @@ class SweepServer:
         while True:
             event = await job.event_queue.get()
             if event is None:
+                job.event_queue = None  # the feed is spent; the job may live on
                 break
             if event.kind == "job-done" and job.table is not None:
                 event = Event(

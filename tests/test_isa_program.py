@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import LayoutError
@@ -42,6 +44,22 @@ class TestLoopProgram:
         assert longer.iterations == 500
         assert longer.body == program.body
         assert longer.label == "x"
+
+    @pytest.mark.parametrize("misaligned", [False, True])
+    def test_with_iterations_matches_the_constructor(self, layout, misaligned):
+        """The copy keeps the derived attributes and recomputes only the
+        trip count and hash, so it is indistinguishable from a fresh
+        program."""
+        program = LoopProgram(layout.chain(3, 4, misaligned=misaligned), 10, label="x")
+        longer = program.with_iterations(500)
+        fresh = LoopProgram(program.body, 500, label="x")
+        assert longer == fresh and hash(longer) == hash(fresh)
+        assert vars(longer) == vars(fresh)
+        assert pickle.loads(pickle.dumps(longer)) == fresh
+        assert vars(pickle.loads(pickle.dumps(longer))) == vars(fresh)
+        assert program.iterations == 10  # the original is untouched
+        with pytest.raises(LayoutError):
+            program.with_iterations(0)
 
     def test_concat(self, layout):
         a = LoopProgram(layout.chain(3, 2), 10)

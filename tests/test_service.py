@@ -17,9 +17,11 @@ the socket protocol has its own section at the bottom.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -515,6 +517,64 @@ class TestJobGc:
     def test_negative_ttl_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepService(job_ttl_s=-1.0)
+
+
+# ----------------------------------------------------------------------
+# what a finished job keeps
+# ----------------------------------------------------------------------
+class TestFinishedJobFootprint:
+    def test_finished_job_drops_its_events_but_keeps_working(self):
+        factory = CountingFactory()
+
+        async def scenario():
+            async with SweepService() as service:
+                job = service.submit(make_sweep(factory, xs=(1, 2)))
+                first = await job.wait()
+                again = await job.wait()
+                job.cancel()
+                return job, first, again
+
+        job, first, again = run(scenario())
+        assert first is again is JobStatus.DONE
+        assert job._cancel is None and job._finished is None
+        assert job.cancel_requested
+        assert job.status is JobStatus.DONE
+        assert job.result().rows()
+
+    def test_retained_memory_per_served_job_is_small(self, tmp_path):
+        """A job served over the socket keeps its events and result, not
+        the asyncio feed and events it needed while live (about 10.7 KB
+        per job before they were released)."""
+        sock = tmp_path / "svc.sock"
+        spec = SweepSpec(grid={"d": [2]}, channel="eviction", variant="fast", bits=8)
+        jobs = 30
+
+        async def scenario():
+            service = SweepService()
+            server = SweepServer(service, sock)
+            await server.start()
+            client = ServiceClient(sock)
+            try:
+                for _ in range(3):  # warm the result memo and the codecs
+                    [e async for e in client.submit(spec)]
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    for _ in range(jobs):
+                        [e async for e in client.submit(spec)]
+                    gc.collect()
+                    grown = tracemalloc.get_traced_memory()[0] - before
+                finally:
+                    tracemalloc.stop()
+                return service, grown
+            finally:
+                await server.stop()
+
+        service, grown = run(scenario())
+        assert len(service.jobs) == jobs + 3
+        assert all(job.event_queue is None for job in service.jobs.values())
+        assert grown / jobs <= 7 * 1024
 
 
 # ----------------------------------------------------------------------
