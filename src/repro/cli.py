@@ -41,11 +41,9 @@ take ``--token`` (default ``$REPRO_SERVICE_TOKEN``) for servers
 started with ``--auth``, and ``--timeout`` for a per-read deadline.
 
 ``sweep``, ``serve``, ``worker``, ``scenario run``, ``synth run`` and
-``synth minimize`` accept ``--backend`` to pick the frontend simulation
-backend (see ``docs/backends.md``).  The flag is applied as the process
-default *and* exported via ``REPRO_SIM_BACKEND`` so spawned worker
-processes inherit it; it never enters sweep point keys, so caches stay
-valid across backends.
+``synth minimize`` accept ``--backend {reference,vectorized}`` and
+ignore it: there is one simulator, and the flag stays only because the
+benchmark under ``perf/`` passes it.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from typing import Sequence
 from repro.analysis.bits import alternating_bits, random_bits, string_to_bits
 from repro.channels.probes import path_timing_samples
 from repro.errors import ReproError
-from repro.frontend.backends import ENV_VAR, available_backends, set_default_backend
+from repro.frontend.backends import NAMES as BACKEND_NAMES
 from repro.frontend.paths import DeliveryPath
 from repro.machine.machine import Machine
 from repro.machine.specs import ALL_SPECS, spec_by_name
@@ -584,28 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The simulation-backend option of ``sweep``, ``serve``, ``worker``,
-    ``scenario run``, ``synth run`` and ``synth minimize``."""
+    """``--backend`` of ``sweep``, ``serve``, ``worker``, ``scenario run``,
+    ``synth run`` and ``synth minimize``: accepted and ignored, because
+    the benchmark under ``perf/`` still passes it."""
     parser.add_argument(
         "--backend",
         default=None,
-        choices=available_backends(),
-        help="frontend simulation backend (default: $REPRO_SIM_BACKEND "
-        "or 'reference'); results are identical across backends and the "
-        "choice never enters cache keys",
+        choices=BACKEND_NAMES,
+        help="accepted for compatibility and has no effect: every loop "
+        "runs through the one frontend simulator",
     )
-
-
-def _apply_backend(args) -> None:
-    """Install ``--backend`` as process default + inherited environment.
-
-    The env export is what carries the choice into spawned sweep worker
-    processes; factories stay backend-agnostic so point keys (and any
-    on-disk cache) are unaffected.
-    """
-    if getattr(args, "backend", None):
-        set_default_backend(args.backend)
-        os.environ[ENV_VAR] = args.backend
 
 
 def _add_client_auth_arguments(parser: argparse.ArgumentParser) -> None:
@@ -809,7 +795,6 @@ def _cmd_sweep(args) -> int:
     from repro.service.events import jsonl_progress
     from repro.sweep import ParameterSweep
 
-    _apply_backend(args)
     grid = dict(parse_param_axis(axis) for axis in args.param)
     factory = functools.partial(
         sweep_point_metrics, args.machine, args.channel, args.variant, args.bits
@@ -880,7 +865,6 @@ def _cmd_serve(args) -> int:
     from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
     from repro.service import AuthPolicy, JobStore, SweepServer, SweepService
 
-    _apply_backend(args)
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     executor = (
@@ -988,7 +972,6 @@ def _cmd_worker(args) -> int:
     from repro.cluster import run_worker
     from repro.errors import ConfigurationError
 
-    _apply_backend(args)
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     print(f"worker connecting to {args.connect}", file=sys.stderr)
@@ -1070,7 +1053,6 @@ def _cmd_scenario(args) -> int:
     if args.scenario_command == "run":
         from repro.obs import MetricsRegistry
 
-        _apply_backend(args)
         registry = MetricsRegistry()
         result = scenarios.run_scenario(
             spec, trials=args.trials, base_seed=args.seed, registry=registry
@@ -1247,7 +1229,6 @@ def _cmd_synth(args) -> int:
                 )
         return 0
 
-    _apply_backend(args)
     if args.synth_command == "minimize":
         if args.candidate == "-":
             text = sys.stdin.read()

@@ -23,13 +23,6 @@ from repro.frontend.dsb import DecodedStreamBuffer, DsbStats
 from repro.frontend.lsd import LoopStreamDetector, LsdState
 from repro.frontend.mite import MiteDecoder
 from repro.frontend.engine import FrontendEngine, LoopReport
-from repro.frontend.backends import (
-    FrontendBackend,
-    available_backends,
-    create_backend,
-    resolve_backend_name,
-    set_default_backend,
-)
 
 __all__ = [
     "FrontendParams",
@@ -42,9 +35,4 @@ __all__ = [
     "MiteDecoder",
     "FrontendEngine",
     "LoopReport",
-    "FrontendBackend",
-    "available_backends",
-    "create_backend",
-    "resolve_backend_name",
-    "set_default_backend",
 ]

@@ -1,164 +1,36 @@
-"""Pluggable loop-simulation backends for the frontend engine.
+"""Compatibility names for the benchmark under ``perf/``.
 
-A *backend* is a strategy for executing :meth:`FrontendEngine.run_loop`:
-it owns the iteration driver (warmup, steady-state detection, analytic
-extrapolation, loop-exit accounting) while the engine keeps the modelled
-state (DSB, LSDs, MITE, L1I).  The contract is strict:
-
-* **bit-identical results** — every backend must produce byte-for-byte
-  the same :class:`~repro.frontend.engine.LoopReport` and leave the
-  engine in exactly the same microarchitectural state as the
-  ``reference`` interpreter.  Backend choice may never change *what* is
-  computed, only how fast — which is why the backend name is **not**
-  part of :func:`repro.exec.canonical.point_key` cache identity, and
-  why tier-1 cross-validates the registered backends on a seeded
-  program corpus instead.
-* **graceful fallback** — a backend that cannot handle a run (SMT
-  interference, pending flush penalties, DSB pressure) must delegate to
-  the reference driver rather than approximate.
-
-Selection precedence: explicit ``FrontendEngine(backend=...)`` argument
-> process default (:func:`set_default_backend`) > the
-``REPRO_SIM_BACKEND`` environment variable > ``reference``.  The CLI's
-``--backend`` flag sets both the process default and the environment
-variable so spawned worker processes inherit the choice.
-
-See ``docs/backends.md`` for the full contract and the vectorization
-strategy.
+There is one simulator: :meth:`repro.frontend.engine.FrontendEngine.run_loop`
+drives every loop run through the run memo and the interpreter.  ``perf/``
+still selects a backend by name, so this package keeps the names it uses:
+:func:`set_default_backend` and the ``ReferenceBackend`` and
+``VectorizedBackend`` classes, all of which exist only because ``perf/``
+names them and leave every run as it is.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
-
 from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.frontend.engine import FrontendEngine, LoopReport
-    from repro.isa.program import LoopProgram
+__all__ = ["NAMES", "set_default_backend"]
 
-__all__ = [
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
-    "FrontendBackend",
-    "register_backend",
-    "available_backends",
-    "resolve_backend_name",
-    "create_backend",
-    "default_backend_name",
-    "set_default_backend",
-]
+#: Backend names ``perf/`` and the CLI's ``--backend`` still accept.
+NAMES = ("reference", "vectorized")
 
-#: Environment variable naming the backend for processes that take no flag.
-ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: The always-available interpreter backend every other backend must match.
-DEFAULT_BACKEND = "reference"
-
-
-@runtime_checkable
-class FrontendBackend(Protocol):
-    """What a simulation backend must provide.
-
-    ``run_loop`` receives the engine whose state it drives; it must
-    return the same report bits and leave the same engine state as the
-    reference driver for every input.  Instances are engine-affine: the
-    engine creates one backend per :class:`FrontendEngine` so backends
-    may cache per-program derived data without cross-engine aliasing.
-    """
-
-    name: str
-
-    def run_loop(
-        self,
-        engine: "FrontendEngine",
-        program: "LoopProgram",
-        thread: int,
-        smt_active: bool,
-        exact: bool,
-    ) -> "LoopReport": ...
-
-
-_factories: dict[str, Callable[[], FrontendBackend]] = {}
-_lock = threading.Lock()
-_process_default: str | None = None
-
-
-def register_backend(name: str, factory: Callable[[], FrontendBackend]) -> None:
-    """Register ``factory`` under ``name`` (last registration wins)."""
-    with _lock:
-        _factories[str(name)] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted for stable display."""
-    with _lock:
-        return tuple(sorted(_factories))
+_default: str | None = None
 
 
 def set_default_backend(name: str | None) -> str | None:
-    """Set the process-wide default backend; returns the previous value.
+    """Record ``name`` and return the previous value; it has no effect.
 
-    ``None`` clears the default, falling back to ``REPRO_SIM_BACKEND``
-    and then ``reference``.
+    Exists only because ``perf/`` calls it.  ``None``, ``"reference"``
+    and ``"vectorized"`` are accepted; any other name raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    global _process_default
-    if name is not None and name not in available_backends():
+    global _default
+    if name is not None and name not in NAMES:
         raise ConfigurationError(
-            f"unknown simulation backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
+            f"unknown simulation backend {name!r}; available: {', '.join(NAMES)}"
         )
-    with _lock:
-        previous = _process_default
-        _process_default = name
+    previous, _default = _default, name
     return previous
-
-
-def default_backend_name() -> str:
-    """The name an engine constructed without an explicit backend gets."""
-    return resolve_backend_name(None)
-
-
-def resolve_backend_name(explicit: str | None) -> str:
-    """Apply the selection precedence: explicit > default > env > reference."""
-    if explicit is not None:
-        return explicit
-    with _lock:
-        if _process_default is not None:
-            return _process_default
-    return os.environ.get(ENV_VAR) or DEFAULT_BACKEND
-
-
-def create_backend(name: str | None = None) -> FrontendBackend:
-    """Instantiate the backend ``name`` resolves to.
-
-    Each call returns a fresh instance: backends carry per-engine caches
-    and must not be shared between engines.
-    """
-    resolved = resolve_backend_name(name)
-    with _lock:
-        factory = _factories.get(resolved)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown simulation backend {resolved!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return factory()
-
-
-def _make_reference() -> FrontendBackend:
-    from repro.frontend.backends.reference import ReferenceBackend
-
-    return ReferenceBackend()
-
-
-def _make_vectorized() -> FrontendBackend:
-    from repro.frontend.backends.vectorized import VectorizedBackend
-
-    return VectorizedBackend()
-
-
-register_backend("reference", _make_reference)
-register_backend("vectorized", _make_vectorized)

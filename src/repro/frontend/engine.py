@@ -34,7 +34,7 @@ being interpreted again.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import ExecutionError
@@ -393,11 +393,6 @@ class FrontendEngine:
     lsd_enabled:
         Whether the LSD exists/is enabled (microcode patch 2 and two of
         the Table I machines have it disabled).
-    backend:
-        Simulation backend name (see :mod:`repro.frontend.backends`).
-        ``None`` resolves the process default / ``REPRO_SIM_BACKEND`` at
-        first use.  Backends are bit-identical by contract, so the
-        choice never changes reports — only how fast they arrive.
     """
 
     #: Iterations simulated before steady-state extrapolation may engage.
@@ -412,7 +407,6 @@ class FrontendEngine:
         n_threads: int = 2,
         lsd_enabled: bool = True,
         l1i: "SetAssociativeCache | None" = None,
-        backend: str | None = None,
     ) -> None:
         if n_threads not in (1, 2):
             raise ExecutionError(f"cores have 1 or 2 hardware threads, got {n_threads}")
@@ -442,11 +436,6 @@ class FrontendEngine:
         # Per loop body: its window accesses, and the DSB plans built
         # from them per (thread, smt_active).
         self._window_cache: dict[tuple[MixBlock, ...], _BodyEntry] = {}
-        # Backend resolution is lazy: resolving at first run_loop keeps
-        # construction cheap and lets the process default / env var set
-        # after engine creation still take effect.
-        self._backend_name = backend
-        self._backend: "object | None" = None
         # (registry, sim.points counter, sim.latency histogram) — rebuilt
         # whenever the process registry is swapped (use_registry in tests).
         self._sim_cache: tuple | None = None
@@ -779,27 +768,16 @@ class FrontendEngine:
         )
 
     # ------------------------------------------------------------------
-    # loop execution (dispatched to the selected backend)
+    # loop execution
     # ------------------------------------------------------------------
-    @property
-    def backend(self):
-        """The resolved :class:`~repro.frontend.backends.FrontendBackend`."""
-        if self._backend is None:
-            from repro.frontend.backends import create_backend
-
-            self._backend = create_backend(self._backend_name)
-        return self._backend
-
-    def _sim_instruments(self, registry, backend_name: str):
-        """Per-backend ``sim.points`` / ``sim.latency``, cached per registry."""
+    def _sim_instruments(self, registry):
+        """``sim.points`` / ``sim.latency``, cached per registry."""
         cache = self._sim_cache
         if cache is None or cache[0] is not registry:
             cache = (
                 registry,
-                registry.counter("sim.points", backend=backend_name),
-                registry.histogram(
-                    "sim.latency", edges=SIM_LATENCY_EDGES, backend=backend_name
-                ),
+                registry.counter("sim.points"),
+                registry.histogram("sim.latency", edges=SIM_LATENCY_EDGES),
             )
             self._sim_cache = cache
         return cache[1], cache[2]
@@ -814,18 +792,71 @@ class FrontendEngine:
         """Execute all iterations of ``program`` on ``thread``.
 
         ``exact=True`` disables steady-state extrapolation and simulates
-        every iteration (used by tests and short loops).  The driver
-        itself lives in the selected backend
-        (:mod:`repro.frontend.backends`); backends are bit-identical by
-        contract, so selection only changes throughput, never reports.
+        every iteration (used by tests and short loops).  The run goes
+        through the run memo (:meth:`memo_run`), so a run from an entry
+        state already seen replays instead of being interpreted.
         """
-        backend = self.backend
         registry = get_registry()
         start = registry.clock()
-        report = backend.run_loop(self, program, thread, smt_active, exact)
-        points, latency = self._sim_instruments(registry, backend.name)
+        (report,) = self.memo_run(
+            (program, thread, smt_active, exact),
+            self._plan(program, thread, smt_active)[1],
+            lambda: (self._interpret(program, thread, smt_active, exact),),
+        )
+        points, latency = self._sim_instruments(registry)
         points.inc()
         latency.observe(registry.clock() - start)
+        return report
+
+    def _interpret(
+        self, program: LoopProgram, thread: int, smt_active: bool, exact: bool
+    ) -> LoopReport:
+        """The iteration driver: every iteration goes through
+        :meth:`run_iteration` until the per-iteration cost repeats with
+        period 1 or 2, then the remaining iterations are extrapolated
+        analytically via :func:`extrapolate_tail`."""
+        report = LoopReport()
+        history: list[tuple] = []
+        iteration = 0
+        limit = program.iterations if exact else min(program.iterations, self.MAX_SIMULATED)
+        steady = False
+        prev_cost: _IterationCost | None = None
+        cost: _IterationCost | None = None
+        lsd = self.lsds[thread]
+        # Pre-capture DSB iterations look steady but are not: a loop the
+        # LSD could still lock onto must be simulated past the detection
+        # latency before extrapolation may engage.
+        min_warmup = self.MIN_WARMUP
+        if lsd.structurally_qualifies(program):
+            min_warmup = max(min_warmup, self.params.lsd_detect_iterations + 2)
+        while iteration < limit:
+            prev_cost, cost = cost, self.run_iteration(program, thread, smt_active)
+            report.add_iteration(cost)
+            history.append(cost.key())
+            iteration += 1
+            if not exact and iteration >= min_warmup and self._is_steady(history):
+                steady = True
+                break
+        remaining = program.iterations - iteration
+        if remaining > 0 and cost is not None:
+            if not steady:
+                # Hit MAX_SIMULATED without period-1/2 convergence: run
+                # one more live iteration and repeat it for the tail.
+                prev_cost, cost = None, self.run_iteration(program, thread, smt_active)
+                report.add_iteration(cost)
+                remaining -= 1
+            if remaining > 0:
+                period_two = steady and history[-1] != history[-2]
+                report.merge(extrapolate_tail(prev_cost, cost, remaining, period_two))
+                if lsd.is_streaming(program):
+                    lsd.stats.streamed_iterations += remaining
+        # Loop exit: the terminal backward branch mispredicts and any LSD
+        # stream for this loop ends (no flush penalty is charged to the
+        # *next* loop; the exit cost covers it).
+        report.cycles += self.params.loop_exit_mispredict
+        report.energy_nj += self.params.loop_exit_mispredict * self.energy.cycle_energy
+        lsd.flush()
+        self._last_path[thread] = None
         return report
 
     # ------------------------------------------------------------------
@@ -909,8 +940,6 @@ class FrontendEngine:
     def _replay(self, sets: tuple[int, ...], effect: _RunEffect) -> None:
         """Re-apply a recorded run's effect (see :meth:`memo_run`)."""
         dsb = self.dsb
-        # Set dicts are updated in place: the vectorized backend holds
-        # references to them.
         dsb_sets = dsb._sets
         ways = dsb._ways
         for index, items, used in zip(sets, effect.sets, effect.ways):
@@ -953,16 +982,6 @@ class FrontendEngine:
         if len(history) >= 4 and history[-1] == history[-3] and history[-2] == history[-4]:
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # generators for SMT interleaving
-    # ------------------------------------------------------------------
-    def iteration_stream(
-        self, program: LoopProgram, thread: int, smt_active: bool
-    ) -> Iterator[LoopReport]:
-        """Yield one report per iteration; used by the SMT interleaver."""
-        for _ in range(program.iterations):
-            yield self.run_iteration(program, thread, smt_active).to_report()
 
     def reset_thread(self, thread: int) -> None:
         """Forget a thread's frontend state (context switch / teardown)."""

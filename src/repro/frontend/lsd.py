@@ -120,20 +120,6 @@ class LoopStreamDetector:
     # ------------------------------------------------------------------
     # dynamic protocol, driven by the engine once per loop iteration
     # ------------------------------------------------------------------
-    @property
-    def idle(self) -> bool:
-        """True when nothing dynamic is in flight: no stream, no candidate.
-
-        The vectorized backend uses this to decide whether a run starts
-        from a clean LSD — any partial qualify streak or active stream
-        means history matters and the run must take the reference path.
-        """
-        return (
-            self.state is LsdState.IDLE
-            and self._candidate is None
-            and self._qualify_streak == 0
-        )
-
     def is_streaming(self, program: LoopProgram) -> bool:
         """True if this iteration's uops come straight from the LSD."""
         return (

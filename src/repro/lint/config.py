@@ -44,7 +44,7 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     "wire": frozenset({"errors"}),
     "analysis": frozenset({"errors", "wire"}),
     # -- simulator core -------------------------------------------------
-    # ``obs`` entered the frontend set when run_loop grew per-backend
+    # ``obs`` entered the frontend set when run_loop grew its
     # sim.points/sim.latency instruments; obs is a foundation, so the
     # frontend stays a simulator leaf.
     "frontend": frozenset({"errors", "isa", "caches", "obs"}),

@@ -26,7 +26,6 @@ class Core:
         spec: MachineSpec,
         params: FrontendParams | None = None,
         energy: EnergyParams | None = None,
-        backend: str | None = None,
     ) -> None:
         self.spec = spec
         base = params or FrontendParams()
@@ -48,7 +47,6 @@ class Core:
             n_threads=spec.threads_per_core,
             lsd_enabled=spec.lsd_enabled,
             l1i=self.l1i,
-            backend=backend,
         )
 
     @property

@@ -37,11 +37,10 @@ class Machine:
         energy: EnergyParams | None = None,
         timing_noise: NoiseProfile | None = None,
         smt_timing_noise: NoiseProfile | None = None,
-        backend: str | None = None,
     ) -> None:
         self.spec = spec
         self.rngs = RngFactory(seed)
-        self.core = Core(spec, params=params, energy=energy, backend=backend)
+        self.core = Core(spec, params=params, energy=energy)
         self.timer = CycleTimer(
             self.rngs.stream("timer"), timing_noise or NONMT_PROFILE
         )

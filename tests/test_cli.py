@@ -150,43 +150,79 @@ class TestCommands:
 
 
 class TestBackendFlag:
-    """``--backend`` selects the simulation backend without changing results."""
+    """``--backend`` and the ``repro.frontend.backends`` names stay only
+    because the benchmark under ``perf/`` uses them; none changes a run."""
+
+    VERBS = (
+        ["sweep", "--param", "d=2"],
+        ["serve"],
+        ["worker", "--connect", "x"],
+        ["scenario", "run", "frontal"],
+        ["synth", "run"],
+        ["synth", "minimize", "-"],
+    )
 
     @pytest.fixture(autouse=True)
-    def _restore_backend(self, monkeypatch):
-        from repro.frontend.backends import ENV_VAR, set_default_backend
+    def _restore_default(self):
+        from repro.frontend.backends import set_default_backend
 
-        monkeypatch.delenv(ENV_VAR, raising=False)
         previous = set_default_backend(None)
         yield
         set_default_backend(previous)
 
-    def test_parser_accepts_backend_on_sweep_serve_worker(self):
+    def test_parser_accepts_backend_on_six_verbs(self):
         parser = build_parser()
-        for argv in (
-            ["sweep", "--param", "d=2", "--backend", "vectorized"],
-            ["serve", "--backend", "reference"],
-            ["worker", "--connect", "x", "--backend", "vectorized"],
-        ):
-            assert parser.parse_args(argv).backend == argv[-1]
+        for argv in self.VERBS:
+            for name in ("reference", "vectorized"):
+                assert parser.parse_args(argv + ["--backend", name]).backend == name
 
     def test_parser_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--backend", "turbo"])
 
-    def test_backend_flag_sets_default_and_environment(self, capsys):
+    def test_backend_flag_leaves_output_and_environment_unchanged(self, capsys):
         import os
-
-        from repro.frontend.backends import ENV_VAR, default_backend_name
 
         base = [
             "sweep", "--channel", "eviction", "--variant", "fast",
             "--param", "d=2,4", "--bits", "8", "--no-cache",
         ]
+        environ = dict(os.environ)
         assert main(base) == 0
-        reference_out = capsys.readouterr().out.splitlines()[:4]
-        assert main(base + ["--backend", "vectorized"]) == 0
-        vectorized_out = capsys.readouterr().out.splitlines()[:4]
-        assert vectorized_out == reference_out
-        assert default_backend_name() == "vectorized"
-        assert os.environ[ENV_VAR] == "vectorized"
+        plain_out = capsys.readouterr().out.splitlines()[:4]
+        for name in ("reference", "vectorized"):
+            assert main(base + ["--backend", name]) == 0
+            assert capsys.readouterr().out.splitlines()[:4] == plain_out
+        assert dict(os.environ) == environ
+
+    def test_set_default_backend_returns_previous_value(self):
+        from repro.errors import ConfigurationError
+        from repro.frontend.backends import set_default_backend
+
+        assert set_default_backend("vectorized") is None
+        assert set_default_backend("reference") == "vectorized"
+        assert set_default_backend(None) == "reference"
+        with pytest.raises(ConfigurationError):
+            set_default_backend("turbo")
+        assert set_default_backend(None) is None
+
+    def test_stub_classes_run_the_engine(self):
+        import dataclasses
+
+        from repro.frontend.backends.reference import ReferenceBackend
+        from repro.frontend.backends.vectorized import VectorizedBackend
+        from repro.frontend.engine import FrontendEngine
+        from repro.isa.blocks import standard_mix_block
+        from repro.isa.layout import BlockChainLayout
+        from repro.isa.program import LoopProgram
+
+        layout = BlockChainLayout()
+        program = LoopProgram(
+            [standard_mix_block(layout.block_address(s, 3)) for s in range(6)],
+            5_000,
+        )
+        expected = dataclasses.astuple(FrontendEngine().run_loop(program))
+        for cls in (ReferenceBackend, VectorizedBackend):
+            assert "run_loop" in cls.__dict__
+            report = cls().run_loop(FrontendEngine(), program, 0, False, False)
+            assert dataclasses.astuple(report) == expected

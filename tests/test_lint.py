@@ -757,9 +757,8 @@ class TestRepoIsClean:
         """Every lint-disable marker in the tree is individually accounted
         for.  New exemptions must be argued into this list, not sprayed as
         blanket ``lint-disable-file`` pragmas — in particular the
-        deterministic simulation units (the vectorized frontend backend
-        among them) must stay suppression-free and satisfy the rules for
-        real."""
+        deterministic simulation units must stay suppression-free and
+        satisfy the rules for real."""
         from repro.lint.core import _SUPPRESS_FILE, _SUPPRESS_LINE
 
         inventory = set()

@@ -83,12 +83,19 @@ class TestLoopReportArithmetic:
         assert report(uops_dsb=5).ipc == 0.0
 
 
+def _iteration_stream(engine, program, thread=0, smt_active=False):
+    """One report per iteration of ``program``, straight from
+    ``run_iteration``: no steady-state cut-off and no loop exit."""
+    for _ in range(program.iterations):
+        yield engine.run_iteration(program, thread, smt_active).to_report()
+
+
 class TestIterationStream:
     def test_stream_yields_per_iteration_reports(self):
         engine = FrontendEngine()
         layout = BlockChainLayout()
         program = LoopProgram(layout.chain(3, 4), 5)
-        reports = list(engine.iteration_stream(program, thread=0, smt_active=False))
+        reports = list(_iteration_stream(engine, program))
         assert len(reports) == 5
         assert all(r.iterations == 1 for r in reports)
 
@@ -97,7 +104,7 @@ class TestIterationStream:
         program = LoopProgram(layout.chain(3, 8), 20)
         streamed = FrontendEngine()
         total = LoopReport()
-        for r in streamed.iteration_stream(program, thread=0, smt_active=False):
+        for r in _iteration_stream(streamed, program):
             total.merge(r)
         # run_loop adds the loop-exit mispredict the stream does not.
         exact_engine = FrontendEngine()
@@ -111,7 +118,7 @@ class TestIterationStream:
         engine = FrontendEngine()
         layout = BlockChainLayout()
         program = LoopProgram(layout.chain(3, 4), 3)
-        list(engine.iteration_stream(program, thread=0, smt_active=False))
+        list(_iteration_stream(engine, program))
         # Windows are now DSB-resident for the next consumer.
         follow_up = engine.run_iteration(program, thread=0)
         assert follow_up.uops_mite == 0

@@ -330,7 +330,6 @@ class TestReplayEqualsInterpretation:
 
 class TestMemoBookkeeping:
     def test_repeats_are_replayed_and_counted(self):
-        # exact=True keeps the vectorized backend on the reference driver.
         program = LoopProgram(BODIES[0], 40)
         registry = MetricsRegistry()
         machine = Machine(GOLD_6226)

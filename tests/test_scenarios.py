@@ -7,9 +7,7 @@ Four contracts from the scenario subsystem's design:
 * **The registry is the single name→spec source** — idempotent
   registration, helpful unknown-name errors;
 * **Runs are deterministic** — each builtin scenario replays
-  byte-identically against a committed fixture under *both* simulation
-  backends (one fixture per scenario: the backends must agree on the
-  bytes, not just each with itself);
+  byte-identically against a committed fixture;
 * **The builtins meet their acceptance criteria** — a reduced-trial
   smoke run of each scenario passes in tier-1 time.
 """
@@ -23,7 +21,6 @@ import pytest
 from repro.analysis.outcome import ScenarioOutcome, SuccessCriteria, leak_kbps
 from repro.errors import ConfigurationError
 from repro.exec import SerialExecutor
-from repro.frontend.backends import ENV_VAR, set_default_backend
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.obs import MetricsRegistry, use_registry
@@ -41,18 +38,6 @@ from repro.scenarios import (
 )
 from repro.spectre import FrontendDsbChannel, SpectreV1Attack
 from tests._replay import assert_replay
-
-BACKENDS = ("reference", "vectorized")
-
-
-@pytest.fixture(autouse=True)
-def _pristine_backend_selection(monkeypatch):
-    """No test leaks a backend default or env override to the next."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    previous = set_default_backend(None)
-    yield
-    set_default_backend(previous)
-
 
 def _spec(**overrides) -> ScenarioSpec:
     defaults = dict(
@@ -274,7 +259,7 @@ class TestBuiltinSmoke:
 
 
 # ----------------------------------------------------------------------
-# deterministic replay: one fixture per scenario, both backends
+# deterministic replay: one fixture per scenario
 # ----------------------------------------------------------------------
 #: Reduced grids so the replay sweeps stay tier-1 fast.
 _REPLAY_GRIDS = {
@@ -289,22 +274,15 @@ class TestReplay:
     @pytest.mark.parametrize(
         "name", [spec.name for spec in BUILTIN_SCENARIOS]
     )
-    def test_scenario_sweep_replays_on_both_backends(self, name, monkeypatch):
-        """Same fixture bytes under every REPRO_SIM_BACKEND value.
-
-        Pinning both backends against a *single* committed fixture
-        asserts determinism and cross-backend equivalence in one shot.
-        """
+    def test_scenario_sweep_replays(self, name):
+        """The sweep's rows are byte-identical to the committed fixture."""
         sweep_spec = ScenarioSweepSpec(
             scenario=name, grid=_REPLAY_GRIDS[name], trials=1, base_seed=3
         )
-        for backend in BACKENDS:
-            monkeypatch.setenv(ENV_VAR, backend)
-            # Rows only: the registry snapshot carries backend-tagged
-            # sim.* instruments, which legitimately differ per backend.
-            with use_registry(MetricsRegistry()):
-                table = sweep_spec.build_sweep().run(executor=SerialExecutor())
-            assert_replay(f"scenario_{name}", table)
+        # Rows only: the registry snapshot carries wall-clock sim.latency.
+        with use_registry(MetricsRegistry()):
+            table = sweep_spec.build_sweep().run(executor=SerialExecutor())
+        assert_replay(f"scenario_{name}", table)
 
 
 # ----------------------------------------------------------------------
