@@ -65,7 +65,8 @@ class MemoryHierarchy:
         independent caches, so each one takes the previous level's
         misses, in their original order, as a single
         :meth:`~repro.caches.sa_cache.SetAssociativeCache.access_many`
-        batch.
+        batch.  Once no load is pending, the deeper levels are not
+        consulted.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         latencies = np.full(len(addrs), self.latencies.dram)
@@ -75,6 +76,8 @@ class MemoryHierarchy:
             (self.l2, self.latencies.l2),
             (self.llc, self.latencies.llc),
         ):
+            if len(pending) == 0:
+                break
             hit = cache.access_many(addrs[pending])
             latencies[pending[hit]] = latency
             pending = pending[~hit]

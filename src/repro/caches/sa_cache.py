@@ -48,6 +48,22 @@ class CacheStats:
         )
 
 
+def _last_occurrences(values: np.ndarray) -> np.ndarray:
+    """Index of each distinct value's last occurrence, in ascending order."""
+    n = len(values)
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span <= 4 * n:
+        # Dense values: one slot per possible value; ``maximum.at`` keeps
+        # the largest index written to each slot.
+        last = np.full(span, -1, dtype=np.int64)
+        np.maximum.at(last, values - low, np.arange(n))
+        return np.sort(last[last >= 0])
+    # Sparse values: the first occurrence of each in reverse is its last.
+    _, reversed_first = np.unique(values[::-1], return_index=True)
+    return np.sort(n - 1 - reversed_first)
+
+
 class SetAssociativeCache:
     """A physically-indexed set-associative cache with LRU replacement.
 
@@ -116,6 +132,10 @@ class SetAssociativeCache:
         followed by a move to MRU in last-occurrence order.  A batch
         that over-subscribes any set falls back to :meth:`access` per
         address.
+
+        An all-hit batch, whose every distinct line is already resident,
+        skips the kernel: nothing misses or is evicted, so the batch only
+        moves its lines to MRU in last-occurrence order.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         n = len(addrs)
@@ -123,13 +143,20 @@ class SetAssociativeCache:
         if n == 0:
             return hits
         line_numbers = addrs // self.line_bytes
-        # A stable sort groups each line's occurrences in access order:
-        # a group's head is the line's first occurrence, its tail the last.
-        order = np.argsort(line_numbers, kind="stable")
-        grouped = line_numbers[order]
-        heads = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        first = np.sort(order[heads])
-        last = np.sort(order[np.concatenate((heads[1:], [n])) - 1])
+        recent = line_numbers[_last_occurrences(line_numbers)]
+        # Each distinct line as (set index, line address), in
+        # last-occurrence order: the order the batch leaves them at MRU.
+        by_recency = list(
+            zip((recent % self.sets).tolist(), (recent * self.line_bytes).tolist())
+        )
+        data = self._data
+        if all(line in data[index] for index, line in by_recency):
+            for index, line in by_recency:
+                data[index].move_to_end(line)
+            self.stats.hits += n
+            return hits
+        _, first = np.unique(line_numbers, return_index=True)
+        first = np.sort(first)
         distinct = line_numbers[first]
         set_indices = distinct % self.sets
         if np.bincount(set_indices).max() > self.ways:
@@ -138,7 +165,7 @@ class SetAssociativeCache:
         for k, (index, line) in enumerate(
             zip(set_indices.tolist(), (distinct * self.line_bytes).tolist())
         ):
-            entry_set = self._data[index]
+            entry_set = data[index]
             if line in entry_set:
                 entry_set.move_to_end(line)
                 continue
@@ -147,11 +174,8 @@ class SetAssociativeCache:
                 entry_set.popitem(last=False)
                 self.stats.evictions += 1
             entry_set[line] = None
-        recent = line_numbers[last]
-        for index, line in zip(
-            (recent % self.sets).tolist(), (recent * self.line_bytes).tolist()
-        ):
-            self._data[index].move_to_end(line)
+        for index, line in by_recency:
+            data[index].move_to_end(line)
         hits[first[missed]] = False
         self.stats.misses += len(missed)
         self.stats.hits += n - len(missed)

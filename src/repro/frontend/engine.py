@@ -60,6 +60,11 @@ SIM_LATENCY_EDGES: tuple[float, ...] = (
 #: Most recorded loop runs one engine keeps; the oldest is dropped first.
 RUN_MEMO_LIMIT = 512
 
+#: First element of a sweep's memo head (see ``FrontendEngine.run_loops``);
+#: a single run's head starts with its program, an SMT run's with the
+#: primary's, so no sweep can share a key with either.
+_SWEEP = "sweep"
+
 
 @dataclass(frozen=True)
 class WindowAccess:
@@ -444,6 +449,8 @@ class FrontendEngine:
         # Recorded loop runs, keyed on their arguments and the frontend
         # state they read (see memo_run); at most RUN_MEMO_LIMIT.
         self._runs: dict[tuple, _RunEffect] = {}
+        # Per sweep (programs, thread, smt_active): the DSB sets it touches.
+        self._sweeps: dict[tuple, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # static program analysis
@@ -808,6 +815,55 @@ class FrontendEngine:
         latency.observe(registry.clock() - start)
         return report
 
+    def run_loops(
+        self,
+        programs: tuple[LoopProgram, ...],
+        thread: int = 0,
+        smt_active: bool = False,
+    ) -> tuple[LoopReport, ...]:
+        """Run ``programs`` one after another on ``thread``: a *sweep*.
+
+        Equal to ``run_loop`` on each program in turn, and memoized as one
+        run: a sweep from an entry state already seen replays all its runs
+        at once.  Otherwise each ``run_loop`` goes through the memo itself.
+        A replayed sweep counts one ``sim.points`` and one ``sim.replays``
+        per program, and one ``sim.latency`` observation for the sweep.
+        """
+        programs = tuple(programs)
+        registry = get_registry()
+        start = registry.clock()
+        interpreted = False
+
+        def run() -> tuple[LoopReport, ...]:
+            nonlocal interpreted
+            interpreted = True
+            return tuple([self.run_loop(p, thread, smt_active) for p in programs])
+
+        reports = self.memo_run(
+            (_SWEEP, programs, thread, smt_active),
+            self._sweep_sets(programs, thread, smt_active),
+            run,
+            runs=len(programs),
+        )
+        if not interpreted:
+            points, latency = self._sim_instruments(registry)
+            points.inc(len(programs))
+            latency.observe(registry.clock() - start)
+        return reports
+
+    def _sweep_sets(
+        self, programs: tuple[LoopProgram, ...], thread: int, smt_active: bool
+    ) -> tuple[int, ...]:
+        """The sorted union of the programs' plan sets, cached per sweep."""
+        key = (programs, thread, smt_active)
+        sets = self._sweeps.get(key)
+        if sets is None:
+            sets = tuple(
+                sorted({i for p in programs for i in self._plan(p, thread, smt_active)[1]})
+            )
+            self._sweeps[key] = sets
+        return sets
+
     def _interpret(
         self, program: LoopProgram, thread: int, smt_active: bool, exact: bool
     ) -> LoopReport:
@@ -867,11 +923,14 @@ class FrontendEngine:
         head: tuple,
         sets: tuple[int, ...],
         run: Callable[[], tuple[LoopReport, ...]],
+        runs: int = 1,
     ) -> tuple[LoopReport, ...]:
         """Call ``run`` (one whole loop-run driver), or replay its record.
 
         ``head`` names the run: ``(program, thread, smt_active, exact)``
-        for one thread, ``(primary, secondary, exact)`` for an SMT pair.
+        for one thread, ``(primary, secondary, exact)`` for an SMT pair,
+        ``(_SWEEP, programs, thread, smt_active)`` for a sweep of
+        ``runs`` loop runs.
         ``sets`` lists every DSB set the run can touch.  The run is
         keyed on ``head`` plus everything of the frontend it reads: the
         contents of those sets (keys, LRU order, uops and ways), every
@@ -897,10 +956,10 @@ class FrontendEngine:
             tuple(self._mite_streak.values()),
             dsb.stats.insertions if self.params.dsb_replacement == "hashed" else 0,
         )
-        runs = self._runs
-        effect = runs.get(key)
+        memo = self._runs
+        effect = memo.get(key)
         if effect is not None:
-            self._replay(sets, effect)
+            self._replay(sets, effect, runs)
             return tuple([LoopReport(*values) for values in effect.reports])
 
         dsb_before = _dsb_stats(dsb)
@@ -913,9 +972,9 @@ class FrontendEngine:
             reports = run()
         finally:
             self.l1i = l1i
-        if len(runs) >= RUN_MEMO_LIMIT:
-            del runs[next(iter(runs))]
-        runs[key] = _RunEffect(
+        if len(memo) >= RUN_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        memo[key] = _RunEffect(
             reports=tuple(
                 tuple([getattr(report, name) for name in _REPORT_FIELDS])
                 for report in reports
@@ -937,8 +996,9 @@ class FrontendEngine:
         )
         return reports
 
-    def _replay(self, sets: tuple[int, ...], effect: _RunEffect) -> None:
-        """Re-apply a recorded run's effect (see :meth:`memo_run`)."""
+    def _replay(self, sets: tuple[int, ...], effect: _RunEffect, runs: int) -> None:
+        """Re-apply a recorded run's effect (see :meth:`memo_run`); it
+        counts as ``runs`` loop runs in ``sim.replays``."""
         dsb = self.dsb
         dsb_sets = dsb._sets
         ways = dsb._ways
@@ -972,7 +1032,7 @@ class FrontendEngine:
         cache = self._replays_cache
         if cache is None or cache[0] is not registry:
             cache = self._replays_cache = (registry, registry.counter("sim.replays"))
-        cache[1].inc()
+        cache[1].inc(runs)
 
     @staticmethod
     def _is_steady(history: list[tuple]) -> bool:

@@ -61,6 +61,21 @@ class Core:
         exact: bool = False,
     ) -> LoopReport:
         """Execute a loop program on one hardware thread."""
+        self._check_thread(thread, smt_active)
+        return self.engine.run_loop(program, thread, smt_active, exact=exact)
+
+    def run_loops(
+        self,
+        programs: tuple[LoopProgram, ...],
+        thread: int = 0,
+        smt_active: bool = False,
+    ) -> tuple[LoopReport, ...]:
+        """Execute loop programs one after another on one hardware thread
+        (see :meth:`FrontendEngine.run_loops`)."""
+        self._check_thread(thread, smt_active)
+        return self.engine.run_loops(programs, thread, smt_active)
+
+    def _check_thread(self, thread: int, smt_active: bool) -> None:
         if thread >= self.n_threads:
             raise ConfigurationError(
                 f"{self.spec.name} has {self.n_threads} thread(s) per core; "
@@ -70,7 +85,6 @@ class Core:
             raise ConfigurationError(
                 f"{self.spec.name} has hyper-threading disabled"
             )
-        return self.engine.run_loop(program, thread, smt_active, exact=exact)
 
     def reset(self) -> None:
         """Return the core to a cold state (new process / context)."""

@@ -69,6 +69,19 @@ class Machine:
         self.perf.record(report)
         return report
 
+    def run_loops(
+        self,
+        programs: tuple[LoopProgram, ...],
+        thread: int = 0,
+        smt_active: bool = False,
+    ) -> tuple[LoopReport, ...]:
+        """Run loops one after another on one thread, as one memoized
+        sweep, and record each one's perf events in order."""
+        reports = self.core.run_loops(programs, thread, smt_active)
+        for report in reports:
+            self.perf.record(report)
+        return reports
+
     def run_smt(
         self, primary: LoopProgram, secondary: LoopProgram, exact: bool = False
     ) -> SmtRunResult:

@@ -391,14 +391,17 @@ class FrontendDsbChannel(SpectreChannel):
     def __init__(self, machine: Machine, seed_name: str = "") -> None:
         super().__init__(machine, seed_name)
         layout = machine.layout(region_base=0xC0_0000)
-        self._prime_programs = [
+        self._prime_programs = tuple(
             LoopProgram(
                 layout.chain(value, self.PRIME_WAYS, label=f"dsb.prime{value}"),
                 iterations=3,
                 label=f"dsb-prime-{value}",
             )
             for value in range(N_VALUES)
-        ]
+        )
+        self._probe_programs = tuple(
+            program.with_iterations(1) for program in self._prime_programs
+        )
         gadget_layout = machine.layout(region_base=0xE0_0000)
         self._gadget_programs = [
             LoopProgram(
@@ -413,8 +416,8 @@ class FrontendDsbChannel(SpectreChannel):
         self._l1i_snapshot = machine.core.l1i.stats.snapshot()
 
     def prepare(self) -> None:
-        for program in self._prime_programs:
-            self.cycles += self.machine.run_loop(program).cycles
+        for report in self.machine.run_loops(self._prime_programs):
+            self.cycles += report.cycles
 
     def touch(self, value: int, transient: bool) -> None:
         report = self.machine.run_loop(
@@ -424,9 +427,8 @@ class FrontendDsbChannel(SpectreChannel):
 
     def recover(self) -> int:
         slowest, slowest_cycles = 0, -1.0
-        for value in range(self.n_values):
-            probe = self._prime_programs[value].with_iterations(1)
-            report = self.machine.run_loop(probe)
+        reports = self.machine.run_loops(self._probe_programs)
+        for value, report in enumerate(reports):
             self.cycles += report.cycles + self.TIMER_CYCLES
             measured = self.machine.timer.measure(report.cycles).measured_cycles
             if measured > slowest_cycles:

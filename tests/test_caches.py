@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.caches.hierarchy import MemoryHierarchy
 from repro.caches.presets import l1d_cache, l1i_cache
-from repro.caches.sa_cache import SetAssociativeCache
+from repro.caches.sa_cache import CacheStats, SetAssociativeCache
 from repro.errors import ConfigurationError
 
 
@@ -213,6 +213,55 @@ class TestBatchKernels:
             assert latencies.tolist() == [looped.load(addr).latency for addr in addrs]
             for level in ("l1", "l2", "llc"):
                 _assert_same_state(getattr(batched, level), getattr(looped, level))
+
+    @settings(max_examples=200)
+    @given(geometry=_geometries, data=st.data())
+    def test_all_hit_batches_equal_access_loop(self, geometry, data):
+        """Batches drawn only from resident lines take the all-hit path."""
+        batched, looped = _cache(geometry), _cache(geometry)
+        _warm(data, batched, looped)
+        line_bytes = looped.line_bytes
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            resident = [
+                line + offset
+                for index in range(looped.sets)
+                for line in looped.lru_stack(index)
+                for offset in (0, line_bytes - 1)
+            ]
+            assume(resident)
+            addrs = data.draw(st.lists(st.sampled_from(resident), max_size=40), label="addrs")
+            hits = batched.access_many(addrs)
+            assert hits.all()
+            assert hits.tolist() == [looped.access(addr) for addr in addrs]
+            _assert_same_state(batched, looped)
+
+    def test_all_hit_batch_never_falls_back(self, monkeypatch):
+        """Every distinct line resident: only MRU moves, in last-occurrence
+        order, and no access() per address."""
+        cache = SetAssociativeCache(sets=4, ways=2, line_bytes=64)
+        for addr in (0x000, 0x100, 0x040, 0x140):
+            cache.access(addr)
+        before = cache.stats.snapshot()
+        monkeypatch.setattr(cache, "access", lambda addr: pytest.fail("fell back"))
+        addrs = [0x000, 0x140, 0x100, 0x000, 0x040, 0x17F]
+        assert cache.access_many(addrs).tolist() == [True] * len(addrs)
+        assert cache.lru_stack(0) == [0x100, 0x000]
+        assert cache.lru_stack(1) == [0x040, 0x140]
+        assert cache.stats.delta(before) == CacheStats(hits=len(addrs))
+
+    def test_one_miss_batch_equals_access_loop(self):
+        """One non-resident line among resident ones: the batch is not
+        all-hit, and the kernel still matches the per-address loop."""
+        batched, looped = (SetAssociativeCache(sets=4, ways=2, line_bytes=64) for _ in range(2))
+        for cache in (batched, looped):
+            for addr in (0x000, 0x100, 0x040):
+                cache.access(addr)
+        addrs = [0x000, 0x140, 0x100, 0x000, 0x040, 0x17F]
+        assert not _over_subscribed(batched, addrs)
+        hits = batched.access_many(addrs)
+        assert hits.tolist() == [looped.access(addr) for addr in addrs]
+        assert hits.tolist() == [True, False, True, True, True, True]
+        _assert_same_state(batched, looped)
 
     def test_empty_batch_changes_nothing(self):
         cache = SetAssociativeCache(sets=4, ways=2, line_bytes=64)

@@ -4,9 +4,9 @@
 the frontend state it reads, and on a repeat re-applies the recorded
 effect instead of interpreting.  The checks here drive two identical
 machines through the same sequence of runs and state changes; one of
-them forgets every recorded run before each step, so it always
-interprets.  After every step the reports and every piece of modelled
-state must be identical, bit for bit.
+them records no run, so it always interprets.  After every step the
+reports and every piece of modelled state must be identical, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.frontend.engine as engine_module
+from repro.frontend.engine import SIM_LATENCY_EDGES
 from repro.frontend.params import FrontendParams
 from repro.isa.blocks import MixBlock, filler_block, lcp_block, standard_mix_block
 from repro.isa.instructions import jmp_rel8, nop
@@ -26,6 +27,8 @@ from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.obs import MetricsRegistry, use_registry
+from repro.spectre.attack import SpectreV1Attack
+from repro.spectre.channels import FrontendDsbChannel
 
 LAYOUT = BlockChainLayout()
 
@@ -78,6 +81,11 @@ def _smt(primary, secondary, exact=False) -> tuple:
     return ("run_smt", primary, secondary, exact)
 
 
+def _sweep(bodies, iterations=3, thread=0, smt_active=False) -> tuple:
+    programs = tuple(LoopProgram(body, iterations) for body in bodies)
+    return ("run_loops", programs, thread, smt_active)
+
+
 def _variant(call: tuple, field: int, programs: list[LoopProgram]) -> tuple:
     """``call`` with one argument changed: the memo must tell them apart."""
     values = list(call)
@@ -85,6 +93,9 @@ def _variant(call: tuple, field: int, programs: list[LoopProgram]) -> tuple:
     if isinstance(current, LoopProgram):
         others = [p for p in programs if p != current] or [current]
         values[field] = others[0]
+    elif isinstance(current, tuple):
+        # A sweep's programs: one fewer, or the only one twice.
+        values[field] = current[1:] or current * 2
     elif isinstance(current, bool):
         values[field] = not current
     else:
@@ -115,8 +126,15 @@ def _scenarios(draw) -> tuple[list[tuple], list[tuple]]:
         st.just("run_loop"), program, st.integers(0, 1), st.booleans(), st.booleans()
     )
     run_smt = st.tuples(st.just("run_smt"), program, program, st.booleans())
+    run_loops = st.tuples(
+        st.just("run_loops"),
+        st.lists(program, min_size=1, max_size=4).map(tuple),
+        st.integers(0, 1),
+        st.booleans(),
+    )
     calls = []
-    for base in draw(st.lists(st.one_of(run_loop, run_smt), min_size=1, max_size=2)):
+    kinds = st.one_of(run_loop, run_smt, run_loops)
+    for base in draw(st.lists(kinds, min_size=1, max_size=2)):
         calls.append(base)
         fields = st.integers(1, len(base) - 1)
         for field in draw(st.lists(fields, max_size=2, unique=True)):
@@ -143,6 +161,9 @@ def _run(machine: Machine, call: tuple) -> tuple:
         _, program, thread, smt_active, exact = call
         exact = exact and program.iterations <= 40  # keep exact runs cheap
         return (machine.run_loop(program, thread, smt_active, exact=exact),)
+    if call[0] == "run_loops":
+        _, programs, thread, smt_active = call
+        return machine.run_loops(programs, thread, smt_active)
     _, primary, secondary, exact = call
     exact = exact and max(primary.iterations, secondary.iterations) <= 40
     result = machine.run_smt(primary, secondary, exact=exact)
@@ -160,6 +181,8 @@ def _change(machine: Machine, calls: list[tuple], op: tuple) -> None:
         call = calls[op[1]]
         if call[0] == "run_loop":
             engine.run_iteration(call[1], call[2], call[3])
+        elif call[0] == "run_loops":
+            engine.run_iteration(call[1][0], call[2], call[3])
         else:
             engine.run_iteration(call[2], 1, True)
     elif kind == "invalidate":
@@ -210,9 +233,19 @@ def _state(machine: Machine) -> tuple:
     )
 
 
+class _Forgetful(dict):
+    """A run memo that records nothing, so every run is interpreted."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 def _check(calls: list[tuple], ops: list[tuple], params=FrontendParams()) -> None:
     memo = Machine(GOLD_6226, params=params)
     interp = Machine(GOLD_6226, params=params)
+    # Clearing the memo before each call would not be enough: a sweep
+    # could replay its own earlier runs.
+    interp.core.engine._runs = _Forgetful()
     for op in ops:
         if op[0] != "run":
             _change(memo, calls, op)
@@ -221,7 +254,6 @@ def _check(calls: list[tuple], ops: list[tuple], params=FrontendParams()) -> Non
             continue
         call = calls[op[1]]
         for _ in range(op[2]):
-            interp.core.engine._runs.clear()
             got = _run(memo, call)
             want = _run(interp, call)
             assert _reports(got) == _reports(want), call
@@ -322,6 +354,29 @@ class TestReplayEqualsInterpretation:
         ops += [("run", 2, 1), ("run", 1, 1)]
         _check(calls, ops)
 
+    def test_sweep_after_its_runs(self):
+        """A sweep whose runs were recorded one by one misses as a sweep,
+        replays each run, and replays whole the next time round."""
+        sweep = _sweep((BODIES[2], BODIES[3], BODIES[0]))
+        singles = [("run_loop", program, 0, False, False) for program in sweep[1]]
+        ops = [("run", 1, 1), ("run", 2, 1), ("run", 3, 1), ("reset",), ("run", 0, 3)]
+        _check([sweep, *singles], ops + [("reset",), ("run", 0, 2)])
+
+    def test_sweep_entry_state(self):
+        """An evicted line or a pending LSD candidate changes the sweep."""
+        sweep = _sweep((BODIES[0], _one_set(1, range(2, 10))), thread=1)
+        window = BODIES[0][1].windows[0]
+        ops = [("run", 0, 2), ("invalidate", 1, window), ("run", 0, 2)]
+        _check([sweep], ops + [("iterate", 0), ("run", 0, 1)])
+
+    def test_sweep_sets_per_thread(self):
+        """Under SMT isolation each thread folds into its own half of the
+        DSB, so one sweep touches different sets on each thread."""
+        bodies = (BODIES[0], _one_set(1, range(2, 10)))
+        calls = [_sweep(bodies, smt_active=True), _sweep(bodies, thread=1, smt_active=True)]
+        ops = [("run", 0, 1), ("run", 1, 1), ("flush_thread", 1), ("run", 1, 1)]
+        _check(calls, ops, FrontendParams(smt_isolation=True))
+
     def test_sibling_mite_streak(self):
         """A run leaves the sibling thread's MITE streak as it found it."""
         calls = [_loop(_aligned((5, 6), 3)), _loop(BODIES[3], thread=1)]
@@ -341,6 +396,55 @@ class TestMemoBookkeeping:
         reports[-1].cycles += 1.0
         again = machine.run_loop(program, exact=True)
         assert again.cycles == reports[-2].cycles
+
+    def test_sweeps_count_loop_runs(self):
+        """``sim.points`` and ``sim.replays`` count loop runs: a replayed
+        32-program sweep adds 32 to each, and a missed sweep counts only
+        the runs it makes, not itself too.  ``sim.latency`` observes once
+        per ``run_loop`` call and once per replayed sweep."""
+        programs = tuple(LoopProgram(_one_set(s, range(8)), 3) for s in range(32))
+        registry = MetricsRegistry()
+        machine = Machine(GOLD_6226)
+
+        def counts():
+            return (
+                registry.counter("sim.points").value,
+                registry.counter("sim.replays").value,
+                registry.histogram("sim.latency", edges=SIM_LATENCY_EDGES).count,
+            )
+
+        def step(run) -> tuple:
+            before = counts()
+            run()
+            return tuple(after - b for after, b in zip(counts(), before))
+
+        with use_registry(registry):
+            # Each run is new: interpreted and recorded one by one.
+            assert step(lambda: [machine.run_loop(p) for p in programs]) == (32, 0, 32)
+            machine.reset()
+            # A new sweep from the same entry state: 32 single replays.
+            assert step(lambda: machine.run_loops(programs)) == (32, 32, 32)
+            # From the state it leaves: every run interpreted again.
+            assert step(lambda: machine.run_loops(programs)) == (32, 0, 32)
+            # The same entry state once more: the whole sweep replays.
+            assert step(lambda: machine.run_loops(programs)) == (32, 32, 1)
+
+    def test_table7_frontend_attack_keeps_replaying(self):
+        """A memo key that silently stops matching changes no result, only
+        the speed.  One seeded 1-byte Table VII frontend-dsb attack
+        replays about 90% of its loop runs and 26 of its 32 prime and
+        probe sweeps whole; each whole replay adds 32 ``sim.points`` but
+        one ``sim.latency`` observation."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            machine = Machine(GOLD_6226, seed=1414)
+            SpectreV1Attack(
+                machine, FrontendDsbChannel(machine), b"K", attempts_per_chunk=8
+            ).run()
+        points = registry.counter("sim.points").value
+        latency = registry.histogram("sim.latency", edges=SIM_LATENCY_EDGES)
+        assert registry.counter("sim.replays").value / points >= 0.85
+        assert (points - latency.count) // 31 >= 22
 
     def test_memo_is_bounded_per_engine(self, monkeypatch):
         monkeypatch.setattr(engine_module, "RUN_MEMO_LIMIT", 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,48 @@ _V1_PINS = {
 }
 _V2_PIN = ("4b37", 21244, 292, "0x1.81843333332f9p+16")
 
+#: The same frontend-dsb v1 and v2 attacks: every machine perf counter
+#: (``float.hex()``) and the DSB stats (hits, misses, insertions,
+#: evictions, uncacheable lookups).  These move if the frontend sweeps
+#: record a report twice, skip one or record them out of order.
+_FRONTEND_PERF_PINS = {
+    "v1": (
+        {
+            "idq.mite_uops": "0x1.f7c0000000000p+11",
+            "idq.dsb_uops": "0x1.ddd0000000000p+16",
+            "lsd.uops": "0x1.2c50000000000p+15",
+            "uops_retired.any": "0x1.41db000000000p+17",
+            "dsb2mite_switches.count": "0x0.0p+0",
+            "ild_stall.lcp": "0x0.0p+0",
+            "idq.dsb_evictions": "0x1.1300000000000p+9",
+            "lsd.flushes": "0x0.0p+0",
+            "cycles": "0x1.7691b333332aap+16",
+        },
+        (24464, 806, 806, 550, 0),
+    ),
+    "v2": (
+        {
+            "idq.mite_uops": "0x1.c700000000000p+10",
+            "idq.dsb_uops": "0x1.6440000000000p+15",
+            "lsd.uops": "0x1.b800000000000p+13",
+            "uops_retired.any": "0x1.e078000000000p+15",
+            "dsb2mite_switches.count": "0x0.0p+0",
+            "ild_stall.lcp": "0x0.0p+0",
+            "idq.dsb_evictions": "0x1.b000000000000p+6",
+            "lsd.flushes": "0x0.0p+0",
+            "cycles": "0x1.1368666666674p+15",
+        },
+        (9120, 364, 364, 108, 0),
+    ),
+}
+
+
+def _perf_pin(machine: Machine) -> tuple:
+    return (
+        {event: value.hex() for event, value in machine.perf.read_all().items()},
+        dataclasses.astuple(machine.core.engine.dsb.stats),
+    )
+
 
 def _pin(report) -> tuple:
     return (
@@ -224,6 +268,8 @@ class TestTable7GoldenPins:
             machine, cls(machine), b"K7", attempts_per_chunk=attempts
         ).run()
         assert _pin(report) == _V1_PINS[cls.name]
+        if cls is FrontendDsbChannel:
+            assert _perf_pin(machine) == _FRONTEND_PERF_PINS["v1"]
 
     def test_v2_attack_pinned(self):
         machine = Machine(GOLD_6226, seed=1414)
@@ -231,3 +277,4 @@ class TestTable7GoldenPins:
             machine, FrontendDsbChannel(machine), b"K7", attempts_per_chunk=3
         ).run()
         assert _pin(report) == _V2_PIN
+        assert _perf_pin(machine) == _FRONTEND_PERF_PINS["v2"]

@@ -125,25 +125,51 @@ class TestCycleAccounting:
             channel.prepare()
             channel.cycles = 100 + 1 / 3
         batched.background(calls=3)
-        for _ in range(3):
-            data = looped._rng.integers(0, BG_DATA_LINES, size=BG_DATA_ACCESSES)
-            for index in data:
-                looped._load(looped._data_base + int(index) * 64)
-            code = looped._rng.integers(0, BG_CODE_LINES, size=BG_INST_FETCHES)
-            for index in code:
-                looped._ifetch(looped._code_base + int(index) * 64)
-        assert batched.cycles.hex() == looped.cycles.hex()
-        assert batched._rng.integers(1 << 30) == looped._rng.integers(1 << 30)
-        for name in ("l1", "l2", "llc"):
-            ours, theirs = getattr(batched.hierarchy, name), getattr(looped.hierarchy, name)
-            assert ours.stats == theirs.stats
-            assert [ours.lru_stack(i) for i in range(ours.sets)] == [
-                theirs.lru_stack(i) for i in range(theirs.sets)
-            ]
-        assert batched.l1i.stats == looped.l1i.stats
-        assert [batched.l1i.lru_stack(i) for i in range(64)] == [
-            looped.l1i.lru_stack(i) for i in range(64)
+        _background_per_access(looped, calls=3)
+        _assert_same_background(batched, looped)
+
+    def test_frontend_background_matches_the_per_access_loop(self):
+        """The same for the frontend channel, whose background batches all
+        hit once its working sets are warm: no batch misses at any level."""
+        batched, looped = FrontendDsbChannel(machine()), FrontendDsbChannel(machine())
+        for channel in (batched, looped):
+            channel.prepare()
+        batched.background(calls=4)
+        _background_per_access(looped, calls=4)
+        _assert_same_background(batched, looped)
+        for channel in (batched, looped):
+            channel.cycles = 100 + 1 / 3
+        misses = batched.miss_counts().misses
+        batched.background(calls=3)
+        _background_per_access(looped, calls=3)
+        assert batched.miss_counts().misses == misses
+        _assert_same_background(batched, looped)
+
+
+def _background_per_access(channel, calls: int) -> None:
+    """``channel.background(calls)``, one load or fetch at a time."""
+    for _ in range(calls):
+        data = channel._rng.integers(0, BG_DATA_LINES, size=BG_DATA_ACCESSES)
+        for index in data:
+            channel._load(channel._data_base + int(index) * 64)
+        code = channel._rng.integers(0, BG_CODE_LINES, size=BG_INST_FETCHES)
+        for index in code:
+            channel._ifetch(channel._code_base + int(index) * 64)
+
+
+def _assert_same_background(batched, looped) -> None:
+    assert batched.cycles.hex() == looped.cycles.hex()
+    assert batched._rng.integers(1 << 30) == looped._rng.integers(1 << 30)
+    for name in ("l1", "l2", "llc"):
+        ours, theirs = getattr(batched.hierarchy, name), getattr(looped.hierarchy, name)
+        assert ours.stats == theirs.stats
+        assert [ours.lru_stack(i) for i in range(ours.sets)] == [
+            theirs.lru_stack(i) for i in range(theirs.sets)
         ]
+    assert batched.l1i.stats == looped.l1i.stats
+    assert [batched.l1i.lru_stack(i) for i in range(64)] == [
+        looped.l1i.lru_stack(i) for i in range(64)
+    ]
 
 
 class TestMissCounts:
