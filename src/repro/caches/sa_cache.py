@@ -48,22 +48,6 @@ class CacheStats:
         )
 
 
-def _last_occurrences(values: np.ndarray) -> np.ndarray:
-    """Index of each distinct value's last occurrence, in ascending order."""
-    n = len(values)
-    low = int(values.min())
-    span = int(values.max()) - low + 1
-    if span <= 4 * n:
-        # Dense values: one slot per possible value; ``maximum.at`` keeps
-        # the largest index written to each slot.
-        last = np.full(span, -1, dtype=np.int64)
-        np.maximum.at(last, values - low, np.arange(n))
-        return np.sort(last[last >= 0])
-    # Sparse values: the first occurrence of each in reverse is its last.
-    _, reversed_first = np.unique(values[::-1], return_index=True)
-    return np.sort(n - 1 - reversed_first)
-
-
 class SetAssociativeCache:
     """A physically-indexed set-associative cache with LRU replacement.
 
@@ -134,8 +118,10 @@ class SetAssociativeCache:
         address.
 
         An all-hit batch, whose every distinct line is already resident,
-        skips the kernel: nothing misses or is evicted, so the batch only
-        moves its lines to MRU in last-occurrence order.
+        needs none of this: nothing misses or is evicted, so the batch
+        only moves its lines to MRU in last-occurrence order.  That check
+        is made on batches whose lines span at most four times the batch
+        length; other batches go straight to the kernel.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         n = len(addrs)
@@ -143,20 +129,31 @@ class SetAssociativeCache:
         if n == 0:
             return hits
         line_numbers = addrs // self.line_bytes
-        recent = line_numbers[_last_occurrences(line_numbers)]
-        # Each distinct line as (set index, line address), in
-        # last-occurrence order: the order the batch leaves them at MRU.
-        by_recency = list(
-            zip((recent % self.sets).tolist(), (recent * self.line_bytes).tolist())
-        )
-        data = self._data
-        if all(line in data[index] for index, line in by_recency):
-            for index, line in by_recency:
-                data[index].move_to_end(line)
-            self.stats.hits += n
-            return hits
-        _, first = np.unique(line_numbers, return_index=True)
-        first = np.sort(first)
+        low = int(line_numbers.min())
+        span = int(line_numbers.max()) - low + 1
+        if span <= 4 * n:
+            # A batch of nearby lines gets one slot per line of its span;
+            # ``maximum.at`` leaves each slot at that line's last index.
+            slots = np.full(span, -1, dtype=np.int64)
+            np.maximum.at(slots, line_numbers - low, np.arange(n))
+            recent = line_numbers[np.sort(slots[slots >= 0])]
+            # Each distinct line's set index and line address, in
+            # last-occurrence order: the order the batch leaves them at MRU.
+            indices = (recent % self.sets).tolist()
+            lines = (recent * self.line_bytes).tolist()
+            data = self._data
+            if all(line in data[index] for index, line in zip(indices, lines)):
+                for index, line in zip(indices, lines):
+                    data[index].move_to_end(line)
+                self.stats.hits += n
+                return hits
+        # A stable sort groups each line's occurrences in access order:
+        # a group's head is the line's first occurrence, its tail the last.
+        order = np.argsort(line_numbers, kind="stable")
+        grouped = line_numbers[order]
+        heads = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        first = np.sort(order[heads])
+        last = np.sort(order[np.concatenate((heads[1:], [n])) - 1])
         distinct = line_numbers[first]
         set_indices = distinct % self.sets
         if np.bincount(set_indices).max() > self.ways:
@@ -165,7 +162,7 @@ class SetAssociativeCache:
         for k, (index, line) in enumerate(
             zip(set_indices.tolist(), (distinct * self.line_bytes).tolist())
         ):
-            entry_set = data[index]
+            entry_set = self._data[index]
             if line in entry_set:
                 entry_set.move_to_end(line)
                 continue
@@ -174,8 +171,11 @@ class SetAssociativeCache:
                 entry_set.popitem(last=False)
                 self.stats.evictions += 1
             entry_set[line] = None
-        for index, line in by_recency:
-            data[index].move_to_end(line)
+        recent = line_numbers[last]
+        for index, line in zip(
+            (recent % self.sets).tolist(), (recent * self.line_bytes).tolist()
+        ):
+            self._data[index].move_to_end(line)
         hits[first[missed]] = False
         self.stats.misses += len(missed)
         self.stats.hits += n - len(missed)

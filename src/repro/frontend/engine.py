@@ -60,11 +60,6 @@ SIM_LATENCY_EDGES: tuple[float, ...] = (
 #: Most recorded loop runs one engine keeps; the oldest is dropped first.
 RUN_MEMO_LIMIT = 512
 
-#: First element of a sweep's memo head (see ``FrontendEngine.run_loops``);
-#: a single run's head starts with its program, an SMT run's with the
-#: primary's, so no sweep can share a key with either.
-_SWEEP = "sweep"
-
 
 @dataclass(frozen=True)
 class WindowAccess:
@@ -449,8 +444,6 @@ class FrontendEngine:
         # Recorded loop runs, keyed on their arguments and the frontend
         # state they read (see memo_run); at most RUN_MEMO_LIMIT.
         self._runs: dict[tuple, _RunEffect] = {}
-        # Per sweep (programs, thread, smt_active): the DSB sets it touches.
-        self._sweeps: dict[tuple, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # static program analysis
@@ -839,30 +832,17 @@ class FrontendEngine:
             interpreted = True
             return tuple([self.run_loop(p, thread, smt_active) for p in programs])
 
+        # The head starts with a tuple, never equal to the program that
+        # starts a single run's or an SMT pair's head.
+        sets = {i for p in programs for i in self._plan(p, thread, smt_active)[1]}
         reports = self.memo_run(
-            (_SWEEP, programs, thread, smt_active),
-            self._sweep_sets(programs, thread, smt_active),
-            run,
-            runs=len(programs),
+            (programs, thread, smt_active), tuple(sorted(sets)), run, runs=len(programs)
         )
         if not interpreted:
             points, latency = self._sim_instruments(registry)
             points.inc(len(programs))
             latency.observe(registry.clock() - start)
         return reports
-
-    def _sweep_sets(
-        self, programs: tuple[LoopProgram, ...], thread: int, smt_active: bool
-    ) -> tuple[int, ...]:
-        """The sorted union of the programs' plan sets, cached per sweep."""
-        key = (programs, thread, smt_active)
-        sets = self._sweeps.get(key)
-        if sets is None:
-            sets = tuple(
-                sorted({i for p in programs for i in self._plan(p, thread, smt_active)[1]})
-            )
-            self._sweeps[key] = sets
-        return sets
 
     def _interpret(
         self, program: LoopProgram, thread: int, smt_active: bool, exact: bool
@@ -929,8 +909,8 @@ class FrontendEngine:
 
         ``head`` names the run: ``(program, thread, smt_active, exact)``
         for one thread, ``(primary, secondary, exact)`` for an SMT pair,
-        ``(_SWEEP, programs, thread, smt_active)`` for a sweep of
-        ``runs`` loop runs.
+        ``(programs, thread, smt_active)`` for a sweep of ``runs`` loop
+        runs.
         ``sets`` lists every DSB set the run can touch.  The run is
         keyed on ``head`` plus everything of the frontend it reads: the
         contents of those sets (keys, LRU order, uops and ways), every

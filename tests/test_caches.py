@@ -243,11 +243,26 @@ class TestBatchKernels:
             cache.access(addr)
         before = cache.stats.snapshot()
         monkeypatch.setattr(cache, "access", lambda addr: pytest.fail("fell back"))
+        # The kernel's stable sort is not reached either.
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: pytest.fail("ran the kernel"))
         addrs = [0x000, 0x140, 0x100, 0x000, 0x040, 0x17F]
         assert cache.access_many(addrs).tolist() == [True] * len(addrs)
         assert cache.lru_stack(0) == [0x100, 0x000]
         assert cache.lru_stack(1) == [0x040, 0x140]
         assert cache.stats.delta(before) == CacheStats(hits=len(addrs))
+
+    def test_far_apart_all_hit_batch_equals_access_loop(self):
+        """Resident lines spanning more than four times the batch length
+        skip the all-hit check; the kernel still matches the loop."""
+        batched, looped = (SetAssociativeCache(sets=4, ways=2, line_bytes=64) for _ in range(2))
+        for cache in (batched, looped):
+            for addr in (0x000, 0x10000):
+                cache.access(addr)
+        addrs = [0x000, 0x10000, 0x03F]
+        hits = batched.access_many(addrs)
+        assert hits.tolist() == [looped.access(addr) for addr in addrs] == [True] * 3
+        assert batched.lru_stack(0) == [0x10000, 0x000]
+        _assert_same_state(batched, looped)
 
     def test_one_miss_batch_equals_access_loop(self):
         """One non-resident line among resident ones: the batch is not
