@@ -182,6 +182,41 @@ class TestCacheIdentityPins:
         )
 
 
+class TestCacheEntryPins:
+    """The bytes of one result-cache entry, as written before entries
+    were typed.  Entries outlive the code that wrote them, and metric
+    order is part of the contract (tables list metrics in factory-return
+    order, hit or miss), so the writer must not canonicalise."""
+
+    POINT = SweepPoint(values={"d": 2, "x": 1.5, "n": "s"}, trial=1, seed=123)
+    FINGERPRINT = "f" * 64
+    METRICS = {
+        "kbps": 1053.6379777955551, "status": "leak", "cycles": 7, "error": 0.0
+    }
+    KEY = "0b12f9d3348920ea8d3d1c3dea61f8b90ac46d8068bcd3360eda3a54e1f76490"
+    ENTRY = (
+        '{"version": 1, "key": "' + KEY + '", '
+        '"values": {"d": "2", "x": "1.5", "n": "\'s\'"}, "trial": 1, '
+        '"seed": 123, "metrics": {"kbps": 1053.6379777955551, '
+        '"status": "leak", "cycles": 7, "error": 0.0}}'
+    )
+
+    def test_store_writes_the_pinned_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.store(self.POINT, self.FINGERPRINT, self.METRICS)
+        assert path == tmp_path / self.KEY[:2] / f"{self.KEY}.json"
+        assert path.read_text() == self.ENTRY
+
+    def test_load_returns_the_metrics_unchanged(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store(self.POINT, self.FINGERPRINT, self.METRICS)
+        metrics = cache.load(self.POINT, self.FINGERPRINT)
+        assert metrics == self.METRICS
+        assert list(metrics) == list(self.METRICS)
+        assert type(metrics["cycles"]) is int
+        assert metrics["kbps"].hex() == self.METRICS["kbps"].hex()
+
+
 # ----------------------------------------------------------------------
 # executor equivalence
 # ----------------------------------------------------------------------

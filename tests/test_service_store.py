@@ -19,6 +19,11 @@ same jobs, statuses, and id watermark as the log it replaced, with
 nothing dropped — compaction is a *representation* change, not a state
 change.
 
+A committed fixture, ``tests/fixtures/wal/jobs.wal``, pins backward
+compatibility: it was written by the ``JobStore`` that predates the
+typed WAL records (sorted keys, ``"label": null`` spelled out), and it
+must keep replaying to the same :class:`WalState`, field for field.
+
 The deterministic half of the file covers GC × persistence with a
 :class:`ManualClock`: TTL-expired jobs are compacted out of the WAL
 (no ghost replays), while their point results stay in the shared
@@ -195,6 +200,56 @@ class TestWalRoundTripProperties:
             assert len(lines) == 1 + len(before.jobs) + sum(
                 1 for job in before.jobs.values() if job.status != "queued"
             )
+
+
+# ----------------------------------------------------------------------
+# a log written before the records were typed
+# ----------------------------------------------------------------------
+#: Written by ``JobStore.record_job``/``record_state`` before the records
+#: were typed: two jobs (one with ``"label": null``), a ``running`` ->
+#: ``ok`` transition, an orphaned ``state`` record (job-5 was never
+#: logged), an unknown record kind, a third job, and a torn tail.
+WAL_FIXTURE = Path(__file__).parent / "fixtures" / "wal"
+
+
+class TestWalFixture:
+    def test_old_log_replays_to_the_pinned_state(self):
+        state = JobStore(WAL_FIXTURE).replay()
+
+        assert state.records == 5
+        assert state.dropped == 3  # orphan + unknown kind + torn tail
+        assert state.next_job_index == 8
+        assert list(state.jobs) == ["job-1", "job-2", "job-7"]
+        job1, job2, job7 = state.jobs.values()
+        assert (job1.status, job1.priority, job1.label, job1.client) == (
+            "ok", 2, "a", "alice"
+        )
+        assert job1.spec == {
+            "bits": 8, "channel": "eviction", "grid": {"d": [2, 4]}
+        }
+        assert (job2.status, job2.priority, job2.label, job2.client) == (
+            "queued", 0, None, "anonymous"
+        )
+        assert job2.spec == {"bits": 8, "grid": {"d": [3]}}
+        assert (job7.status, job7.priority, job7.label, job7.client) == (
+            "queued", 0, None, "anonymous"
+        )
+        assert job7.spec == {"bits": 16, "grid": {"d": [6]}, "trials": 2}
+        assert [job.id for job in state.pending()] == ["job-2", "job-7"]
+
+    def test_compacting_the_old_log_keeps_its_state(self, tmp_path):
+        (tmp_path / JobStore.WAL_NAME).write_bytes(
+            (WAL_FIXTURE / JobStore.WAL_NAME).read_bytes()
+        )
+        before = JobStore(tmp_path).replay()
+        JobStore(tmp_path).compact(
+            before.jobs.values(), next_job_index=before.next_job_index
+        )
+        after = JobStore(tmp_path).replay()
+
+        assert (after.records, after.dropped) == (5, 0)
+        assert after.next_job_index == before.next_job_index
+        assert after.jobs == before.jobs
 
 
 # ----------------------------------------------------------------------
