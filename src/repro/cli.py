@@ -56,7 +56,7 @@ from typing import Sequence
 
 from repro.analysis.bits import alternating_bits, random_bits, string_to_bits
 from repro.channels.probes import path_timing_samples
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.frontend.backends import NAMES as BACKEND_NAMES
 from repro.frontend.paths import DeliveryPath
 from repro.machine.machine import Machine
@@ -741,7 +741,6 @@ def _cmd_sgx(args) -> int:
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.errors import ConfigurationError
     from repro.lint import Baseline, all_rules, run_lint
     from repro.lint.reporters import write_report
 
@@ -801,12 +800,8 @@ def _cmd_sweep(args) -> int:
     )
     sweep = ParameterSweep(factory, grid, trials=args.trials, base_seed=args.seed)
     if args.jobs < 1:
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     if args.workers < 0:
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
     # --workers N launches in-process cluster workers; an explicit
     # --bind with --workers 0 runs the coordinator for *external*
@@ -861,7 +856,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.errors import ConfigurationError
     from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
     from repro.service import AuthPolicy, JobStore, SweepServer, SweepService
 
@@ -970,7 +964,6 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_worker(args) -> int:
     from repro.cluster import run_worker
-    from repro.errors import ConfigurationError
 
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
@@ -1123,7 +1116,6 @@ def _cmd_scenario(args) -> int:
 def _parse_defense_stacks(values) -> tuple[dict, ...]:
     """``--defense a+b`` flags into defense-config dicts, names checked."""
     from repro.defense import MITIGATIONS_BY_NAME
-    from repro.errors import ConfigurationError
 
     stacks = []
     for value in values:
@@ -1142,7 +1134,6 @@ def _parse_defense_stacks(values) -> tuple[dict, ...]:
 
 def _synth_executor(args):
     """Executor for a synth campaign (mirrors the sweep verb's choices)."""
-    from repro.errors import ConfigurationError
     from repro.exec import ParallelExecutor, SerialExecutor
 
     if args.jobs < 1:
@@ -1162,7 +1153,8 @@ def _synth_executor(args):
 
 
 def _render_synth_findings(report) -> None:
-    """The human summary 'synth run' prints (timing-free: byte-stable)."""
+    """The human summary 'synth run' and 'synth report' print (timing-free:
+    byte-stable)."""
     print(
         f"synth campaign on {report.config.machine} — seed "
         f"{report.config.seed}, {report.evaluated} candidate(s) over "
@@ -1190,6 +1182,15 @@ def _render_synth_findings(report) -> None:
         )
 
 
+def _read_text(path: str) -> str:
+    """The whole of a UTF-8 input file; an unreadable one is a user error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+
+
 def _cmd_synth(args) -> int:
     import json as _json
 
@@ -1198,43 +1199,20 @@ def _cmd_synth(args) -> int:
         LeakageOracle,
         OracleConfig,
         SearchConfig,
+        SearchReport,
         SynthSearch,
         shrink,
     )
 
     if args.synth_command == "report":
-        with open(args.input, encoding="utf-8") as handle:
-            payload = _json.load(handle)
-        config = payload["config"]
-        print(
-            f"synth campaign on {config['machine']} — seed {config['seed']}, "
-            f"{payload['evaluated']} candidate(s) over {payload['rounds']} "
-            f"round(s), corpus {len(payload['corpus'])}, "
-            f"{len(payload['findings'])} finding(s)"
-        )
-        for index, finding in enumerate(payload["findings"]):
-            undefended = finding["undefended"]
-            print(f"finding {index}: {finding['fingerprint']}")
-            print(
-                f"  undefended : {undefended['status']:9s} "
-                f"{float(undefended['kbps']):9.1f} Kbps, "
-                f"err {float(undefended['error_rate']) * 100:5.1f}%"
-            )
-            for label in sorted(finding["defenses"]):
-                metrics = finding["defenses"][label]
-                print(
-                    f"  {label:11s}: {metrics['status']:9s} "
-                    f"{float(metrics['kbps']):9.1f} Kbps, "
-                    f"err {float(metrics['error_rate']) * 100:5.1f}%"
-                )
+        _render_synth_findings(SearchReport.from_json(_read_text(args.input)))
         return 0
 
     if args.synth_command == "minimize":
         if args.candidate == "-":
             text = sys.stdin.read()
         else:
-            with open(args.candidate, encoding="utf-8") as handle:
-                text = handle.read()
+            text = _read_text(args.candidate)
         candidate = CandidateProgram.from_json(text)
         oracle = LeakageOracle(
             OracleConfig(
@@ -1271,9 +1249,8 @@ def _cmd_synth(args) -> int:
         **kwargs,
     )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    report = SynthSearch(config).run(
-        executor=_synth_executor(args), cache=cache
-    )
+    search = SynthSearch(config)
+    report = search.run(executor=_synth_executor(args), cache=cache)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report.to_json() + "\n")
@@ -1293,8 +1270,8 @@ def _cmd_synth(args) -> int:
         _render_synth_findings(report)
     # Timing-dependent accounting stays off stdout so two equal-seed
     # runs produce byte-identical result streams.
-    if report.stats is not None:
-        print(format_execution_stats(report.stats), file=sys.stderr)
+    if search.last_stats is not None:
+        print(format_execution_stats(search.last_stats), file=sys.stderr)
     return 0
 
 

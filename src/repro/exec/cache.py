@@ -11,15 +11,16 @@ computation:
 * the factory fingerprint — editing the experiment code invalidates its
   entries automatically.
 
-Metrics are stored as JSON.  Python's JSON round-trips finite floats via
+Each entry file is one :class:`CacheEntry`, decoded strictly through
+:mod:`repro.wire`.  Python's JSON round-trips finite floats via
 shortest-repr exactly, so a cache hit returns **bit-identical** metrics.
 Writes go through a temp file + :func:`os.replace`, so concurrent
 workers (or concurrent benchmark invocations) never observe a torn
 entry.
 
-Corrupt or truncated entries (killed writer, disk trouble, manual
-editing) are treated as misses: the bad file is evicted so the slot
-heals on the recompute, and the eviction is counted in
+Corrupt, truncated or wrong-typed entries (killed writer, disk trouble,
+manual editing) are treated as misses: the bad file is evicted so the
+slot heals on the recompute, and the eviction is counted in
 :attr:`ResultCache.corrupt_evictions` so
 :class:`~repro.exec.base.ExecutionStats` can report it instead of a
 sweep dying halfway through.
@@ -29,19 +30,35 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError
 from repro.exec.canonical import POINT_KEY_VERSION, point_key
 from repro.obs import get_registry
+from repro.wire import Wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sweep import SweepPoint
 
-__all__ = ["ResultCache"]
+__all__ = ["CacheEntry", "ResultCache"]
 
 _FORMAT_VERSION = POINT_KEY_VERSION
+
+
+@dataclass(frozen=True)
+class CacheEntry(Wire):
+    """One entry file: which point it caches, and that point's metrics."""
+
+    version: int
+    key: str
+    #: ``repr`` of each coordinate value, for a human reading the file.
+    values: Mapping[str, str]
+    trial: int
+    seed: int
+    #: Any JSON value, kept as it is: an ``int`` stays an ``int``.
+    metrics: Mapping[str, object]
 
 
 class ResultCache:
@@ -88,9 +105,9 @@ class ResultCache:
     def load(self, point: "SweepPoint", fingerprint: str) -> dict | None:
         """Return cached metrics for ``point``, or ``None`` on a miss.
 
-        Corrupt or truncated entries count as misses; the bad file is
-        evicted (so the recompute heals it) and the eviction recorded in
-        :attr:`corrupt_evictions`.
+        An entry that fails strict decoding counts as a miss; the bad
+        file is evicted (so the recompute heals it) and the eviction
+        recorded in :attr:`corrupt_evictions`.
         """
         key = self.key(point, fingerprint)
         path = self._path(key)
@@ -101,13 +118,9 @@ class ResultCache:
         except UnicodeDecodeError:
             return self._evict_corrupt(path, key)  # garbage bytes on disk
         try:
-            payload = json.loads(text)
-        except ValueError:
+            return dict(CacheEntry.from_json(text).metrics)
+        except ConfigurationError:
             return self._evict_corrupt(path, key)
-        metrics = payload.get("metrics") if isinstance(payload, dict) else None
-        if not isinstance(metrics, dict):
-            return self._evict_corrupt(path, key)
-        return metrics
 
     def _evict_corrupt(self, path: Path, key: str) -> None:
         """Drop one unparseable entry; count it and log *which* key.
@@ -133,18 +146,19 @@ class ResultCache:
         key = self.key(point, fingerprint)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": _FORMAT_VERSION,
-            "key": key,
-            "values": {name: repr(value) for name, value in point.values.items()},
-            "trial": point.trial,
-            "seed": point.seed,
-            "metrics": dict(metrics),
-        }
-        # No sort_keys: metric insertion order is part of the contract
-        # (tables list metrics in factory-return order, hit or miss).
+        entry = CacheEntry(
+            version=_FORMAT_VERSION,
+            key=key,
+            values={name: repr(value) for name, value in point.values.items()},
+            trial=point.trial,
+            seed=point.seed,
+            metrics=metrics,
+        )
+        # Not the canonical to_json: metric insertion order is part of
+        # the contract (tables list metrics in factory-return order, hit
+        # or miss), and so are the entry bytes.
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload))
+        tmp.write_text(json.dumps(entry.to_dict()))
         os.replace(tmp, path)
         return path
 

@@ -95,7 +95,9 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     # grid model and the executors that run it share canonical identity
     # helpers, so each may import the other (and nothing higher).
     "sweep": frozenset({"errors", "exec", "rng"}),
-    "exec": frozenset({"errors", "obs", "rng", "sweep"}),
+    # ``wire`` entered the exec set when result-cache entries became
+    # typed records; wire is a foundation that imports only ``errors``.
+    "exec": frozenset({"errors", "obs", "rng", "sweep", "wire"}),
     "reporting": frozenset({"errors", "exec"}),
     # -- scenario registry ------------------------------------------------
     # Declarative attack scenarios sit above every attack layer they

@@ -21,7 +21,6 @@ stream through as events — they answer a request that *was* accepted.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import sys
 from typing import IO, AsyncIterator
@@ -220,21 +219,17 @@ class ServiceClient:
     def _parse_frame(line: bytes) -> Event:
         """Decode one frame; refusals and damage raise typed errors."""
         try:
-            payload = json.loads(line.decode())
-        except (ValueError, UnicodeDecodeError) as exc:
+            event = Event.from_json(line)
+        except ValueError as exc:
             raise ServiceProtocolError(
                 f"sweep service sent an undecodable frame: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or "event" not in payload:
-            raise ServiceProtocolError(
-                f"sweep service sent a non-event frame: {line[:200]!r}"
+            ) from None
+        if event.kind in REFUSALS:
+            refusal = decode_frame(
+                REFUSALS, {"event": event.kind, **event.data}, ServiceProtocolError
             )
-        kind = payload["event"]
-        if isinstance(kind, str) and kind in REFUSALS:
-            refusal = decode_frame(REFUSALS, payload, ServiceProtocolError)
             raise _REFUSAL_ERRORS[type(refusal)](refusal)
-        del payload["event"]
-        return Event(str(kind), payload)
+        return event
 
     async def _events(self, reader: asyncio.StreamReader) -> AsyncIterator[Event]:
         while True:

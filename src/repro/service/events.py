@@ -52,19 +52,19 @@ class Event:
     data: Mapping[str, object] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        """Single-line JSON encoding (the wire/stderr format)."""
-        return json.dumps(
-            {"event": self.kind, **self.data}, separators=(",", ":"), default=repr
-        )
+        """Single-line JSON encoding (the wire/stderr format); a value JSON
+        cannot carry raises ``TypeError`` here, not as a repr on the wire."""
+        return json.dumps({"event": self.kind, **self.data}, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, line: str) -> "Event":
-        """Decode one JSONL line back into an :class:`Event`."""
+    def from_json(cls, line: str | bytes) -> "Event":
+        """Decode one JSONL line; anything but a JSON object with a string
+        ``event`` tag raises ``ValueError``."""
         payload = json.loads(line)
-        if not isinstance(payload, dict) or "event" not in payload:
-            raise ValueError(f"not a service event: {line!r}")
-        kind = payload.pop("event")
-        return cls(kind=str(kind), data=payload)
+        kind = payload.pop("event", None) if isinstance(payload, dict) else None
+        if not isinstance(kind, str):
+            raise ValueError(f"not a service event: {line[:200]!r}")
+        return cls(kind=kind, data=payload)
 
     def __getitem__(self, key: str) -> object:
         return self.data[key]

@@ -464,7 +464,7 @@ class SweepService:
                         JobStatus.CANCELLED,
                         points=total,
                         done=done,
-                        elapsed_s=self._clock() - start,
+                        elapsed_s=round(self._clock() - start, 6),
                     )
                     return
                 failure: BaseException | None = None

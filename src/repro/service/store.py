@@ -12,16 +12,16 @@ cache hits) instead of restarting.
 
 The log is torn-tail tolerant by construction.  Records are only ever
 appended, each line is self-contained, and the final line is dropped
-when it lacks its trailing newline or fails to parse — exactly the
-states a mid-``write`` crash can leave behind.  Corrupt interior lines
-are skipped (and counted) rather than aborting recovery.
+when it lacks its trailing newline — exactly the state a mid-``write``
+crash can leave behind.  Interior lines that fail strict decoding are
+skipped (and counted) rather than aborting recovery.
 
-Three record kinds::
+Three record kinds, each a :class:`~repro.wire.Frame` written tag first
+by :func:`~repro.wire.encode_frame` (a ``None`` label is left out)::
 
-    {"record": "meta",  "next_job_index": 7}
-    {"record": "job",   "id": "job-3", "spec": {...}, "priority": 0,
-     "label": null, "client": "alice"}
-    {"record": "state", "id": "job-3", "status": "running"}
+    {"record":"meta","next_job_index":7}
+    {"record":"job","id":"job-3","spec":{...},"priority":0,"client":"alice"}
+    {"record":"state","id":"job-3","status":"running"}
 
 Compaction (:meth:`compact`) rewrites the log to one ``meta`` line plus
 the records of the jobs still retained by the service, via the same
@@ -34,7 +34,6 @@ id that a cache entry or a client transcript might still reference.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,13 +41,68 @@ from typing import IO, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.service.jobs import JobStatus
+from repro.wire import Frame, decode_frame, encode_frame, frame_table
 
-__all__ = ["JobStore", "StoredJob", "WalState", "TERMINAL_STATUSES"]
+__all__ = [
+    "JobRecord",
+    "JobStore",
+    "MetaRecord",
+    "StateRecord",
+    "StoredJob",
+    "TERMINAL_STATUSES",
+    "WAL_RECORDS",
+    "WalState",
+]
 
 #: Job statuses that replay as "nothing left to do".
 TERMINAL_STATUSES = frozenset(
     status.value for status in JobStatus if status.terminal
 )
+
+
+class WalRecord(Frame):
+    """One line of the write-ahead log."""
+
+    key = "record"
+
+
+@dataclass(frozen=True)
+class MetaRecord(WalRecord):
+    """The job-id watermark, written first by every compaction."""
+
+    tag = "meta"
+    next_job_index: int
+
+    def __post_init__(self) -> None:
+        if self.next_job_index < 1:
+            raise ConfigurationError(
+                f"next_job_index must be >= 1, got {self.next_job_index}"
+            )
+
+
+@dataclass(frozen=True)
+class JobRecord(WalRecord):
+    """One accepted submission; its JSON spec travels whole."""
+
+    tag = "job"
+    id: str
+    spec: Mapping[str, object]
+    priority: int = 0
+    label: str | None = None
+    client: str = "anonymous"
+
+
+@dataclass(frozen=True)
+class StateRecord(WalRecord):
+    """One state transition (``running``, ``ok``, ...)."""
+
+    tag = "state"
+    id: str
+    status: str
+
+
+#: The records :meth:`JobStore.replay` decodes.
+WAL_RECORDS = frame_table(MetaRecord, JobRecord, StateRecord)
 
 
 @dataclass
@@ -130,7 +184,7 @@ class JobStore:
         self.compact_every = int(compact_every)
         self.fsync = bool(fsync)
         self._appended = 0
-        self._handle: IO[str] | None = None
+        self._handle: IO[bytes] | None = None
 
     # -- appending ------------------------------------------------------
     def record_job(
@@ -143,31 +197,20 @@ class JobStore:
         client: str = "anonymous",
     ) -> None:
         """Log one accepted submission (its JSON spec travels whole)."""
-        self._append(
-            {
-                "record": "job",
-                "id": str(job_id),
-                "spec": dict(spec),
-                "priority": int(priority),
-                "label": label,
-                "client": str(client),
-            }
-        )
+        self._append(JobRecord(job_id, spec, priority, label, client))
 
     def record_state(self, job_id: str, status: str) -> None:
         """Log one state transition (``running``, ``ok``, ...)."""
-        self._append({"record": "state", "id": str(job_id), "status": str(status)})
+        self._append(StateRecord(job_id, status))
 
     def should_compact(self) -> bool:
         return self._appended >= self.compact_every
 
-    def _append(self, payload: dict) -> None:
+    def _append(self, record: WalRecord) -> None:
         if self._handle is None or self._handle.closed:
             self.state_dir.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(
-            json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
-        )
+            self._handle = open(self.path, "ab")
+        self._handle.write(encode_frame(record))
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
@@ -183,16 +226,17 @@ class JobStore:
         """Fold the log into a :class:`WalState`; never raises on damage.
 
         The final line is discarded when it lacks a trailing newline (a
-        torn append); any line that fails to decode, or a ``state``
-        record whose job record is gone, is counted in ``dropped`` and
-        skipped.  Because records are append-only, truncation can only
-        lose a *suffix* — every surviving record is consistent with the
-        prefix that produced it.
+        torn append); any line that fails strict decoding (an unknown
+        record kind included: a newer writer's extension), or a
+        ``state`` record whose job record is gone, is counted in
+        ``dropped`` and skipped.  Because records are append-only,
+        truncation can only lose a *suffix* — every surviving record is
+        consistent with the prefix that produced it.
         """
         state = WalState(jobs={})
         try:
             data = self.path.read_bytes()
-        except (FileNotFoundError, OSError):
+        except OSError:
             return state
         body, newline, tail = data.rpartition(b"\n")
         if tail:
@@ -203,55 +247,26 @@ class JobStore:
             if not line.strip():
                 continue
             try:
-                payload = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+                record = decode_frame(WAL_RECORDS, line)
+            except ConfigurationError:
                 state.dropped += 1
                 continue
-            if not isinstance(payload, dict):
-                state.dropped += 1
-                continue
-            if self._apply(state, payload):
-                state.records += 1
+            if isinstance(record, MetaRecord):
+                state.next_job_index = max(
+                    state.next_job_index, record.next_job_index
+                )
+            elif isinstance(record, JobRecord):
+                state.jobs[record.id] = StoredJob(**vars(record))
+                state.next_job_index = max(
+                    state.next_job_index, _job_index(record.id) + 1
+                )
+            elif record.id in state.jobs:
+                state.jobs[record.id].status = record.status
             else:
-                state.dropped += 1
+                state.dropped += 1  # orphaned: its job line was lost
+                continue
+            state.records += 1
         return state
-
-    @staticmethod
-    def _apply(state: WalState, payload: dict) -> bool:
-        kind = payload.get("record")
-        if kind == "meta":
-            index = payload.get("next_job_index")
-            if not isinstance(index, int) or index < 1:
-                return False
-            state.next_job_index = max(state.next_job_index, index)
-            return True
-        if kind == "job":
-            job_id = payload.get("id")
-            spec = payload.get("spec")
-            if not isinstance(job_id, str) or not isinstance(spec, dict):
-                return False
-            label = payload.get("label")
-            priority = payload.get("priority")
-            state.jobs[job_id] = StoredJob(
-                id=job_id,
-                spec=spec,
-                priority=priority if isinstance(priority, int) else 0,
-                label=str(label) if label is not None else None,
-                client=str(payload.get("client") or "anonymous"),
-            )
-            state.next_job_index = max(
-                state.next_job_index, _job_index(job_id) + 1
-            )
-            return True
-        if kind == "state":
-            job_id = payload.get("id")
-            status = payload.get("status")
-            job = state.jobs.get(job_id) if isinstance(job_id, str) else None
-            if job is None or not isinstance(status, str):
-                return False  # orphaned transition (its job line was lost)
-            job.status = status
-            return True
-        return False  # unknown record kind: a newer writer's extension
 
     # -- compaction -----------------------------------------------------
     def compact(
@@ -265,39 +280,16 @@ class JobStore:
         """
         self.close()
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        lines = [
-            json.dumps(
-                {"record": "meta", "next_job_index": max(1, int(next_job_index))},
-                separators=(",", ":"),
-                sort_keys=True,
-            )
-        ]
+        records: list[WalRecord] = [MetaRecord(max(1, next_job_index))]
         for job in entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "job",
-                        "id": job.id,
-                        "spec": dict(job.spec),
-                        "priority": int(job.priority),
-                        "label": job.label,
-                        "client": job.client,
-                    },
-                    separators=(",", ":"),
-                    sort_keys=True,
-                )
+            records.append(
+                JobRecord(job.id, job.spec, job.priority, job.label, job.client)
             )
             if job.status != JobStatus.QUEUED.value:
-                lines.append(
-                    json.dumps(
-                        {"record": "state", "id": job.id, "status": job.status},
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                )
+                records.append(StateRecord(job.id, job.status))
         tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with open(tmp, "wb") as handle:
+            handle.write(b"".join(map(encode_frame, records)))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)

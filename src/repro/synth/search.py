@@ -38,7 +38,7 @@ from repro.sweep import SweepPoint
 from repro.synth.candidate import CandidateProgram, Segment
 from repro.synth.generator import GeneratorConfig, ProgramGenerator
 from repro.synth.oracle import LeakageOracle, OracleConfig
-from repro.wire import Wire, canonical_json
+from repro.wire import Wire
 
 __all__ = [
     "SearchConfig",
@@ -226,9 +226,10 @@ class Finding(Wire):
         }
 
 
-@dataclass
-class SearchReport:
-    """Everything one campaign produced, canonically serialisable."""
+@dataclass(frozen=True)
+class SearchReport(Wire):
+    """Everything one campaign produced; its canonical ``to_json`` is the
+    determinism contract's comparison unit."""
 
     config: SearchConfig
     evaluated: int
@@ -236,21 +237,6 @@ class SearchReport:
     fingerprints: tuple[str, ...]
     corpus: tuple[CandidateProgram, ...]
     findings: tuple[Finding, ...]
-    stats: ExecutionStats | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "evaluated": self.evaluated,
-            "rounds": self.rounds,
-            "fingerprints": list(self.fingerprints),
-            "corpus": [candidate.to_dict() for candidate in self.corpus],
-            "findings": [finding.to_dict() for finding in self.findings],
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON — the determinism contract's comparison unit."""
-        return canonical_json(self.to_dict())
 
     def scenario_payloads(self, prefix: str = "synth-find") -> list[dict]:
         """Scenario-spec payloads for every finding, deterministically named."""
@@ -273,6 +259,9 @@ class SynthSearch:
 
     def __init__(self, config: SearchConfig | None = None) -> None:
         self.config = config or SearchConfig()
+        #: Executor stats of the most recent :meth:`run`, summed over its
+        #: rounds (None before the first).
+        self.last_stats: ExecutionStats | None = None
 
     def run(
         self,
@@ -348,6 +337,7 @@ class SynthSearch:
             registry.gauge("synth.corpus").set(float(len(corpus)))
             rounds += 1
 
+        self.last_stats = stats
         return SearchReport(
             config=cfg,
             evaluated=evaluated,
@@ -355,7 +345,6 @@ class SynthSearch:
             fingerprints=tuple(fingerprints),
             corpus=tuple(corpus),
             findings=tuple(found.values()),
-            stats=stats,
         )
 
     # ------------------------------------------------------------------

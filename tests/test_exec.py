@@ -9,6 +9,7 @@ silently shift every experiment.
 from __future__ import annotations
 
 import functools
+import json
 
 import pytest
 
@@ -215,6 +216,24 @@ class TestCacheEntryPins:
         assert list(metrics) == list(self.METRICS)
         assert type(metrics["cycles"]) is int
         assert metrics["kbps"].hex() == self.METRICS["kbps"].hex()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trial", "1"), ("metrics", [7]), ("values", {"d": 2}),
+         ("seed", None), ("version", 1.0)],
+    )
+    def test_wrong_typed_entry_is_evicted_as_corrupt(
+        self, tmp_path, field, value
+    ):
+        cache = ResultCache(tmp_path)
+        path = cache.store(self.POINT, self.FINGERPRINT, self.METRICS)
+        entry = json.loads(path.read_text())
+        entry[field] = value
+        path.write_text(json.dumps(entry))
+
+        assert cache.load(self.POINT, self.FINGERPRINT) is None
+        assert cache.corrupt_evictions == 1
+        assert not path.exists()
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ Four contracts:
 
 * **byte pins** — every frame class, and every variant with optional
   keys absent, encodes to exactly the bytes its send site wrote before
-  the frames were typed, so ``PROTOCOL_VERSION`` stays 2;
+  the frames were typed, so ``PROTOCOL_VERSION`` stays 2 (the job WAL's
+  records are pinned as the typed writer writes them; logs written
+  before them replay through ``tests/fixtures/wal``);
 * **round trip** — ``decode_frame(encode_frame(f)) == f`` for every
   frame class (Hypothesis), and re-encoding is byte-stable;
 * **dispatch completeness** — each side's handler table has exactly
@@ -63,6 +65,12 @@ from repro.service.frames import (
     WatchRequest,
 )
 from repro.service.endpoints import open_endpoint
+from repro.service.store import (
+    WAL_RECORDS,
+    JobRecord,
+    MetaRecord,
+    StateRecord,
+)
 from repro.sweep import SweepResult
 from repro.wire import Frame, decode_frame, encode_frame, frame_table
 
@@ -184,6 +192,16 @@ BYTE_PINS = [
     (Shutdown(reason="protocol version mismatch (coordinator speaks 2)"),
      '{"type":"shutdown",'
      '"reason":"protocol version mismatch (coordinator speaks 2)"}'),
+    # service job WAL records
+    (MetaRecord(next_job_index=7), '{"record":"meta","next_job_index":7}'),
+    (JobRecord(id="job-3", spec=_SPEC, client="alice"),
+     '{"record":"job","id":"job-3","spec":' + _SPEC_JSON
+     + ',"priority":0,"client":"alice"}'),
+    (JobRecord(id="job-3", spec=_SPEC, priority=-1, label="nightly"),
+     '{"record":"job","id":"job-3","spec":' + _SPEC_JSON
+     + ',"priority":-1,"label":"nightly","client":"anonymous"}'),
+    (StateRecord(id="job-3", status="running"),
+     '{"record":"state","id":"job-3","status":"running"}'),
 ]
 
 
@@ -198,7 +216,7 @@ def test_encoded_bytes_match_the_pinned_send_site_bytes(frame, line):
 
 def test_byte_pins_cover_every_frame_class():
     assert {type(frame) for frame, _ in BYTE_PINS} == frame_classes()
-    assert len(frame_classes()) == 16
+    assert len(frame_classes()) == 19
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +277,12 @@ STRATEGIES = {
         ShardWork, shard=st.integers(), factory=_text, points=_json
     ),
     Shutdown: st.builds(Shutdown, reason=_text),
+    MetaRecord: st.builds(MetaRecord, next_job_index=st.integers(min_value=1)),
+    JobRecord: st.builds(
+        JobRecord, id=_text, spec=_object, priority=st.integers(),
+        label=_token, client=_text,
+    ),
+    StateRecord: st.builds(StateRecord, id=_text, status=_text),
 }
 
 
@@ -300,6 +324,23 @@ def test_round_trip_is_identity_and_bytes_are_stable(cls, data):
 def test_cluster_decode_refuses_malformed_frames(line, match):
     with pytest.raises(ClusterProtocolError, match=match):
         decode_frame(WORKER_FRAMES, line, ClusterProtocolError)
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        (b'{"record": "meta", "next_job_index": 0}', "must be >= 1"),
+        (b'{"record": "job", "id": "job-1"}', r"\['spec'\]"),
+        (b'{"record": "job", "id": "job-1", "spec": {}, "label": 3}',
+         "'label' must be a string"),
+        (b'{"record": "state", "id": "job-1", "status": null}',
+         "'status' must be a string"),
+        (b'{"record": "future-kind"}', "unknown record 'future-kind'"),
+    ],
+)
+def test_wal_decode_refuses_malformed_records(line, match):
+    with pytest.raises(ConfigurationError, match=match):
+        decode_frame(WAL_RECORDS, line)
 
 
 def test_service_decode_raises_configuration_error_naming_the_op():
@@ -349,6 +390,24 @@ def test_client_raises_protocol_error_on_a_malformed_refusal():
         )
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b"not json", b"[1, 2]", b'{"job": "job-1"}', b'{"event": 3}',
+     b'{"event": null, "job": "job-1"}', b"\xff\xfe"],
+    ids=["not-json", "array", "no-tag", "int-tag", "null-tag", "not-utf8"],
+)
+def test_client_raises_protocol_error_on_a_non_event_line(line):
+    with pytest.raises(ValueError, match="not a service event|Expecting|codec"):
+        Event.from_json(line)
+    with pytest.raises(ServiceProtocolError, match="undecodable frame"):
+        ServiceClient._parse_frame(line + b"\n")
+
+
+def test_event_refuses_values_json_cannot_carry():
+    with pytest.raises(TypeError, match="set"):
+        Event("job-done", {"rows": {1, 2}}).to_json()
+
+
 # ----------------------------------------------------------------------
 # dispatch completeness
 # ----------------------------------------------------------------------
@@ -377,6 +436,7 @@ def test_every_frame_class_is_received_somewhere():
         | set(WORKER_FRAMES.values())
         | set(COORDINATOR_FRAMES.values())
         | {Register, Welcome}  # the two handshake frames
+        | set(WAL_RECORDS.values())  # JobStore.replay
     )
     assert received == frame_classes()
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import itertools
 import json
+import math
 import threading
 import time
 import tracemalloc
@@ -225,6 +227,41 @@ class TestCancellation:
         assert 1 <= len(factory.calls) < 20
         with pytest.raises(ConfigurationError):
             job.result()
+
+    def test_cancelled_job_done_rounds_elapsed_like_ok_and_failed(self):
+        """Every job-done event carries elapsed_s rounded to 6 places."""
+        ticks = itertools.count()
+
+        def clock() -> float:  # each reading differs by a multiple of pi
+            return math.pi * next(ticks)
+
+        def fails(point) -> dict:
+            raise RuntimeError("boom")
+
+        async def scenario():
+            async with SweepService(batch_size=1, clock=clock) as service:
+                ok = service.submit(make_sweep(CountingFactory(), xs=(1,)))
+                failed = service.submit(make_sweep(fails, xs=(1,)))
+                cancelled = service.submit(
+                    make_sweep(CountingFactory(delay_s=0.02), xs=range(1, 21))
+                )
+                await asyncio.gather(ok.wait(), failed.wait())
+                while True:
+                    event = await cancelled.event_queue.get()
+                    if event.kind == "point-done":
+                        break
+                service.cancel(cancelled.id)
+                await cancelled.wait()
+                return ok, failed, cancelled
+
+        jobs = run(scenario())
+        assert [job.status for job in jobs] == [
+            JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED
+        ]
+        for job in jobs:
+            elapsed = job.events[-1]["elapsed_s"]
+            assert elapsed > 0
+            assert elapsed == round(elapsed, 6), (job.status, elapsed)
 
     def test_cancel_queued_job_never_runs(self):
         factory = CountingFactory(delay_s=0.02)

@@ -251,6 +251,39 @@ class TestWalFixture:
         assert after.next_job_index == before.next_job_index
         assert after.jobs == before.jobs
 
+    def test_spec_key_order_survives_append_and_compaction(self, tmp_path):
+        """A recovered job's grid keeps its submitted parameter order, so
+        its table has the columns and rows of an uninterrupted run."""
+        spec = {"grid": {"x": [1, 2], "d": [4]}, "bits": 8, "channel": "eviction"}
+        store = JobStore(tmp_path)
+        store.record_job("job-1", spec)
+        store.close()
+        replayed = JobStore(tmp_path).replay().jobs["job-1"].spec
+        assert list(replayed) == list(spec)
+        assert list(replayed["grid"]) == ["x", "d"]
+
+        JobStore(tmp_path).compact([JobStore(tmp_path).replay().jobs["job-1"]])
+        compacted = JobStore(tmp_path).replay().jobs["job-1"].spec
+        assert list(compacted["grid"]) == ["x", "d"]
+
+    def test_lines_that_fail_strict_decoding_are_dropped(self, tmp_path):
+        """A wrong-typed field costs its line, exactly like a torn one."""
+        (tmp_path / JobStore.WAL_NAME).write_bytes(
+            b'{"record":"job","id":"job-2","spec":{"bits":8},"priority":"2"}\n'
+            b'{"record":"job","id":"job-3","spec":[8]}\n'
+            b'{"record":"meta","next_job_index":0}\n'
+            b'{"record":"job","id":"job-1","spec":{"bits":8},"client":"bob"}\n'
+            b'{"record":"state","id":"job-1","status":7}\n'
+            b'{"record":"state","id":"job-1","status":"running","at":1}\n'
+        )
+        state = JobStore(tmp_path).replay()
+
+        assert (state.records, state.dropped) == (1, 5)
+        assert list(state.jobs) == ["job-1"]
+        assert state.jobs["job-1"].client == "bob"
+        assert state.jobs["job-1"].status == "queued"
+        assert state.next_job_index == 2
+
 
 # ----------------------------------------------------------------------
 # GC x persistence

@@ -35,6 +35,7 @@ from repro.synth import (
     OracleConfig,
     ProgramGenerator,
     SearchConfig,
+    SearchReport,
     Segment,
     SynthSearch,
     path_fingerprint,
@@ -318,10 +319,18 @@ class TestSynthSearch:
     def test_cache_resume_replays_byte_identical(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         first = SynthSearch(SearchConfig(**SMOKE)).run(cache=cache)
-        second = SynthSearch(SearchConfig(**SMOKE)).run(cache=cache)
+        search = SynthSearch(SearchConfig(**SMOKE))
+        assert search.last_stats is None
+        second = search.run(cache=cache)
         assert first.to_json() == second.to_json()
-        assert second.stats is not None
-        assert second.stats.cache_hits == second.stats.points
+        assert search.last_stats is not None
+        assert search.last_stats.cache_hits == search.last_stats.points
+
+    def test_report_round_trips_through_its_json(self):
+        report = SynthSearch(SearchConfig(**SMOKE)).run()
+        decoded = SearchReport.from_json(report.to_json())
+        assert decoded == report
+        assert decoded.to_json() == report.to_json()
 
     def test_corpus_novelty_is_keyed_on_fingerprints(self):
         report = SynthSearch(SearchConfig(**SMOKE)).run()
@@ -429,16 +438,47 @@ class TestCli:
         assert minimized.cost <= 14 * 6
 
     def test_synth_report_summarises_a_saved_run(self, capsys, tmp_path):
+        """``synth report`` prints exactly what ``synth run`` printed."""
         out = tmp_path / "report.json"
         assert main([
             "synth", "run", "--seed", "7", "--budget", "8", "--bits", "24",
-            "--max-findings", "1", "--json", "--out", str(out),
+            "--max-findings", "1", "--out", str(out),
         ]) == 0
-        capsys.readouterr()
+        printed = capsys.readouterr().out
         assert main(["synth", "report", str(out)]) == 0
         text = capsys.readouterr().out
+        assert text == printed
         assert "finding 0" in text
         assert "undefended" in text
+        assert "minimized" in text
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read"),
+            ("not json", "invalid search report JSON"),
+            ('{"config": {}}', "missing required field"),
+            ("[]", "must be an object"),
+        ],
+        ids=["missing-file", "not-json", "config-only", "array"],
+    )
+    def test_synth_report_refuses_a_bad_file(
+        self, capsys, tmp_path, content, message
+    ):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["synth", "report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    def test_synth_minimize_refuses_a_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        assert main(["synth", "minimize", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}")
 
     def test_synth_run_rejects_unknown_mitigation(self, capsys):
         assert main([
