@@ -14,34 +14,46 @@ __all__ = ["edit_distance", "error_rate"]
 
 
 def edit_distance(sent: Sequence, received: Sequence) -> int:
-    """Levenshtein distance via the Wagner–Fischer dynamic program.
+    """Levenshtein distance, computed bit-parallel (Myers 1999, in
+    Hyyrö's formulation for the global distance).
 
-    Runs in ``O(len(sent) * len(received))`` time with a two-row table.
-    Elements are compared with ``==``; bit sequences, strings, and lists
-    all work.
+    One column of the Wagner–Fischer table is held as two bit vectors
+    of its vertical +1/-1 deltas, one bit per element of ``sent``, in
+    Python ints; each element of ``received`` updates the whole column
+    in a few word operations, so it runs in ``O(len(received))`` big-int
+    steps.  Elements are matched through a dict keyed on the elements of
+    ``sent``, so they must be hashable; bit sequences, strings, and lists
+    of ints all work.
     """
     n, m = len(sent), len(received)
     if n == 0:
         return m
     if m == 0:
         return n
-    # Plain int lists and comparisons instead of NumPy cells and ``min``:
-    # per-cell call overhead dominates this loop.
-    previous = list(range(m + 1))
-    for i, sent_item in enumerate(sent, 1):
-        current = [i]
-        left = i
-        for j, received_item in enumerate(received):
-            # substitution / match
-            best = previous[j] + (0 if sent_item == received_item else 1)
-            if previous[j + 1] + 1 < best:  # deletion
-                best = previous[j + 1] + 1
-            if left + 1 < best:  # insertion
-                best = left + 1
-            current.append(best)
-            left = best
-        previous = current
-    return previous[m]
+    # Per symbol, the positions of ``sent`` holding it.
+    match: dict = {}
+    for i, item in enumerate(sent):
+        match[item] = match.get(item, 0) | (1 << i)
+    mask = (1 << n) - 1
+    last = 1 << (n - 1)
+    plus, minus = mask, 0  # vertical deltas of column 0: all +1
+    distance = n
+    for item in received:
+        eq = match.get(item, 0)
+        xv = eq | minus
+        xh = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(xh | plus)
+        h_minus = plus & xh
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        # Row 0 is 0, 1, 2, ...: its horizontal delta is always +1.
+        h_plus = (h_plus << 1) | 1
+        h_minus <<= 1
+        plus = (h_minus | ~(xv | h_plus)) & mask
+        minus = h_plus & xv & mask
+    return distance
 
 
 def error_rate(sent: Sequence, received: Sequence) -> float:

@@ -105,7 +105,8 @@ class ResultCache:
     def load(self, point: "SweepPoint", fingerprint: str) -> dict | None:
         """Return cached metrics for ``point``, or ``None`` on a miss.
 
-        An entry that fails strict decoding counts as a miss; the bad
+        An entry that fails strict decoding, or names another slot's key
+        (a file copied or moved between slots), counts as a miss; the bad
         file is evicted (so the recompute heals it) and the eviction
         recorded in :attr:`corrupt_evictions`.
         """
@@ -118,9 +119,12 @@ class ResultCache:
         except UnicodeDecodeError:
             return self._evict_corrupt(path, key)  # garbage bytes on disk
         try:
-            return dict(CacheEntry.from_json(text).metrics)
+            entry = CacheEntry.from_json(text)
         except ConfigurationError:
             return self._evict_corrupt(path, key)
+        if entry.key != key:
+            return self._evict_corrupt(path, key)
+        return dict(entry.metrics)
 
     def _evict_corrupt(self, path: Path, key: str) -> None:
         """Drop one unparseable entry; count it and log *which* key.

@@ -25,15 +25,19 @@ analytically, which lets the 20-million-iteration experiments of
 Section III run in milliseconds without changing the modelled state
 machine behaviour.
 
-Whole loop runs are memoized per engine (:meth:`FrontendEngine.memo_run`):
-a run that starts from frontend state already seen with the same
+Loop runs are memoized per engine (:meth:`FrontendEngine.memo_run`): a
+run that starts from frontend state already seen with the same
 arguments replays its recorded reports and state changes instead of
-being interpreted again.
+being interpreted again.  A run that reached a steady state is recorded
+by its *simulated prefix* alone, under a head without the trip count,
+so the same body at another count replays the prefix and only
+extrapolates its own tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter, ge
 from typing import Callable, NamedTuple
 
 from repro.caches.sa_cache import SetAssociativeCache
@@ -112,8 +116,24 @@ class WindowAccess:
 #: One window of a DSB plan: the access, its set index, its line key and
 #: the ways its plain part needs (0 when it cannot be cached).
 _PlanStep = tuple[WindowAccess, int, tuple[int, int], int]
-#: A DSB plan and the sorted, distinct set indices its steps touch.
-_Plan = tuple[tuple[_PlanStep, ...], tuple[int, ...]]
+
+
+class _Plan:
+    """A DSB plan: the steps of one loop body on one thread in one mode,
+    and the sorted, distinct set indices they touch.
+
+    The engine builds one plan per (body, thread, smt_active) and keeps
+    it, so plans compare (and hash) by identity: a plan names its body,
+    thread and mode in a run-memo head without hashing the body.
+    """
+
+    __slots__ = ("steps", "sets")
+
+    def __init__(self, steps: tuple[_PlanStep, ...], sets: tuple[int, ...]) -> None:
+        self.steps = steps
+        self.sets = sets
+
+
 #: A loop body's window accesses and its plans per (thread, smt_active).
 _BodyEntry = tuple[tuple[WindowAccess, ...], dict[tuple[int, bool], _Plan]]
 
@@ -224,9 +244,13 @@ class LoopReport:
 
 
 #: ``LoopReport`` field names in declaration order: ``scaled`` walks
-#: them on every extrapolation, so they are read once here instead of
-#: through ``dataclasses.fields`` per call.
+#: them on every SMT round it extrapolates, so they are read once here
+#: instead of through ``dataclasses.fields`` per call.
 _REPORT_FIELDS = tuple(f.name for f in fields(LoopReport))
+#: A report's field values, in declaration order (``LoopReport(*values)``
+#: rebuilds it), and where ``iterations`` sits among them.
+_report_values = attrgetter(*_REPORT_FIELDS)
+_ITERATIONS = _REPORT_FIELDS.index("iterations")
 
 
 @dataclass
@@ -311,12 +335,30 @@ class _FetchLog:
         return self.cache.access(addr)
 
 
-class _RunEffect(NamedTuple):
-    """Everything one recorded loop run did, as :meth:`FrontendEngine._replay`
-    re-applies it.  Stats are deltas; the rest is the state the run left."""
+class _Prefix(NamedTuple):
+    """A loop driver's *simulated prefix*: the iterations (or SMT rounds)
+    it ran through :meth:`FrontendEngine.run_iteration` until the cost
+    repeated, and what its finish reads of them.  A finish only reads
+    it, so a memoized prefix stays as recorded."""
 
-    #: Field values of each returned ``LoopReport``.
+    #: Whether the cost reached a period-1/2 steady state.
+    steady: bool
+    #: The least trip counts, one per thread, whose runs simulate this
+    #: same prefix; ``None`` when the prefix depends on the counts.
+    needs: tuple[int, ...] | None
+    #: Field values of the running totals, one per thread.
     reports: tuple[tuple, ...]
+    #: What the finish extrapolates from; its shape is the driver's.
+    last: tuple
+
+
+class _RunEffect(NamedTuple):
+    """Everything one recorded loop run (or simulated prefix) did, as
+    :meth:`FrontendEngine._replay` re-applies it.  Stats are deltas; the
+    rest is the state the run left."""
+
+    #: Field values of each returned ``LoopReport``, or the ``_Prefix``.
+    result: "tuple[tuple, ...] | _Prefix"
     #: Contents (LRU order) and ways in use of each touched DSB set.
     sets: tuple[tuple[tuple[LineKey, DsbLine], ...], ...]
     ways: tuple[int, ...]
@@ -351,31 +393,58 @@ def _delta(after: tuple[int, ...], before: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([a - b for a, b in zip(after, before)])
 
 
+def _terms(prev: LoopReport | None, last: LoopReport) -> tuple[tuple, ...]:
+    """What a tail repeats, from the last two simulated iterations
+    (``prev`` only in a period-2 steady state): ``(index, prev value,
+    last value)`` for every report field either one sets, with
+    ``simulated_iterations`` 0, since extrapolated iterations are not
+    simulated ones.  Fields both leave at 0 add nothing, so they are
+    left out."""
+    last_values = _report_values(replace(last, simulated_iterations=0))
+    if prev is None:
+        prev_values = (0,) * len(last_values)
+    else:
+        prev_values = _report_values(replace(prev, simulated_iterations=0))
+    return tuple(
+        (i, p, q) for i, (p, q) in enumerate(zip(prev_values, last_values)) if p or q
+    )
+
+
+def _extend(values: tuple, terms: tuple, remaining: int, period_two: bool) -> list:
+    """Report field ``values`` plus ``remaining`` unsimulated iterations
+    that repeat the :func:`_terms` of the last two simulated ones.
+
+    Period-1 steady states repeat the last iteration.  Period-2 steady
+    states alternate the two; the last *simulated* iteration already
+    paid ``last``, so the continuation is ``prev, last, prev, ...`` —
+    ``ceil(remaining / 2)`` copies of ``prev`` and ``remaining // 2`` of
+    ``last``.  Both factors are integers, so integer counters scale
+    exactly and the extrapolated totals conserve
+    (``total_uops == sum of per-iteration uops``).
+    """
+    values = list(values)
+    if period_two:
+        odd, even = (remaining + 1) // 2, remaining // 2
+        for i, p, q in terms:
+            values[i] += p * odd + q * even
+    else:
+        for i, _, q in terms:
+            values[i] += q * remaining
+    return values
+
+
 def extrapolate_tail(
     prev_cost: "_IterationCost | None",
     last_cost: "_IterationCost",
     remaining: int,
     period_two: bool,
 ) -> LoopReport:
-    """Analytic report for ``remaining`` unsimulated iterations.
-
-    Period-1 steady states repeat ``last_cost``.  Period-2 steady states
-    alternate the two costs; the last *simulated* iteration already paid
-    ``last_cost``, so the continuation is ``prev, last, prev, ...`` —
-    ``ceil(remaining / 2)`` copies of ``prev_cost`` and ``remaining // 2``
-    of ``last_cost``.  Both factors are integers, so integer counters
-    scale exactly and the extrapolated totals conserve
-    (``total_uops == sum of per-iteration uops``), which the old
-    single-cost float-factor path did not guarantee.
-    """
-    if period_two and prev_cost is not None:
-        tail = prev_cost.to_report().scaled((remaining + 1) // 2)
-        tail.merge(last_cost.to_report().scaled(remaining // 2))
-    else:
-        tail = last_cost.to_report().scaled(remaining)
-    tail.simulated_iterations = 0
-    tail.iterations = remaining
-    return tail
+    """Analytic report for ``remaining`` unsimulated iterations after
+    ``prev_cost`` and ``last_cost`` (see :func:`_extend`)."""
+    period_two = period_two and prev_cost is not None
+    prev = prev_cost.to_report() if period_two else None
+    terms = _terms(prev, last_cost.to_report())
+    return LoopReport(*_extend(_report_values(LoopReport()), terms, remaining, period_two))
 
 
 class FrontendEngine:
@@ -528,7 +597,7 @@ class FrontendEngine:
             )
             # Pure-LCP windows never reach the DSB, so their sets stay out.
             touched = {index for access, index, _, _ in steps if not access.pure_lcp}
-            plan = (steps, tuple(sorted(touched)))
+            plan = _Plan(steps, tuple(sorted(touched)))
             plans[(thread, smt_active)] = plan
         return plan
 
@@ -589,7 +658,7 @@ class FrontendEngine:
             lsd.observe_iteration(program, all_from_dsb=True)
             return cost
 
-        plan = self._plan(program, thread, smt_active)[0]
+        plan = self._plan(program, thread, smt_active).steps
         lookup_at = self.dsb.lookup_at
         insert_at = self.dsb.insert_at
         l1i = self.l1i
@@ -798,10 +867,16 @@ class FrontendEngine:
         """
         registry = get_registry()
         start = registry.clock()
+        plan = self._plan(program, thread, smt_active)
+        # Only a run long enough to warm up can reach a steady state.  The
+        # plan names the body, thread and mode.
+        long = not exact and program.iterations >= self.MIN_WARMUP
         (report,) = self.memo_run(
             (program, thread, smt_active, exact),
-            self._plan(program, thread, smt_active)[1],
-            lambda: (self._interpret(program, thread, smt_active, exact),),
+            plan.sets,
+            lambda: self._interpret(program, thread, smt_active, exact),
+            finish=lambda prefix: (self._finish(program, thread, smt_active, prefix),),
+            prefix=(plan, (program.iterations,)) if long else None,
         )
         points, latency = self._sim_instruments(registry)
         points.inc()
@@ -834,7 +909,7 @@ class FrontendEngine:
 
         # The head starts with a tuple, never equal to the program that
         # starts a single run's or an SMT pair's head.
-        sets = {i for p in programs for i in self._plan(p, thread, smt_active)[1]}
+        sets = {i for p in programs for i in self._plan(p, thread, smt_active).sets}
         reports = self.memo_run(
             (programs, thread, smt_active), tuple(sorted(sets)), run, runs=len(programs)
         )
@@ -846,11 +921,12 @@ class FrontendEngine:
 
     def _interpret(
         self, program: LoopProgram, thread: int, smt_active: bool, exact: bool
-    ) -> LoopReport:
-        """The iteration driver: every iteration goes through
-        :meth:`run_iteration` until the per-iteration cost repeats with
-        period 1 or 2, then the remaining iterations are extrapolated
-        analytically via :func:`extrapolate_tail`."""
+    ) -> _Prefix:
+        """The iteration driver's *simulated prefix*: every iteration goes
+        through :meth:`run_iteration` until the per-iteration cost repeats
+        with period 1 or 2 (or the simulation limit).  Nothing here reads
+        the trip count but the limit, so a prefix that reached a steady
+        state after ``k`` iterations is the prefix of every count ``>= k``."""
         report = LoopReport()
         history: list[tuple] = []
         iteration = 0
@@ -858,12 +934,11 @@ class FrontendEngine:
         steady = False
         prev_cost: _IterationCost | None = None
         cost: _IterationCost | None = None
-        lsd = self.lsds[thread]
         # Pre-capture DSB iterations look steady but are not: a loop the
         # LSD could still lock onto must be simulated past the detection
         # latency before extrapolation may engage.
         min_warmup = self.MIN_WARMUP
-        if lsd.structurally_qualifies(program):
+        if self.lsds[thread].structurally_qualifies(program):
             min_warmup = max(min_warmup, self.params.lsd_detect_iterations + 2)
         while iteration < limit:
             prev_cost, cost = cost, self.run_iteration(program, thread, smt_active)
@@ -873,19 +948,38 @@ class FrontendEngine:
             if not exact and iteration >= min_warmup and self._is_steady(history):
                 steady = True
                 break
-        remaining = program.iterations - iteration
-        if remaining > 0 and cost is not None:
-            if not steady:
-                # Hit MAX_SIMULATED without period-1/2 convergence: run
-                # one more live iteration and repeat it for the tail.
-                prev_cost, cost = None, self.run_iteration(program, thread, smt_active)
-                report.add_iteration(cost)
-                remaining -= 1
-            if remaining > 0:
-                period_two = steady and history[-1] != history[-2]
-                report.merge(extrapolate_tail(prev_cost, cost, remaining, period_two))
-                if lsd.is_streaming(program):
-                    lsd.stats.streamed_iterations += remaining
+        period_two = steady and history[-1] != history[-2]
+        prev = prev_cost.to_report() if period_two else None
+        return _Prefix(
+            steady,
+            (iteration,) if steady else None,
+            (_report_values(report),),
+            (_terms(prev, cost.to_report()), period_two),
+        )
+
+    def _finish(
+        self, program: LoopProgram, thread: int, smt_active: bool, prefix: _Prefix
+    ) -> LoopReport:
+        """The rest of a run after its simulated prefix, which is all that
+        depends on the trip count: the remaining iterations are
+        extrapolated analytically via :func:`_extend`, then the loop
+        exits."""
+        (values,) = prefix.reports
+        terms, period_two = prefix.last
+        lsd = self.lsds[thread]
+        remaining = program.iterations - values[_ITERATIONS]
+        if remaining > 0 and not prefix.steady:
+            # Hit MAX_SIMULATED without period-1/2 convergence: run one
+            # more live iteration and repeat it for the tail.
+            cost = self.run_iteration(program, thread, smt_active)
+            values = _report_values(LoopReport(*values).add_iteration(cost))
+            terms = _terms(None, cost.to_report())
+            remaining -= 1
+        if remaining > 0:
+            values = _extend(values, terms, remaining, period_two)
+            if lsd.is_streaming(program):
+                lsd.stats.streamed_iterations += remaining
+        report = LoopReport(*values)
         # Loop exit: the terminal backward branch mispredicts and any LSD
         # stream for this loop ends (no flush penalty is charged to the
         # *next* loop; the exit cost covers it).
@@ -902,15 +996,18 @@ class FrontendEngine:
         self,
         head: tuple,
         sets: tuple[int, ...],
-        run: Callable[[], tuple[LoopReport, ...]],
+        run: Callable[[], "tuple[LoopReport, ...] | _Prefix"],
         runs: int = 1,
+        finish: "Callable[[_Prefix], tuple[LoopReport, ...]] | None" = None,
+        prefix: tuple[object, tuple[int, ...]] | None = None,
     ) -> tuple[LoopReport, ...]:
         """Call ``run`` (one whole loop-run driver), or replay its record.
 
         ``head`` names the run: ``(program, thread, smt_active, exact)``
         for one thread, ``(primary, secondary, exact)`` for an SMT pair,
         ``(programs, thread, smt_active)`` for a sweep of ``runs`` loop
-        runs.
+        runs.  A prefix head (below) is a plan, or starts with one, so no
+        two kinds of head are ever equal.
         ``sets`` lists every DSB set the run can touch.  The run is
         keyed on ``head`` plus everything of the frontend it reads: the
         contents of those sets (keys, LRU order, uops and ways), every
@@ -920,14 +1017,24 @@ class FrontendEngine:
         runs, so a repeat re-applies the recorded effect — set contents,
         stat deltas, LSD and per-thread state, the L1I fetches in order —
         and returns fresh copies of the recorded reports.
+
+        A loop driver passes ``finish``: ``run`` then only simulates the
+        prefix and returns a :class:`_Prefix`, and ``finish`` turns it
+        into the reports.  With ``prefix`` — a head without trip counts
+        (``plan`` for one thread, ``(primary plan, secondary plan,
+        ratio)`` for an SMT pair) and the run's counts, one per thread —
+        a run whose prefix has ``needs`` records only the prefix, under
+        that head, and any run from the same state whose counts are at
+        least those ``needs`` replays it and finishes live.  Other runs
+        record whole.
         """
         dsb = self.dsb
         if len(dsb._listeners) != 1:
-            return run()  # a foreign eviction listener must see every call
+            # A foreign eviction listener must see every call.
+            return run() if finish is None else finish(run())
         dsb_sets = dsb._sets
         lsds = self.lsds.values()
-        key = (
-            head,
+        state = (
             tuple([tuple(dsb_sets[i].items()) for i in sets]),
             tuple([(lsd.enabled, _lsd_state(lsd)) for lsd in lsds]),
             tuple(self._pending_penalty.values()),
@@ -937,10 +1044,17 @@ class FrontendEngine:
             dsb.stats.insertions if self.params.dsb_replacement == "hashed" else 0,
         )
         memo = self._runs
+        if prefix is not None:
+            prefix_key = (prefix[0], state)
+            effect = memo.get(prefix_key)
+            if effect is not None and all(map(ge, prefix[1], effect.result.needs)):
+                self._replay(sets, effect, runs)
+                return finish(effect.result)
+        key = (head, state)
         effect = memo.get(key)
         if effect is not None:
             self._replay(sets, effect, runs)
-            return tuple([LoopReport(*values) for values in effect.reports])
+            return tuple([LoopReport(*values) for values in effect.result])
 
         dsb_before = _dsb_stats(dsb)
         lsd_before = [_lsd_stats(lsd) for lsd in lsds]
@@ -949,16 +1063,16 @@ class FrontendEngine:
         if log is not None:
             self.l1i = log
         try:
-            reports = run()
+            result = run()
+            whole = prefix is None or result.needs is None
+            if whole and finish is not None:
+                result = finish(result)
         finally:
             self.l1i = l1i
         if len(memo) >= RUN_MEMO_LIMIT:
             del memo[next(iter(memo))]
-        memo[key] = _RunEffect(
-            reports=tuple(
-                tuple([getattr(report, name) for name in _REPORT_FIELDS])
-                for report in reports
-            ),
+        memo[key if whole else prefix_key] = _RunEffect(
+            result=tuple([_report_values(report) for report in result]) if whole else result,
             sets=tuple([tuple(dsb_sets[i].items()) for i in sets]),
             ways=tuple([dsb._ways[i] for i in sets]),
             dsb_stats=_delta(_dsb_stats(dsb), dsb_before),
@@ -974,7 +1088,7 @@ class FrontendEngine:
             ),
             fetches=() if log is None else tuple(log.addrs),
         )
-        return reports
+        return result if whole else finish(result)
 
     def _replay(self, sets: tuple[int, ...], effect: _RunEffect, runs: int) -> None:
         """Re-apply a recorded run's effect (see :meth:`memo_run`); it

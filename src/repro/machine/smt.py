@@ -11,8 +11,19 @@ Interleaving granularity is one loop iteration, with the ratio of
 iterations chosen proportionally (e.g. the MT channels run p=10 receiver
 decode iterations per sender encode iteration).  A steady-state detector
 extrapolates long runs (the 20M-iteration partitioning experiments)
-without simulating every round, and the engine's run memo replays a
-whole run whose entry state was already seen.
+without simulating every round.
+
+A run splits into its *simulated prefix* (:meth:`SmtExecutor._interleave`:
+the rounds up to the steady state) and its *finish*
+(:meth:`SmtExecutor._finish`: the extrapolated rounds, the drain and the
+loop exits), which alone depend on the trip counts.  The engine's run
+memo keys a prefix on both bodies and the interleave ratio, without the
+counts: a run from an entry state already seen replays it whenever its
+counts would have simulated the same rounds (same ratio, more secondary
+iterations than the recorded rounds, enough primary iterations for
+every recorded burst), and finishes live.  So the MT channels' slipped
+bits, which run the same two loops at new counts, replay instead of
+re-simulating.  Other runs are memoized whole.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.frontend.engine import LoopReport
+from repro.frontend.engine import LoopReport, _Prefix, _report_values
 from repro.isa.program import LoopProgram
 from repro.machine.core import Core
 
@@ -72,42 +83,60 @@ class SmtExecutor:
         engine = self.core.engine
         # Both threads' SMT plans, plus the primary's single-thread plan
         # for the drain.
-        sets = {
-            *engine._plan(primary, 0, True)[1],
-            *engine._plan(secondary, 1, True)[1],
-            *engine._plan(primary, 0, False)[1],
-        }
+        plans = (engine._plan(primary, 0, True), engine._plan(secondary, 1, True))
+        sets = {*plans[0].sets, *plans[1].sets, *engine._plan(primary, 0, False).sets}
+        ratio = max(1, round(primary.iterations / secondary.iterations))
+        # Only a run with more rounds than the warm-up can reach a steady
+        # state with rounds left to extrapolate.  The SMT plans name both
+        # bodies.
+        long = not exact and secondary.iterations > self.MIN_WARMUP_ROUNDS
         reports = engine.memo_run(
             (primary, secondary, exact),
             tuple(sorted(sets)),
-            lambda: self._interleave(primary, secondary, exact),
+            lambda: self._interleave(primary, secondary, ratio, exact),
+            finish=lambda prefix: self._finish(primary, secondary, ratio, exact, prefix),
+            prefix=((*plans, ratio), (primary.iterations, secondary.iterations)) if long else None,
         )
         return SmtRunResult(primary=reports[0], secondary=reports[1])
 
-    def _interleave(
-        self, primary: LoopProgram, secondary: LoopProgram, exact: bool
+    def _round(
+        self, primary: LoopProgram, secondary: LoopProgram, burst: int
     ) -> tuple[LoopReport, LoopReport]:
+        """One interleave round: ``burst`` primary iterations, then one
+        secondary iteration, both in SMT mode."""
         engine = self.core.engine
-        ratio = max(1, round(primary.iterations / secondary.iterations))
+        round_primary = LoopReport()
+        for _ in range(burst):
+            round_primary.add_iteration(engine.run_iteration(primary, thread=0, smt_active=True))
+        cost = engine.run_iteration(secondary, thread=1, smt_active=True)
+        return round_primary, cost.to_report()
+
+    def _interleave(
+        self, primary: LoopProgram, secondary: LoopProgram, ratio: int, exact: bool
+    ) -> _Prefix:
+        """The simulated prefix: interleave rounds until both threads'
+        round cycles repeat with period 1 or 2 (or the simulation limit).
+
+        Trip counts enter only through the limit and the bursts, so a
+        prefix that reached a steady state after ``r`` full-burst rounds
+        is the prefix of every run with the same bodies and ratio, at
+        least ``r * ratio`` primary and more than ``r`` secondary
+        iterations.
+        """
+        engine = self.core.engine
         total_rounds = secondary.iterations
         primary_left = primary.iterations
-
         primary_report = LoopReport()
         secondary_report = LoopReport()
         history: list[tuple] = []
         rounds_done = 0
         limit = total_rounds if exact else min(total_rounds, self.MAX_SIMULATED_ROUNDS)
-
+        steady = False
         while rounds_done < limit:
-            round_primary = LoopReport()
-            burst = min(ratio, primary_left)
-            for _ in range(burst):
-                round_primary.add_iteration(
-                    engine.run_iteration(primary, thread=0, smt_active=True)
-                )
-            primary_left -= burst
-            cost = engine.run_iteration(secondary, thread=1, smt_active=True)
-            round_secondary = cost.to_report()
+            round_primary, round_secondary = self._round(
+                primary, secondary, min(ratio, primary_left)
+            )
+            primary_left -= round_primary.iterations
             primary_report.merge(round_primary)
             secondary_report.merge(round_secondary)
             rounds_done += 1
@@ -120,20 +149,54 @@ class SmtExecutor:
                 and engine._is_steady(history)
                 and rounds_done < total_rounds
             ):
-                remaining = total_rounds - rounds_done
-                secondary_report.merge(self._scale_round(round_secondary, remaining))
-                # The primary side must never extrapolate past its own
-                # iteration budget (the last simulated round's burst may
-                # exceed what remains when the interleave ratio rounds).
-                if burst > 0 and primary_left > 0:
-                    full_rounds = min(remaining, primary_left // burst)
-                    if full_rounds > 0:
-                        primary_report.merge(
-                            self._scale_round(round_primary, full_rounds)
-                        )
-                        primary_left -= full_rounds * burst
-                rounds_done = total_rounds
+                steady = True
                 break
+        full = steady and primary_report.iterations == rounds_done * ratio
+        return _Prefix(
+            steady,
+            (rounds_done * ratio, rounds_done + 1) if full else None,
+            (_report_values(primary_report), _report_values(secondary_report)),
+            (round_primary, round_secondary),
+        )
+
+    def _finish(
+        self,
+        primary: LoopProgram,
+        secondary: LoopProgram,
+        ratio: int,
+        exact: bool,
+        prefix: _Prefix,
+    ) -> tuple[LoopReport, LoopReport]:
+        """The rest of a run after its simulated prefix: extrapolate the
+        remaining rounds, drain the primary's leftover iterations, charge
+        both loop exits.  ``prefix`` (whose round reports it only reads)
+        is left as it is."""
+        engine = self.core.engine
+        primary_report, secondary_report = (LoopReport(*values) for values in prefix.reports)
+        round_primary, round_secondary = prefix.last
+        remaining = secondary.iterations - secondary_report.iterations
+        primary_left = primary.iterations - primary_report.iterations
+        if remaining > 0 and not prefix.steady:
+            # Hit MAX_SIMULATED_ROUNDS without period-1/2 convergence: run
+            # one more live round and repeat it for the rest.
+            round_primary, round_secondary = self._round(
+                primary, secondary, min(ratio, primary_left)
+            )
+            primary_left -= round_primary.iterations
+            primary_report.merge(round_primary)
+            secondary_report.merge(round_secondary)
+            remaining -= 1
+        if remaining > 0:
+            secondary_report.merge(self._scale_round(round_secondary, remaining))
+            # The primary side must never extrapolate past its own
+            # iteration budget (the last simulated round's burst may
+            # exceed what remains when the interleave ratio rounds).
+            burst = round_primary.iterations
+            if burst > 0 and primary_left > 0:
+                full_rounds = min(remaining, primary_left // burst)
+                if full_rounds > 0:
+                    primary_report.merge(self._scale_round(round_primary, full_rounds))
+                    primary_left -= full_rounds * burst
 
         # Drain any leftover primary iterations single-threaded (the
         # sender went idle; DSB indexing reverts to all sets).

@@ -46,6 +46,39 @@ def full_table_levenshtein(a, b) -> int:
     return table[len(a)][len(b)]
 
 
+def two_row_levenshtein(sent, received) -> int:
+    """Wagner–Fischer with a two-row table (the library's former
+    implementation)."""
+    n, m = len(sent), len(received)
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+    previous = list(range(m + 1))
+    for i, sent_item in enumerate(sent, 1):
+        current = [i]
+        left = i
+        for j, received_item in enumerate(received):
+            best = previous[j] + (0 if sent_item == received_item else 1)
+            if previous[j + 1] + 1 < best:
+                best = previous[j + 1] + 1
+            if left + 1 < best:
+                best = left + 1
+            current.append(best)
+            left = best
+        previous = current
+    return previous[m]
+
+
+#: Bit lists and strings past one 64-bit word, of independent lengths,
+#: so pairs are often unequal in length and sometimes empty.
+long_sequences = st.one_of(
+    st.lists(st.integers(0, 1), max_size=80),
+    st.text(alphabet="01", max_size=80),
+    st.text(alphabet="abcd", max_size=80),
+)
+
+
 class TestWagnerFischer:
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -82,6 +115,17 @@ class TestWagnerFischer:
         distance = edit_distance(a, b)
         assert type(distance) is int
         assert distance == full_table_levenshtein(a, b)
+
+    @given(long_sequences, long_sequences)
+    @example([], [])
+    @example([1] * 64, [])
+    @example([], "0" * 65)
+    @example([0, 1] * 32, [1, 0] * 33)
+    @example("a" * 70, "b" * 3)
+    def test_matches_two_row_levenshtein(self, a, b):
+        """The bit-parallel column update equals the two-row table,
+        including across the 64-element word boundary."""
+        assert edit_distance(a, b) == two_row_levenshtein(a, b)
 
 
 class TestBits:

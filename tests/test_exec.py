@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import shutil
 
 import pytest
 
@@ -234,6 +235,21 @@ class TestCacheEntryPins:
         assert cache.load(self.POINT, self.FINGERPRINT) is None
         assert cache.corrupt_evictions == 1
         assert not path.exists()
+
+    def test_entry_in_another_points_slot_is_evicted_as_corrupt(self, tmp_path):
+        """An entry copied into another point's slot decodes cleanly but
+        names the wrong key: it must not be served as that point's."""
+        cache = ResultCache(tmp_path)
+        source = cache.store(self.POINT, self.FINGERPRINT, self.METRICS)
+        other = SweepPoint(values={"d": 3, "x": 1.5, "n": "s"}, trial=1, seed=123)
+        target = cache._path(cache.key(other, self.FINGERPRINT))
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(source, target)
+
+        assert cache.load(other, self.FINGERPRINT) is None
+        assert cache.corrupt_evictions == 1
+        assert not target.exists()
+        assert cache.load(self.POINT, self.FINGERPRINT) == self.METRICS
 
 
 # ----------------------------------------------------------------------

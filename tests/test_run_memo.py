@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.frontend.engine as engine_module
+from repro.channels.eviction import MtEvictionChannel
 from repro.frontend.engine import SIM_LATENCY_EDGES
 from repro.frontend.params import FrontendParams
 from repro.isa.blocks import MixBlock, filler_block, lcp_block, standard_mix_block
@@ -25,6 +26,7 @@ from repro.isa.instructions import jmp_rel8, nop
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
+from repro.machine.smt import SmtExecutor
 from repro.machine.specs import GOLD_6226
 from repro.obs import MetricsRegistry, use_registry
 from repro.spectre.attack import SpectreV1Attack
@@ -68,9 +70,14 @@ BODIES = (
     + _aligned((4,), 24),
 )
 
-#: 2_001 leaves a one-iteration single-thread drain in SMT runs against
-#: 8 or 40 secondary iterations.
-ITERATIONS = (1, 3, 8, 40, 2_001)
+#: Trip counts below, at and above the lengths of simulated prefixes
+#: (4 to 8 iterations), and two long ones.  2_001 leaves a
+#: one-iteration single-thread drain in SMT runs against 8 or 40
+#: secondary iterations.
+ITERATIONS = (1, 3, 4, 5, 6, 7, 8, 10, 40, 2_001)
+#: Secondary trip counts of SMT pairs that share an interleave ratio:
+#: up to MIN_WARMUP_ROUNDS (6) no run has rounds left to extrapolate.
+ROUNDS = (2, 6, 7, 8, 9, 12, 40)
 
 
 def _loop(body, iterations=3, thread=0, smt_active=False, exact=False) -> tuple:
@@ -118,14 +125,29 @@ def _scenarios(draw) -> tuple[list[tuple], list[tuple]]:
         LoopProgram(BODIES[body], iterations)
         for body in bodies
         for iterations in draw(
-            st.lists(st.sampled_from(ITERATIONS), min_size=1, max_size=2, unique=True)
+            st.lists(st.sampled_from(ITERATIONS), min_size=1, max_size=3, unique=True)
         )
     ]
     program = st.sampled_from(programs)
     run_loop = st.tuples(
         st.just("run_loop"), program, st.integers(0, 1), st.booleans(), st.booleans()
     )
-    run_smt = st.tuples(st.just("run_smt"), program, program, st.booleans())
+    # SMT pairs of two drawn bodies at one or two interleave ratios and
+    # several secondary counts; the primary's count is off the ratio by
+    # -1, 0 or +1 iterations, which leaves a drain or none.  Ratio 1 also
+    # takes primaries far shorter than the secondary.
+    primary_body, secondary_body = (BODIES[draw(st.sampled_from(bodies))] for _ in "ps")
+    pairs = [
+        (LoopProgram(primary_body, max(1, ratio * rounds + skew)), LoopProgram(secondary_body, rounds))
+        for ratio in draw(st.lists(st.sampled_from((1, 2, 10)), min_size=1, max_size=2, unique=True))
+        for rounds, skew in draw(
+            st.lists(st.tuples(st.sampled_from(ROUNDS), st.sampled_from((-1, 0, 1))), min_size=1, max_size=3)
+        )
+    ] + [(LoopProgram(primary_body, 3), LoopProgram(secondary_body, 40))]
+    run_smt = st.one_of(
+        st.tuples(st.just("run_smt"), program, program, st.booleans()),
+        st.tuples(st.sampled_from(pairs), st.booleans()).map(lambda pe: ("run_smt", *pe[0], pe[1])),
+    )
     run_loops = st.tuples(
         st.just("run_loops"),
         st.lists(program, min_size=1, max_size=4).map(tuple),
@@ -165,7 +187,7 @@ def _run(machine: Machine, call: tuple) -> tuple:
         _, programs, thread, smt_active = call
         return machine.run_loops(programs, thread, smt_active)
     _, primary, secondary, exact = call
-    exact = exact and max(primary.iterations, secondary.iterations) <= 40
+    exact = exact and primary.iterations <= 401 and secondary.iterations <= 40
     result = machine.run_smt(primary, secondary, exact=exact)
     return (result.primary, result.secondary)
 
@@ -297,6 +319,49 @@ class TestReplayEqualsInterpretation:
         ops = [("set_lsd_enabled", False), ("run", 0, 3), ("run", 1, 1), ("run", 0, 1)]
         _check(calls, ops)
 
+    def test_prefix_counts(self):
+        """One body from one entry state, at counts below, at and above
+        the length of the prefix the first run records (4 to 8
+        iterations): a shorter run must not replay it, and neither may an
+        ``exact`` run."""
+        calls = [_loop(BODIES[0], n) for n in (40, *range(1, 13), 2_001)]
+        calls.append(_loop(BODIES[0], 40, exact=True))
+        ops = [op for i in range(len(calls)) for op in (("reset",), ("run", i, 2))]
+        _check(calls, ops)
+
+    def test_smt_prefix_counts(self):
+        """SMT pairs of two bodies from one entry state.  Each first run
+        at a ratio whose bursts stay full records a prefix of at least six
+        rounds; pairs at that ratio with fewer secondary rounds, or (at
+        ratio 1) too short a primary, must not replay it, nor may pairs at
+        another ratio."""
+        pairs = [(400, 40), *((10 * n + skew, n) for n in range(1, 13) for skew in (-1, 0, 1))]
+        # (3, 40) runs out of primary iterations inside its prefix, so it
+        # must record whole: its prefix is not that of (40, 40).
+        pairs += [(80, 40), (81, 9), (3, 40), (40, 40), *((n, 40) for n in (5, 6, 7, 8, 9))]
+        calls = [
+            _smt(LoopProgram(BODIES[0], p), LoopProgram(BODIES[1], s), exact)
+            for p, s in pairs
+            for exact in (False, True)
+            if not exact or p <= 121
+        ]
+        ops = [op for i in range(len(calls)) for op in (("reset",), ("run", i, 2))]
+        _check(calls, ops)
+
+    def test_smt_secondary_bound(self, monkeypatch):
+        """A secondary count below a prefix's rounds must not replay it,
+        even where the primary count would fit.  Only a prefix that runs
+        past the warm-up shows it: with the 6-round warm-up the pairs here
+        settle at round 6 or 7, where the `long` check already keeps out
+        every shorter secondary.  With a 2-round warm-up these two bodies
+        at ratio 1 settle at round 7, so a 7-iteration primary fits the
+        first pair's prefix while a 5- or 6-round secondary does not."""
+        monkeypatch.setattr(SmtExecutor, "MIN_WARMUP_ROUNDS", 2)
+        pairs = [(60, 60), (7, 5), (7, 6), (8, 6), (7, 8), (9, 8)]
+        calls = [_smt(LoopProgram(BODIES[0], p), LoopProgram(BODIES[4], s)) for p, s in pairs]
+        ops = [op for i in range(len(calls)) for op in (("reset",), ("run", i, 1))]
+        _check(calls, ops)
+
     def test_lru_order(self):
         """Equal set contents in a different LRU order pick a different
         victim."""
@@ -397,6 +462,31 @@ class TestMemoBookkeeping:
         again = machine.run_loop(program, exact=True)
         assert again.cycles == reports[-2].cycles
 
+    @pytest.mark.parametrize("smt", [False, True])
+    def test_prefix_replays_hand_out_their_own_reports(self, smt):
+        """A run that replays a simulated prefix finishes live into new
+        report objects; changing one changes no later run's."""
+        primary, secondary = LoopProgram(BODIES[0], 400), LoopProgram(BODIES[1], 40)
+        registry = MetricsRegistry()
+        machine = Machine(GOLD_6226)
+
+        def run():
+            if smt:
+                result = machine.run_smt(primary, secondary)
+                return result.primary, result.secondary
+            return (machine.run_loop(primary),)
+
+        with use_registry(registry):
+            results = [run() for _ in range(4)]
+        assert registry.counter("sim.replays").value >= 1
+        reports = [report for result in results for report in result]
+        assert len({id(report) for report in reports}) == len(reports)
+        for report in results[-1]:
+            report.cycles += 1.0
+            report.iterations += 1
+        again = run()
+        assert _reports(again) == _reports(results[-2])
+
     def test_sweeps_count_loop_runs(self):
         """``sim.points`` and ``sim.replays`` count loop runs: a replayed
         32-program sweep adds 32 to each, and a missed sweep counts only
@@ -445,6 +535,35 @@ class TestMemoBookkeeping:
         latency = registry.histogram("sim.latency", edges=SIM_LATENCY_EDGES)
         assert registry.counter("sim.replays").value / points >= 0.85
         assert (points - latency.count) // 31 >= 22
+
+    def test_mt_eviction_transmit_keeps_replaying(self, monkeypatch):
+        """A slipped MT bit runs the channel's two loops at new trip
+        counts, which replay a recorded simulated prefix and finish live.
+        One seeded 64-bit transmit of alternating bits (slips happen at
+        bit edges) interprets 5 of its 53 SMT runs (a memo keyed on the
+        trip counts interprets 23) and replays 114 loop runs against 73
+        ``sim.points`` (69 against 71)."""
+        registry = MetricsRegistry()
+        interleaved, secondaries = [], set()
+        interleave, run = SmtExecutor._interleave, SmtExecutor.run
+
+        def counting_interleave(self, *args):
+            interleaved.append(args)
+            return interleave(self, *args)
+
+        def counting_run(self, primary, secondary, exact=False):
+            secondaries.add(secondary.iterations)
+            return run(self, primary, secondary, exact)
+
+        monkeypatch.setattr(SmtExecutor, "_interleave", counting_interleave)
+        monkeypatch.setattr(SmtExecutor, "run", counting_run)
+        with use_registry(registry):
+            machine = Machine(GOLD_6226, seed=7)
+            MtEvictionChannel(machine).transmit([0, 1] * 32)
+        assert len(secondaries) >= 5  # slips ran the loops at new counts
+        points = registry.counter("sim.points").value
+        assert registry.counter("sim.replays").value / points >= 1.4
+        assert len(interleaved) <= 8
 
     def test_memo_is_bounded_per_engine(self, monkeypatch):
         monkeypatch.setattr(engine_module, "RUN_MEMO_LIMIT", 3)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.frontend.engine import FrontendEngine
 from repro.isa.program import LoopProgram
 from repro.machine.core import Core
 from repro.machine.machine import Machine
@@ -84,6 +85,25 @@ class TestSmtExecutor:
         fast = machine_b.run_smt(*programs(machine_b))
         assert fast.primary.cycles == pytest.approx(exact.primary.cycles, rel=0.02)
         assert fast.primary.uops_mite == pytest.approx(exact.primary.uops_mite, rel=0.05)
+
+    @pytest.mark.parametrize("primary_iterations", [3000, 2995, 3005])
+    def test_rounds_past_the_simulation_limit_are_counted(
+        self, monkeypatch, primary_iterations
+    ):
+        """With no steady state the interleave stops simulating after
+        ``MAX_SIMULATED_ROUNDS`` rounds, runs one more live round and
+        repeats it for the rest: every iteration of both threads is
+        counted, and the primary never runs past its own budget."""
+        monkeypatch.setattr(FrontendEngine, "_is_steady", staticmethod(lambda history: False))
+        machine = Machine(GOLD_6226, seed=2)
+        layout = machine.layout()
+        primary = LoopProgram(layout.chain(3, 6), primary_iterations)
+        secondary = LoopProgram(layout.chain(3, 3, first_slot=6), 300)
+        result = machine.run_smt(primary, secondary)
+        assert result.primary.iterations == primary_iterations
+        assert result.secondary.iterations == 300
+        assert result.secondary.total_uops == 300 * secondary.uops_per_iteration
+        assert result.secondary.simulated_iterations == SmtExecutor.MAX_SIMULATED_ROUNDS + 1
 
     def test_smt_slows_down_receiver(self):
         """Concurrent sibling activity inflates frontend delivery cost."""
