@@ -212,8 +212,7 @@ class LoopReport:
     def scaled(self, factor: float) -> "LoopReport":
         """Return a copy with every counter multiplied by ``factor``.
 
-        Integral factors (the steady-state extrapolation always passes an
-        iteration *count*) multiply integer counters exactly, so scaled
+        Integral factors multiply integer counters exactly, so scaled
         reports conserve uops: ``scaled(n).total_uops == n * total_uops``.
         Fractional factors fall back to rounding each integer counter,
         which cannot conserve sums — callers that need conservation must
@@ -243,8 +242,7 @@ class LoopReport:
         return max(counts, key=counts.get)  # type: ignore[arg-type]
 
 
-#: ``LoopReport`` field names in declaration order: ``scaled`` walks
-#: them on every SMT round it extrapolates, so they are read once here
+#: ``LoopReport`` field names in declaration order, read once here
 #: instead of through ``dataclasses.fields`` per call.
 _REPORT_FIELDS = tuple(f.name for f in fields(LoopReport))
 #: A report's field values, in declaration order (``LoopReport(*values)``
@@ -431,20 +429,6 @@ def _extend(values: tuple, terms: tuple, remaining: int, period_two: bool) -> li
         for i, _, q in terms:
             values[i] += q * remaining
     return values
-
-
-def extrapolate_tail(
-    prev_cost: "_IterationCost | None",
-    last_cost: "_IterationCost",
-    remaining: int,
-    period_two: bool,
-) -> LoopReport:
-    """Analytic report for ``remaining`` unsimulated iterations after
-    ``prev_cost`` and ``last_cost`` (see :func:`_extend`)."""
-    period_two = period_two and prev_cost is not None
-    prev = prev_cost.to_report() if period_two else None
-    terms = _terms(prev, last_cost.to_report())
-    return LoopReport(*_extend(_report_values(LoopReport()), terms, remaining, period_two))
 
 
 class FrontendEngine:
@@ -868,15 +852,13 @@ class FrontendEngine:
         registry = get_registry()
         start = registry.clock()
         plan = self._plan(program, thread, smt_active)
-        # Only a run long enough to warm up can reach a steady state.  The
-        # plan names the body, thread and mode.
-        long = not exact and program.iterations >= self.MIN_WARMUP
+        # The plan names the body, thread and mode.
         (report,) = self.memo_run(
             (program, thread, smt_active, exact),
             plan.sets,
             lambda: self._interpret(program, thread, smt_active, exact),
             finish=lambda prefix: (self._finish(program, thread, smt_active, prefix),),
-            prefix=(plan, (program.iterations,)) if long else None,
+            prefix=None if exact else (plan, (program.iterations,)),
         )
         points, latency = self._sim_instruments(registry)
         points.inc()

@@ -31,7 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.frontend.engine import LoopReport, _Prefix, _report_values
+from repro.frontend.engine import (
+    _ITERATIONS,
+    LoopReport,
+    _extend,
+    _Prefix,
+    _report_values,
+    _terms,
+)
 from repro.isa.program import LoopProgram
 from repro.machine.core import Core
 
@@ -86,16 +93,13 @@ class SmtExecutor:
         plans = (engine._plan(primary, 0, True), engine._plan(secondary, 1, True))
         sets = {*plans[0].sets, *plans[1].sets, *engine._plan(primary, 0, False).sets}
         ratio = max(1, round(primary.iterations / secondary.iterations))
-        # Only a run with more rounds than the warm-up can reach a steady
-        # state with rounds left to extrapolate.  The SMT plans name both
-        # bodies.
-        long = not exact and secondary.iterations > self.MIN_WARMUP_ROUNDS
+        # The SMT plans name both bodies.
         reports = engine.memo_run(
             (primary, secondary, exact),
             tuple(sorted(sets)),
             lambda: self._interleave(primary, secondary, ratio, exact),
             finish=lambda prefix: self._finish(primary, secondary, ratio, exact, prefix),
-            prefix=((*plans, ratio), (primary.iterations, secondary.iterations)) if long else None,
+            prefix=None if exact else ((*plans, ratio), (primary.iterations, secondary.iterations)),
         )
         return SmtRunResult(primary=reports[0], secondary=reports[1])
 
@@ -156,7 +160,17 @@ class SmtExecutor:
             steady,
             (rounds_done * ratio, rounds_done + 1) if full else None,
             (_report_values(primary_report), _report_values(secondary_report)),
-            (round_primary, round_secondary),
+            self._repeats(round_primary, round_secondary) if steady else None,
+        )
+
+    @staticmethod
+    def _repeats(round_primary: LoopReport, round_secondary: LoopReport) -> tuple:
+        """What the finish extrapolates from a round: the primary's
+        :func:`_terms`, its burst and the secondary's terms."""
+        return (
+            _terms(None, round_primary),
+            round_primary.iterations,
+            _terms(None, round_secondary),
         )
 
     def _finish(
@@ -168,14 +182,13 @@ class SmtExecutor:
         prefix: _Prefix,
     ) -> tuple[LoopReport, LoopReport]:
         """The rest of a run after its simulated prefix: extrapolate the
-        remaining rounds, drain the primary's leftover iterations, charge
-        both loop exits.  ``prefix`` (whose round reports it only reads)
-        is left as it is."""
+        remaining rounds via :func:`_extend`, drain the primary's leftover
+        iterations, charge both loop exits.  ``prefix`` is only read."""
         engine = self.core.engine
-        primary_report, secondary_report = (LoopReport(*values) for values in prefix.reports)
-        round_primary, round_secondary = prefix.last
-        remaining = secondary.iterations - secondary_report.iterations
-        primary_left = primary.iterations - primary_report.iterations
+        primary_values, secondary_values = prefix.reports
+        repeats = prefix.last
+        remaining = secondary.iterations - secondary_values[_ITERATIONS]
+        primary_left = primary.iterations - primary_values[_ITERATIONS]
         if remaining > 0 and not prefix.steady:
             # Hit MAX_SIMULATED_ROUNDS without period-1/2 convergence: run
             # one more live round and repeat it for the rest.
@@ -183,20 +196,25 @@ class SmtExecutor:
                 primary, secondary, min(ratio, primary_left)
             )
             primary_left -= round_primary.iterations
-            primary_report.merge(round_primary)
-            secondary_report.merge(round_secondary)
+            primary_values = _report_values(LoopReport(*primary_values).merge(round_primary))
+            secondary_values = _report_values(
+                LoopReport(*secondary_values).merge(round_secondary)
+            )
+            repeats = self._repeats(round_primary, round_secondary)
             remaining -= 1
         if remaining > 0:
-            secondary_report.merge(self._scale_round(round_secondary, remaining))
+            primary_terms, burst, secondary_terms = repeats
+            secondary_values = _extend(secondary_values, secondary_terms, remaining, False)
             # The primary side must never extrapolate past its own
             # iteration budget (the last simulated round's burst may
             # exceed what remains when the interleave ratio rounds).
-            burst = round_primary.iterations
             if burst > 0 and primary_left > 0:
                 full_rounds = min(remaining, primary_left // burst)
                 if full_rounds > 0:
-                    primary_report.merge(self._scale_round(round_primary, full_rounds))
+                    primary_values = _extend(primary_values, primary_terms, full_rounds, False)
                     primary_left -= full_rounds * burst
+        primary_report = LoopReport(*primary_values)
+        secondary_report = LoopReport(*secondary_values)
 
         # Drain any leftover primary iterations single-threaded (the
         # sender went idle; DSB indexing reverts to all sets).
@@ -220,9 +238,3 @@ class SmtExecutor:
         if primary_drained:
             engine.lsds[0].flush()
         return primary_report, secondary_report
-
-    @staticmethod
-    def _scale_round(round_report: LoopReport, remaining: int) -> LoopReport:
-        scaled = round_report.scaled(remaining)
-        scaled.simulated_iterations = 0
-        return scaled

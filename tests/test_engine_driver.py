@@ -20,8 +20,11 @@ from repro.exec import SerialExecutor
 from repro.frontend.engine import (
     SIM_LATENCY_EDGES,
     FrontendEngine,
+    LoopReport,
+    _extend,
     _IterationCost,
-    extrapolate_tail,
+    _report_values,
+    _terms,
 )
 from repro.isa.blocks import standard_mix_block
 from repro.isa.layout import BlockChainLayout
@@ -80,8 +83,16 @@ class TestIterationCostKey:
 
 
 # ----------------------------------------------------------------------
-# scaled() / extrapolate_tail conservation (bugfix regression)
+# scaled() / tail extrapolation conservation (bugfix regression)
 # ----------------------------------------------------------------------
+def extrapolate_tail(prev_cost, last_cost, remaining, period_two):
+    """The report of ``remaining`` iterations that ``_extend`` adds
+    after ``prev_cost`` and ``last_cost``, on its own."""
+    prev = prev_cost.to_report() if period_two else None
+    terms = _terms(prev, last_cost.to_report())
+    return LoopReport(*_extend(_report_values(LoopReport()), terms, remaining, period_two))
+
+
 class TestExtrapolationConservation:
     PREV = _IterationCost(
         cycles=12.5,

@@ -348,15 +348,11 @@ class TestReplayEqualsInterpretation:
         ops = [op for i in range(len(calls)) for op in (("reset",), ("run", i, 2))]
         _check(calls, ops)
 
-    def test_smt_secondary_bound(self, monkeypatch):
+    def test_smt_secondary_bound(self):
         """A secondary count below a prefix's rounds must not replay it,
-        even where the primary count would fit.  Only a prefix that runs
-        past the warm-up shows it: with the 6-round warm-up the pairs here
-        settle at round 6 or 7, where the `long` check already keeps out
-        every shorter secondary.  With a 2-round warm-up these two bodies
-        at ratio 1 settle at round 7, so a 7-iteration primary fits the
+        even where the primary count would fit: these two bodies at
+        ratio 1 settle by round 7, so a 7-iteration primary fits the
         first pair's prefix while a 5- or 6-round secondary does not."""
-        monkeypatch.setattr(SmtExecutor, "MIN_WARMUP_ROUNDS", 2)
         pairs = [(60, 60), (7, 5), (7, 6), (8, 6), (7, 8), (9, 8)]
         calls = [_smt(LoopProgram(BODIES[0], p), LoopProgram(BODIES[4], s)) for p, s in pairs]
         ops = [op for i in range(len(calls)) for op in (("reset",), ("run", i, 1))]
