@@ -9,6 +9,19 @@ Every channel follows the three-step protocol of Section IV:
 * **Decode** — a timing (or power) measurement reveals which path now
   delivers the probed micro-ops.
 
+Each bit runs through one of two protocols, written once in
+:mod:`repro.channels.base`:
+
+* :class:`NonMtChannel` — one thread runs the bit's whole
+  Init/Encode/Decode loop and the receiver times (or meters) it.  A
+  channel supplies its two bit bodies, ``bit_body(0)``/``bit_body(1)``;
+  subclasses may change where the loop runs (``_run``: an enclave call
+  for SGX) and what reads it (``meter``: RAPL for the power channels).
+* :class:`MtChannel` — the receiver's ``p`` decodes race the sender's
+  ``q`` encodes on the sibling hyper-thread, with synchronisation slips
+  and fixed-length bit slots.  A channel supplies its receiver and
+  sender loops.
+
 Concrete channels:
 
 ========================  =========================  ====================
@@ -32,6 +45,8 @@ from repro.channels.base import (
     BitSample,
     ChannelConfig,
     CovertChannel,
+    MtChannel,
+    NonMtChannel,
     TransmissionResult,
 )
 from repro.channels.probes import PathProbe, path_timing_samples, path_power_samples
@@ -57,6 +72,8 @@ __all__ = [
     "BitSample",
     "ChannelConfig",
     "CovertChannel",
+    "NonMtChannel",
+    "MtChannel",
     "TransmissionResult",
     "PathProbe",
     "path_timing_samples",

@@ -8,28 +8,47 @@ Defines the shared machinery every concrete channel uses:
 * :class:`CovertChannel` — base class implementing threshold calibration
   (alternating training pattern, Section V-B) and message transmission
   with rate/error accounting (Section V);
+* :class:`NonMtChannel` and :class:`MtChannel` — the two bit protocols
+  (Init/Encode/Decode on one thread; receiver and sender on sibling
+  hyper-threads), written once for every channel that runs them;
 * :class:`TransmissionResult` — rates in Kbps on the target machine and
   Wagner–Fischer error rates.
 
-Concrete channels implement :meth:`CovertChannel.send_bit`, returning a
-:class:`BitSample` with the receiver's (noisy) observation and the true
-wall-clock cycles the bit consumed.
+A concrete channel supplies only what differs: a :class:`NonMtChannel`
+its two bit loops (usually from ``bit_body(0)``/``bit_body(1)``), an
+:class:`MtChannel` its receiver and sender loops.  Each bit's
+:meth:`CovertChannel.send_bit` returns a :class:`BitSample` with the
+receiver's (noisy) observation and the true wall-clock cycles the bit
+consumed.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.analysis.bits import alternating_bits, bits_to_string
 from repro.analysis.outcome import ScenarioOutcome
 from repro.analysis.threshold import ThresholdDecoder, calibrate_threshold
 from repro.analysis.wagner_fischer import error_rate
 from repro.errors import ChannelError
+from repro.frontend.engine import LoopReport
+from repro.isa.blocks import MixBlock
+from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
-__all__ = ["ChannelConfig", "BitSample", "TransmissionResult", "CovertChannel"]
+if TYPE_CHECKING:
+    from repro.measure.rapl import RaplInterface
+
+__all__ = [
+    "ChannelConfig",
+    "BitSample",
+    "TransmissionResult",
+    "CovertChannel",
+    "NonMtChannel",
+    "MtChannel",
+]
 
 
 @dataclass(frozen=True)
@@ -188,10 +207,14 @@ class CovertChannel(abc.ABC):
     requires_smt: bool = False
     #: Whether the channel needs RAPL access.
     requires_rapl: bool = False
+    #: Protocol parameters that differ from :class:`ChannelConfig`'s,
+    #: applied when no config is given (the paper's defaults for the
+    #: channel; ``repro.service.spec.CHANNEL_DEFAULTS`` reads them too).
+    DEFAULTS: Mapping[str, object] = {}
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
         self.machine = machine
-        self.config = config or ChannelConfig()
+        self.config = config or ChannelConfig(**self.DEFAULTS)
         if self.requires_smt and not machine.spec.smt:
             raise ChannelError(
                 f"{self.name} needs hyper-threading, which {machine.spec.name} "
@@ -306,6 +329,19 @@ class CovertChannel(abc.ABC):
             return self.config.sync_fail_rate
         return self.config.sync_fail_rate * 0.15
 
+    def _overlap(self, m: int) -> float:
+        """Fraction of the bit's window the sender and receiver share.
+
+        A slipped bit only partially overlaps (m=1), or stray sibling
+        activity bleeds into an idle slot (m=0); this is the dominant
+        MT error source.  Draws the slip, then the overlap, from the
+        channel's stream.
+        """
+        slipped = self._rng.random() < self._slip_rate(m)
+        if m:
+            return self._rng.uniform(0.25, 0.75) if slipped else 1.0
+        return self._rng.uniform(0.05, 0.40) if slipped else 0.0
+
     def _slotted(self, wall_cycles: float) -> float:
         """Stretch a bit's wall clock to the channel's slot duration."""
         self._slot_cycles = max(self._slot_cycles, wall_cycles)
@@ -322,3 +358,105 @@ class CovertChannel(abc.ABC):
         if m not in (0, 1):
             raise ChannelError(f"bit must be 0 or 1, got {m!r}")
         return m
+
+
+class NonMtChannel(CovertChannel):
+    """One-thread protocol (Sections IV-C to IV-E, VI, VII-2/3).
+
+    Init, Encode and Decode run back to back as one loop on one hardware
+    thread, and the receiver observes the whole loop.  A channel builds
+    its two bit loops once, at construction (``self._programs``, usually
+    from :meth:`bit_body` via :meth:`_bit_programs`); subclasses change
+    only where the loop runs (:meth:`_run`) and what reads it
+    (:attr:`meter`).
+    """
+
+    #: RAPL interface whose energy reading is the observation; ``None``
+    #: reads the cycle timer instead.
+    meter: RaplInterface | None = None
+
+    _programs: tuple[LoopProgram, LoopProgram]
+
+    def bit_body(self, m: int) -> list[MixBlock]:
+        """The Init + Encode + Decode block sequence for one bit value."""
+        raise NotImplementedError
+
+    def _bit_programs(self) -> tuple[LoopProgram, LoopProgram]:
+        """The bit-0 and bit-1 loops: ``p`` iterations of each body,
+        labelled with the channel's name."""
+        p, label = self.config.p, f"{self.name}.bit"
+        return (
+            LoopProgram(self.bit_body(0), p, label=f"{label}0"),
+            LoopProgram(self.bit_body(1), p, label=f"{label}1"),
+        )
+
+    def _run(self, program: LoopProgram) -> LoopReport:
+        return self.machine.run_loop(program)
+
+    def send_bit(self, m: int) -> BitSample:
+        program = self._programs[self._validate_bit(m)]
+        report = self._run(program)
+        true_cycles = report.cycles + self._disturbance()
+        if self.meter is None:
+            measured = self.machine.timer.measure(true_cycles).measured_cycles
+        else:
+            measured = self.meter.measure_region(
+                report.energy_nj, true_cycles
+            ).measured_energy_nj
+        elapsed = true_cycles + self.config.bit_overhead_cycles
+        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+
+
+class MtChannel(CovertChannel):
+    """Hyper-threaded protocol (Sections IV-A/B, V-A, VII-1).
+
+    The receiver times ``p`` decode traversals while the sender, on the
+    sibling thread, runs ``q`` encode steps (m=1) or idles (m=0).  Each
+    bit draws a synchronisation slip and overlap (:meth:`_overlap`),
+    runs that share of both loops concurrently and the rest of the
+    receiver's alone, and charges a fixed-duration bit slot.  A channel
+    supplies the receiver and sender loops (``self._receiver``,
+    ``self._sender``), which are resized per bit.
+    """
+
+    requires_smt = True
+    #: Wall-clock cycles charged once per bit before the loops run.
+    _entry_cycles = 0.0
+    #: Multiplier on the sender's cycles in the concurrent region.
+    _sender_slowdown = 1.0
+
+    _receiver: LoopProgram
+    _sender: LoopProgram
+
+    def send_bit(self, m: int) -> BitSample:
+        m = self._validate_bit(m)
+        cfg = self.config
+        overlap = self._overlap(m)
+
+        receiver_cycles = 0.0
+        wall_cycles = self._entry_cycles
+        overlap_q = round(cfg.q * overlap)
+        overlap_p = round(cfg.p * overlap)
+        if overlap_q >= 1 and overlap_p >= 1:
+            result = self.machine.run_smt(
+                self._receiver.with_iterations(overlap_p),
+                self._sender.with_iterations(overlap_q),
+            )
+            receiver_cycles += result.primary.cycles
+            # The concurrent region lasts as long as the slower thread.
+            wall_cycles += max(
+                result.primary.cycles,
+                result.secondary.cycles * self._sender_slowdown,
+            )
+        solo_p = cfg.p - max(overlap_p, 0)
+        if solo_p >= 1:
+            report = self.machine.run_loop(self._receiver.with_iterations(solo_p))
+            receiver_cycles += report.cycles
+            wall_cycles += report.cycles
+        measured = self.machine.smt_timer.measure(receiver_cycles).measured_cycles
+        elapsed = (
+            self._slotted(wall_cycles)
+            + cfg.p * cfg.measurement_overhead_cycles
+            + cfg.bit_overhead_cycles
+        )
+        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)

@@ -19,7 +19,7 @@ on the fast LSD/DSB path).
 
 from __future__ import annotations
 
-from repro.channels.base import BitSample, ChannelConfig, CovertChannel
+from repro.channels.base import ChannelConfig, MtChannel, NonMtChannel
 from repro.errors import ChannelError
 from repro.isa.blocks import MixBlock
 from repro.isa.program import LoopProgram
@@ -28,10 +28,16 @@ from repro.machine.machine import Machine
 __all__ = ["MtEvictionChannel", "NonMtEvictionChannel"]
 
 
-class NonMtEvictionChannel(CovertChannel):
-    """Non-MT eviction channel (Section IV-C), stealthy or fast variant."""
+def _check_d(machine: Machine, config: ChannelConfig) -> None:
+    ways = machine.spec.dsb_ways
+    if not 1 <= config.d <= ways:
+        raise ChannelError(
+            f"d must be in 1..{ways} for eviction channels, got {config.d}"
+        )
 
-    requires_smt = False
+
+class NonMtEvictionChannel(NonMtChannel):
+    """Non-MT eviction channel (Section IV-C), stealthy or fast variant."""
 
     def __init__(
         self,
@@ -44,11 +50,8 @@ class NonMtEvictionChannel(CovertChannel):
         self.variant = variant
         self.name = f"non-mt-{variant}-eviction"
         super().__init__(machine, config)
+        _check_d(machine, self.config)
         ways = machine.spec.dsb_ways
-        if not 1 <= self.config.d <= ways:
-            raise ChannelError(
-                f"d must be in 1..{ways} for eviction channels, got {self.config.d}"
-            )
         layout = machine.layout()
         d = self.config.d
         # Blocks 0..N map to the target set: the receiver's d plus the
@@ -62,6 +65,7 @@ class NonMtEvictionChannel(CovertChannel):
             first_slot=d,
             label="evict.y",
         )
+        self._programs = self._bit_programs()
 
     def bit_body(self, m: int) -> list[MixBlock]:
         """The Init + Encode + Decode block sequence for one bit value."""
@@ -74,79 +78,23 @@ class NonMtEvictionChannel(CovertChannel):
             encode = []
         return self._probe_blocks + encode + self._probe_blocks
 
-    def send_bit(self, m: int) -> BitSample:
-        body = self.bit_body(m)
-        program = LoopProgram(body, self.config.p, label=f"{self.name}.bit{m}")
-        report = self.machine.run_loop(program)
-        true_cycles = report.cycles + self._disturbance()
-        measured = self.machine.timer.measure(true_cycles).measured_cycles
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
 
-
-class MtEvictionChannel(CovertChannel):
+class MtEvictionChannel(MtChannel):
     """Hyper-threaded eviction channel (Section IV-A, Figure 7)."""
 
     name = "mt-eviction"
-    requires_smt = True
 
-    #: Default iteration counts for the MT setting (Section V-A):
-    #: p = 1000 receiver decode traversals, q = 100 sender encode steps.
-    MT_DEFAULTS = {"p": 1000, "q": 100}
+    #: Iteration counts for the MT setting (Section V-A): p = 1000
+    #: receiver decode traversals, q = 100 sender encode steps.
+    DEFAULTS = {"p": 1000, "q": 100}
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
-        if config is None:
-            config = ChannelConfig(**self.MT_DEFAULTS)
         super().__init__(machine, config)
-        ways = machine.spec.dsb_ways
-        if not 1 <= self.config.d <= ways:
-            raise ChannelError(
-                f"d must be in 1..{ways} for eviction channels, got {self.config.d}"
-            )
+        _check_d(machine, self.config)
         layout = machine.layout()
-        d = self.config.d
-        all_blocks = layout.chain(self.config.target_set, ways + 1, label="mt-evict.x")
-        self._receiver_blocks = all_blocks[:d]
-        self._sender_blocks = all_blocks[d:]
-
-    def _receiver_program(self, iterations: int) -> LoopProgram:
-        return LoopProgram(self._receiver_blocks, iterations, "mt-evict.recv")
-
-    def _sender_program(self, iterations: int) -> LoopProgram:
-        return LoopProgram(self._sender_blocks, iterations, "mt-evict.send")
-
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
         cfg = self.config
-        # Synchronisation slip: sender and receiver windows only
-        # partially overlap (m=1), or stray sibling activity bleeds into
-        # an idle slot (m=0).  This is the dominant MT error source.
-        slipped = self._rng.random() < self._slip_rate(m)
-        if m:
-            overlap = self._rng.uniform(0.25, 0.75) if slipped else 1.0
-        else:
-            overlap = self._rng.uniform(0.05, 0.40) if slipped else 0.0
-
-        receiver_cycles = 0.0
-        wall_cycles = 0.0
-        overlap_q = round(cfg.q * overlap)
-        overlap_p = round(cfg.p * overlap)
-        if overlap_q >= 1 and overlap_p >= 1:
-            result = self.machine.run_smt(
-                self._receiver_program(overlap_p),
-                self._sender_program(overlap_q),
-            )
-            receiver_cycles += result.primary.cycles
-            wall_cycles += result.total_cycles
-        solo_p = cfg.p - max(overlap_p, 0)
-        if solo_p >= 1:
-            report = self.machine.run_loop(self._receiver_program(solo_p))
-            receiver_cycles += report.cycles
-            wall_cycles += report.cycles
-        measured = self.machine.smt_timer.measure(receiver_cycles).measured_cycles
-        elapsed = (
-            self._slotted(wall_cycles)
-            + cfg.p * cfg.measurement_overhead_cycles
-            + cfg.bit_overhead_cycles
+        all_blocks = layout.chain(
+            cfg.target_set, machine.spec.dsb_ways + 1, label="mt-evict.x"
         )
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+        self._receiver = LoopProgram(all_blocks[: cfg.d], cfg.p, "mt-evict.recv")
+        self._sender = LoopProgram(all_blocks[cfg.d :], cfg.q, "mt-evict.send")

@@ -18,15 +18,14 @@ fastest attack (1.4 Mbps) is the non-MT misalignment channel.
 
 from __future__ import annotations
 
-from repro.channels.base import BitSample, ChannelConfig, CovertChannel
+from repro.channels.base import ChannelConfig, MtChannel, NonMtChannel
+from repro.channels.eviction import MtEvictionChannel
 from repro.errors import ChannelError
+from repro.isa.blocks import MixBlock
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
 __all__ = ["MtMisalignmentChannel", "NonMtMisalignmentChannel"]
-
-#: Paper defaults for misalignment channels: d=5, M=8 (Section V-C).
-MISALIGN_DEFAULTS = {"d": 5, "M": 8}
 
 
 def _check_misalign_params(machine: Machine, config: ChannelConfig) -> None:
@@ -42,10 +41,11 @@ def _check_misalign_params(machine: Machine, config: ChannelConfig) -> None:
         )
 
 
-class NonMtMisalignmentChannel(CovertChannel):
+class NonMtMisalignmentChannel(NonMtChannel):
     """Non-MT misalignment channel (Section IV-D), stealthy or fast."""
 
-    requires_smt = False
+    #: Paper defaults for misalignment channels (Section V-C).
+    DEFAULTS = {"d": 5, "M": 8}
 
     def __init__(
         self,
@@ -57,8 +57,6 @@ class NonMtMisalignmentChannel(CovertChannel):
             raise ChannelError(f"variant must be 'stealthy' or 'fast', got {variant!r}")
         self.variant = variant
         self.name = f"non-mt-{variant}-misalignment"
-        if config is None:
-            config = ChannelConfig(**MISALIGN_DEFAULTS)
         super().__init__(machine, config)
         _check_misalign_params(machine, self.config)
         layout = machine.layout()
@@ -71,8 +69,9 @@ class NonMtMisalignmentChannel(CovertChannel):
         self._encode_aligned = layout.chain(
             target, M - d, first_slot=d, label="mis.enc0"
         )
+        self._programs = self._bit_programs()
 
-    def bit_body(self, m: int) -> list:
+    def bit_body(self, m: int) -> list[MixBlock]:
         """The Init + Encode + Decode block sequence for one bit value."""
         m = self._validate_bit(m)
         if m:
@@ -83,72 +82,32 @@ class NonMtMisalignmentChannel(CovertChannel):
             encode = []
         return self._probe_blocks + encode + self._probe_blocks
 
-    def send_bit(self, m: int) -> BitSample:
-        body = self.bit_body(m)
-        program = LoopProgram(body, self.config.p, label=f"{self.name}.bit{m}")
-        report = self.machine.run_loop(program)
-        true_cycles = report.cycles + self._disturbance()
-        measured = self.machine.timer.measure(true_cycles).measured_cycles
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
 
-
-class MtMisalignmentChannel(CovertChannel):
+class MtMisalignmentChannel(MtChannel):
     """Hyper-threaded misalignment channel (Section IV-B, Figure 8)."""
 
     name = "mt-misalignment"
-    requires_smt = True
 
-    MT_DEFAULTS = {"p": 1000, "q": 100, **MISALIGN_DEFAULTS}
+    DEFAULTS = {**MtEvictionChannel.DEFAULTS, **NonMtMisalignmentChannel.DEFAULTS}
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
-        if config is None:
-            config = ChannelConfig(**self.MT_DEFAULTS)
         super().__init__(machine, config)
         _check_misalign_params(machine, self.config)
         layout = machine.layout()
-        d, M = self.config.d, self.config.M
-        target = self.config.target_set
-        self._receiver_blocks = layout.chain(target, d, label="mt-mis.recv")
-        self._sender_blocks = layout.chain(
-            target, M - d, misaligned=True, first_slot=d, label="mt-mis.send"
-        )
-
-    def _receiver_program(self, iterations: int) -> LoopProgram:
-        return LoopProgram(self._receiver_blocks, iterations, "mt-mis.recv")
-
-    def _sender_program(self, iterations: int) -> LoopProgram:
-        return LoopProgram(self._sender_blocks, iterations, "mt-mis.send")
-
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
         cfg = self.config
-        slipped = self._rng.random() < self._slip_rate(m)
-        if m:
-            overlap = self._rng.uniform(0.25, 0.75) if slipped else 1.0
-        else:
-            overlap = self._rng.uniform(0.05, 0.40) if slipped else 0.0
-
-        receiver_cycles = 0.0
-        wall_cycles = 0.0
-        overlap_q = round(cfg.q * overlap)
-        overlap_p = round(cfg.p * overlap)
-        if overlap_q >= 1 and overlap_p >= 1:
-            result = self.machine.run_smt(
-                self._receiver_program(overlap_p),
-                self._sender_program(overlap_q),
-            )
-            receiver_cycles += result.primary.cycles
-            wall_cycles += result.total_cycles
-        solo_p = cfg.p - max(overlap_p, 0)
-        if solo_p >= 1:
-            report = self.machine.run_loop(self._receiver_program(solo_p))
-            receiver_cycles += report.cycles
-            wall_cycles += report.cycles
-        measured = self.machine.smt_timer.measure(receiver_cycles).measured_cycles
-        elapsed = (
-            self._slotted(wall_cycles)
-            + cfg.p * cfg.measurement_overhead_cycles
-            + cfg.bit_overhead_cycles
+        self._receiver = LoopProgram(
+            layout.chain(cfg.target_set, cfg.d, label="mt-mis.recv"),
+            cfg.p,
+            "mt-mis.recv",
         )
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+        self._sender = LoopProgram(
+            layout.chain(
+                cfg.target_set,
+                cfg.M - cfg.d,
+                misaligned=True,
+                first_slot=cfg.d,
+                label="mt-mis.send",
+            ),
+            cfg.q,
+            "mt-mis.send",
+        )

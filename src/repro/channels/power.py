@@ -10,10 +10,9 @@ the 100 bps the TCSEC considers a high-bandwidth channel.
 
 from __future__ import annotations
 
-from repro.channels.base import BitSample, ChannelConfig
+from repro.channels.base import ChannelConfig, NonMtChannel
 from repro.channels.eviction import NonMtEvictionChannel
 from repro.channels.misalignment import NonMtMisalignmentChannel
-from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
 __all__ = ["PowerEvictionChannel", "PowerMisalignmentChannel"]
@@ -22,75 +21,48 @@ __all__ = ["PowerEvictionChannel", "PowerMisalignmentChannel"]
 POWER_ITERATIONS = 240_000
 
 
-class _PowerChannelMixin:
-    """Shared RAPL measurement for power channels.
+def _meter_with_rapl(channel: NonMtChannel, name: str) -> None:
+    """Observe a timing channel's bits through the machine's RAPL.
 
-    Subclasses reuse a timing channel's program construction and replace
-    the observation: energy over the bit's whole Init/Encode/Decode
-    region, as read from the (quantised, noisy) RAPL counter.
+    The rename comes after ``CovertChannel.__init__`` on purpose: the
+    channel keeps drawing its disturbances from the stream named after
+    its timing parent, ``channel/non-mt-<variant>-<mechanism>``, which
+    Table V's numbers come from.  The bit loops are relabelled with the
+    new name.
     """
-
-    requires_rapl = True
-
-    def _measure_power_bit(self, m: int, body: list) -> BitSample:
-        program = LoopProgram(body, self.config.p, label=f"{self.name}.bit{m}")
-        report = self.machine.run_loop(program)
-        disturb = self._disturbance()
-        true_cycles = report.cycles + disturb
-        sample = self.machine.rapl.measure_region(report.energy_nj, true_cycles)
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(
-            measurement=sample.measured_energy_nj, elapsed_cycles=elapsed, sent=m
-        )
+    channel.name = name
+    channel.meter = channel.machine.rapl
+    channel._programs = channel._bit_programs()
 
 
-class PowerEvictionChannel(_PowerChannelMixin, NonMtEvictionChannel):
+class PowerEvictionChannel(NonMtEvictionChannel):
     """Eviction-encoded bits observed through RAPL (Table V, column 1)."""
 
+    requires_rapl = True
+    #: Paper (Section VI): p = q = 240,000 iterations per bit.
+    DEFAULTS = {"p": POWER_ITERATIONS, "q": POWER_ITERATIONS}
+
     def __init__(
         self,
         machine: Machine,
         config: ChannelConfig | None = None,
         variant: str = "fast",
     ) -> None:
-        if config is None:
-            config = ChannelConfig(p=POWER_ITERATIONS, q=POWER_ITERATIONS)
         super().__init__(machine, config, variant=variant)
-        self.name = f"power-{variant}-eviction"
-
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
-        if m:
-            encode = self._encode_blocks
-        elif self.variant == "stealthy":
-            encode = self._decoy_blocks
-        else:
-            encode = []
-        body = self._probe_blocks + encode + self._probe_blocks
-        return self._measure_power_bit(m, body)
+        _meter_with_rapl(self, f"power-{variant}-eviction")
 
 
-class PowerMisalignmentChannel(_PowerChannelMixin, NonMtMisalignmentChannel):
+class PowerMisalignmentChannel(NonMtMisalignmentChannel):
     """Misalignment-encoded bits observed through RAPL (Table V, column 2)."""
 
+    requires_rapl = True
+    DEFAULTS = {**NonMtMisalignmentChannel.DEFAULTS, **PowerEvictionChannel.DEFAULTS}
+
     def __init__(
         self,
         machine: Machine,
         config: ChannelConfig | None = None,
         variant: str = "fast",
     ) -> None:
-        if config is None:
-            config = ChannelConfig(p=POWER_ITERATIONS, q=POWER_ITERATIONS, d=5, M=8)
         super().__init__(machine, config, variant=variant)
-        self.name = f"power-{variant}-misalignment"
-
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
-        if m:
-            encode = self._encode_misaligned
-        elif self.variant == "stealthy":
-            encode = self._encode_aligned
-        else:
-            encode = []
-        body = self._probe_blocks + encode + self._probe_blocks
-        return self._measure_power_bit(m, body)
+        _meter_with_rapl(self, f"power-{variant}-misalignment")

@@ -53,11 +53,9 @@ class RetirementChannel(CovertChannel):
     #: whole receiver window) and a tighter slip rate than the frontend
     #: MT channels — retirement windows need no set-phase alignment,
     #: only coarse overlap.
-    MT_DEFAULTS = {"p": 300, "q": 300, "sync_fail_rate": 0.06}
+    DEFAULTS = {"p": 300, "q": 300, "sync_fail_rate": 0.06}
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
-        if config is None:
-            config = ChannelConfig(**self.MT_DEFAULTS)
         super().__init__(machine, config)
         ways = machine.spec.dsb_ways
         if not 1 <= self.config.d <= ways:
@@ -68,34 +66,27 @@ class RetirementChannel(CovertChannel):
         layout = machine.layout()
         # Disjoint sets: config validation already guarantees
         # target_set != decoy_set, so the loops never contend in the DSB.
-        self._receiver_blocks = layout.chain(
-            self.config.target_set, self.config.d, label="retire.recv"
+        self._receiver = LoopProgram(
+            layout.chain(self.config.target_set, self.config.d, label="retire.recv"),
+            self.config.p,
+            "retire.recv",
         )
-        self._sender_blocks = layout.chain(
+        sender_blocks = layout.chain(
             self.config.decoy_set,
             self.config.d,
             first_slot=self.config.d,
             label="retire.send",
         )
-        self._sender_uops_per_iter = sum(
-            block.uop_count for block in self._sender_blocks
-        )
-
-    def _receiver_program(self, iterations: int) -> LoopProgram:
-        return LoopProgram(self._receiver_blocks, iterations, "retire.recv")
+        self._sender_uops_per_iter = sum(block.uop_count for block in sender_blocks)
 
     def send_bit(self, m: int) -> BitSample:
         m = self._validate_bit(m)
         cfg = self.config
         # Synchronisation slip at sender activity edges, as for the
         # other MT channels (Section V-A).
-        slipped = self._rng.random() < self._slip_rate(m)
-        if m:
-            overlap = self._rng.uniform(0.25, 0.75) if slipped else 1.0
-        else:
-            overlap = self._rng.uniform(0.05, 0.40) if slipped else 0.0
+        overlap = self._overlap(m)
 
-        report = self.machine.run_loop(self._receiver_program(cfg.p))
+        report = self.machine.run_loop(self._receiver)
         # Round-robin slot sharing during the overlapped window: the
         # receiver loses every other slot, i.e. pays one extra cycle per
         # RETIRE_WIDTH contended micro-ops — bounded by the micro-ops

@@ -17,20 +17,18 @@ validates with performance counters.
 
 from __future__ import annotations
 
-from repro.channels.base import BitSample, ChannelConfig, CovertChannel
+from repro.channels.base import ChannelConfig, NonMtChannel
 from repro.errors import ChannelError
-from repro.isa.blocks import lcp_block
-from repro.isa.program import LoopProgram
+from repro.isa.blocks import MixBlock, lcp_block
 from repro.machine.machine import Machine
 
 __all__ = ["SlowSwitchChannel"]
 
 
-class SlowSwitchChannel(CovertChannel):
+class SlowSwitchChannel(NonMtChannel):
     """Non-MT covert channel built from LCP-induced switch penalties."""
 
     name = "non-mt-slow-switch"
-    requires_smt = False
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
         super().__init__(machine, config)
@@ -46,13 +44,8 @@ class SlowSwitchChannel(CovertChannel):
             raise ChannelError(
                 "mixed/ordered encodings must retire identical uop counts"
             )
+        self._programs = self._bit_programs()
 
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
-        block = self._mixed if m else self._ordered
-        program = LoopProgram([block], self.config.p, label=f"{self.name}.bit{m}")
-        report = self.machine.run_loop(program)
-        true_cycles = report.cycles + self._disturbance()
-        measured = self.machine.timer.measure(true_cycles).measured_cycles
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+    def bit_body(self, m: int) -> list[MixBlock]:
+        """Mixed issue encodes a 1, ordered issue a 0."""
+        return [self._mixed if self._validate_bit(m) else self._ordered]

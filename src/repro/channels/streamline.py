@@ -46,7 +46,7 @@ class RingBufferChannel(CovertChannel):
         ring_sets: int = 16,
         region_base: int = 0x07_000000,
     ) -> None:
-        super().__init__(machine, config or ChannelConfig())
+        super().__init__(machine, config)
         if not 2 <= ring_sets <= machine.spec.dsb_sets:
             raise ChannelError(
                 f"ring_sets must be in 2..{machine.spec.dsb_sets}, got {ring_sets}"

@@ -788,8 +788,41 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+
+
+def _local_executor(jobs: int):
+    from repro.exec import ParallelExecutor, SerialExecutor
+
+    return ParallelExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()
+
+
+def _executor(args, on_event=None):
+    """Executor for ``--jobs``/``--workers``/``--bind`` (sweeps and synth
+    campaigns); ``on_event`` receives cluster shard/worker events."""
+    _check_jobs(args)
+    if args.workers < 0:
+        raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
+    # --workers N launches in-process cluster workers; an explicit
+    # --bind with --workers 0 runs the coordinator for *external*
+    # workers only (python -m repro worker --connect <bind>).
+    if args.workers > 0 or args.bind != _DEFAULT_BIND:
+        from repro.cluster import DistributedExecutor
+
+        return DistributedExecutor(
+            workers=args.workers,
+            bind=args.bind,
+            jobs=args.jobs,
+            shard_size=args.shard_size,
+            on_event=on_event,
+        )
+    return _local_executor(args.jobs)
+
+
 def _cmd_sweep(args) -> int:
-    from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
+    from repro.exec import ResultCache
     from repro.reporting import format_execution_stats
     from repro.service.events import jsonl_progress
     from repro.sweep import ParameterSweep
@@ -799,34 +832,13 @@ def _cmd_sweep(args) -> int:
         sweep_point_metrics, args.machine, args.channel, args.variant, args.bits
     )
     sweep = ParameterSweep(factory, grid, trials=args.trials, base_seed=args.seed)
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.workers < 0:
-        raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
-    # --workers N launches in-process cluster workers; an explicit
-    # --bind with --workers 0 runs the coordinator for *external*
-    # workers only (python -m repro worker --connect <bind>).
-    distributed = args.workers > 0 or args.bind != _DEFAULT_BIND
-    if distributed:
-        from repro.cluster import DistributedExecutor
-
-        # Shard/worker events share the progress stream (stderr JSONL).
-        on_event = (
-            (lambda event: print(event.to_json(), file=sys.stderr, flush=True))
-            if args.progress
-            else None
-        )
-        executor = DistributedExecutor(
-            workers=args.workers,
-            bind=args.bind,
-            jobs=args.jobs,
-            shard_size=args.shard_size,
-            on_event=on_event,
-        )
-    else:
-        executor = (
-            ParallelExecutor(jobs=args.jobs) if args.jobs > 1 else SerialExecutor()
-        )
+    # Shard/worker events share the progress stream (stderr JSONL).
+    on_event = (
+        (lambda event: print(event.to_json(), file=sys.stderr, flush=True))
+        if args.progress
+        else None
+    )
+    executor = _executor(args, on_event)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     # Progress events go to stderr in the service's JSONL format, so
     # stdout stays byte-identical with and without --progress.
@@ -856,14 +868,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
+    from repro.exec import ResultCache
     from repro.service import AuthPolicy, JobStore, SweepServer, SweepService
 
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
-    executor = (
-        ParallelExecutor(jobs=args.jobs) if args.jobs > 1 else SerialExecutor()
-    )
+    _check_jobs(args)
+    executor = _local_executor(args.jobs)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = JobStore(args.state_dir) if args.state_dir else None
     auth = AuthPolicy.from_file(args.auth) if args.auth else None
@@ -891,7 +900,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.service.client import render_rows, submit_and_stream
+    from repro.service.client import submit_and_stream
     from repro.service.spec import SweepSpec
 
     grid = dict(parse_param_axis(axis) for axis in args.param)
@@ -907,6 +916,18 @@ def _cmd_submit(args) -> int:
         label=args.label,
     )
     final = submit_and_stream(args.socket, spec, **_client_auth(args))
+    return _render_job(
+        final,
+        f"sweep over {', '.join(grid)} — {args.channel} on {args.machine} "
+        f"({args.bits}-bit message, {args.trials} trial(s)/point)",
+    )
+
+
+def _render_job(final, heading: str) -> int:
+    """Print a submitted job's final event: its table under ``heading``
+    and the service summary, or the failure on stderr (exit code 1)."""
+    from repro.service.client import render_rows
+
     if final.kind != "job-done":
         print(f"error: {final.get('message')}", file=sys.stderr)
         return 1
@@ -915,10 +936,7 @@ def _cmd_submit(args) -> int:
         print(f"job {final.get('job')} finished with status: {status}",
               file=sys.stderr)
         return 1
-    print(
-        f"sweep over {', '.join(grid)} — {args.channel} on {args.machine} "
-        f"({args.bits}-bit message, {args.trials} trial(s)/point)"
-    )
+    print(heading)
     print(
         render_rows(
             final.get("parameters", []),
@@ -965,8 +983,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_worker(args) -> int:
     from repro.cluster import run_worker
 
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_jobs(args)
     print(f"worker connecting to {args.connect}", file=sys.stderr)
     try:
         run_worker(
@@ -1074,7 +1091,7 @@ def _cmd_scenario(args) -> int:
         return 0 if result.passed else 1
     # submit: a scenario parameter grid through the running sweep service.
     from repro.scenarios.sweep import ScenarioSweepSpec
-    from repro.service.client import render_rows, submit_and_stream
+    from repro.service.client import submit_and_stream
 
     grid = dict(parse_param_axis(axis) for axis in args.param)
     sweep_spec = ScenarioSweepSpec(
@@ -1086,31 +1103,11 @@ def _cmd_scenario(args) -> int:
         label=args.label,
     )
     final = submit_and_stream(args.socket, sweep_spec, **_client_auth(args))
-    if final.kind != "job-done":
-        print(f"error: {final.get('message')}", file=sys.stderr)
-        return 1
-    status = final.get("status")
-    if status != "ok":
-        print(f"job {final.get('job')} finished with status: {status}",
-              file=sys.stderr)
-        return 1
-    print(
+    return _render_job(
+        final,
         f"scenario grid over {', '.join(grid)} — {spec.name} on "
-        f"{spec.machine} ({args.trials} trial(s)/point)"
+        f"{spec.machine} ({args.trials} trial(s)/point)",
     )
-    print(
-        render_rows(
-            final.get("parameters", []),
-            final.get("metrics", []),
-            final.get("rows", []),
-        )
-    )
-    print(
-        f"{final.get('points')} points via service — "
-        f"cache hits {final.get('cache_hits')}, computed {final.get('computed')}, "
-        f"shared {final.get('shared')}, {final.get('elapsed_s'):.2f}s"
-    )
-    return 0
 
 
 def _parse_defense_stacks(values) -> tuple[dict, ...]:
@@ -1130,26 +1127,6 @@ def _parse_defense_stacks(values) -> tuple[dict, ...]:
             )
         stacks.append({"mitigations": names})
     return tuple(stacks)
-
-
-def _synth_executor(args):
-    """Executor for a synth campaign (mirrors the sweep verb's choices)."""
-    from repro.exec import ParallelExecutor, SerialExecutor
-
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.workers < 0:
-        raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
-    if args.workers > 0 or args.bind != _DEFAULT_BIND:
-        from repro.cluster import DistributedExecutor
-
-        return DistributedExecutor(
-            workers=args.workers,
-            bind=args.bind,
-            jobs=args.jobs,
-            shard_size=args.shard_size,
-        )
-    return ParallelExecutor(jobs=args.jobs) if args.jobs > 1 else SerialExecutor()
 
 
 def _render_synth_findings(report) -> None:
@@ -1250,7 +1227,7 @@ def _cmd_synth(args) -> int:
     )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     search = SynthSearch(config)
-    report = search.run(executor=_synth_executor(args), cache=cache)
+    report = search.run(executor=_executor(args), cache=cache)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report.to_json() + "\n")

@@ -209,29 +209,6 @@ class LoopReport:
         self.simulated_iterations += 1
         return self
 
-    def scaled(self, factor: float) -> "LoopReport":
-        """Return a copy with every counter multiplied by ``factor``.
-
-        Integral factors multiply integer counters exactly, so scaled
-        reports conserve uops: ``scaled(n).total_uops == n * total_uops``.
-        Fractional factors fall back to rounding each integer counter,
-        which cannot conserve sums — callers that need conservation must
-        scale by integers.
-        """
-        result = LoopReport()
-        integral = isinstance(factor, int) or (
-            isinstance(factor, float) and factor.is_integer()
-        )
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, float):
-                setattr(result, name, value * factor)
-            elif integral:
-                setattr(result, name, value * int(factor))
-            else:
-                setattr(result, name, round(value * factor))
-        return result
-
     def dominant_path(self) -> DeliveryPath:
         """Path that delivered the most uops."""
         counts = {

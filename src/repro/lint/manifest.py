@@ -60,6 +60,10 @@ class DocSpec:
 _PARAMS = "src/repro/frontend/params.py"
 _MITE = "src/repro/frontend/mite.py"
 _SPECS = "src/repro/machine/specs.py"
+_EVICTION = "src/repro/channels/eviction.py"
+_MISALIGN = "src/repro/channels/misalignment.py"
+_POWER = "src/repro/channels/power.py"
+_SGX = "src/repro/sgx/attacks.py"
 
 CONSTANTS: tuple[ConstantSpec, ...] = (
     # ---- DSB geometry (SDM via paper Section III-B) -------------------
@@ -186,6 +190,23 @@ CONSTANTS: tuple[ConstantSpec, ...] = (
                  "Table I: E-2288G LSD enabled, 64 entries"),
     ConstantSpec("e2288g.smt", _SPECS, "XEON_E2288G.smt", False,
                  "Table I: Azure E-2288G has hyper-threading disabled"),
+    # ---- covert-channel protocol parameters ---------------------------
+    ConstantSpec("protocol.mt_iterations", _EVICTION,
+                 "MtEvictionChannel.DEFAULTS", {"p": 1000, "q": 100},
+                 "paper Sec. V-A: MT channels use p = 1000, q = 100"),
+    ConstantSpec("protocol.misalignment_blocks", _MISALIGN,
+                 "NonMtMisalignmentChannel.DEFAULTS", {"d": 5, "M": 8},
+                 "paper Sec. V-C: misalignment channels use d = 5, M = 8"),
+    ConstantSpec("protocol.power_iterations", _POWER, "POWER_ITERATIONS",
+                 240_000,
+                 "paper Sec. VI: power channels use p = q = 240,000"),
+    ConstantSpec("protocol.sgx_iterations", _SGX, "SgxNonMtAttack.DEFAULTS",
+                 {"p": 1000, "q": 1000},
+                 "paper Sec. VII: SGX attacks use p = 1,000 iterations"),
+    ConstantSpec("protocol.sgx_mt_iterations", _SGX, "SgxMtAttack.DEFAULTS",
+                 {"p": 1000, "q": 10_000},
+                 "paper Sec. VII: the SGX MT attack uses p = 1,000, "
+                 "q = 10,000"),
 )
 
 DOCS: tuple[DocSpec, ...] = (

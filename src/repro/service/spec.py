@@ -27,15 +27,10 @@ from repro.analysis.bits import alternating_bits
 from repro.channels.base import ChannelConfig
 from repro.channels.eviction import MtEvictionChannel, NonMtEvictionChannel
 from repro.channels.misalignment import (
-    MISALIGN_DEFAULTS,
     MtMisalignmentChannel,
     NonMtMisalignmentChannel,
 )
-from repro.channels.power import (
-    POWER_ITERATIONS,
-    PowerEvictionChannel,
-    PowerMisalignmentChannel,
-)
+from repro.channels.power import PowerEvictionChannel, PowerMisalignmentChannel
 from repro.channels.retirement import RetirementChannel
 from repro.channels.slow_switch import SlowSwitchChannel
 from repro.errors import ConfigurationError
@@ -55,63 +50,42 @@ __all__ = [
     "parse_param_axis",
 ]
 
-#: Channel names accepted by ``transmit``/``sweep``/``submit``.
-CHANNEL_NAMES = (
-    "eviction",
-    "misalignment",
-    "slow-switch",
-    "mt-eviction",
-    "mt-misalignment",
-    "mt-retirement",
-    "power-eviction",
-    "power-misalignment",
-)
+#: Channel classes by the name ``transmit``/``sweep``/``submit`` accept.
+_CHANNELS = {
+    "eviction": NonMtEvictionChannel,
+    "misalignment": NonMtMisalignmentChannel,
+    "slow-switch": SlowSwitchChannel,
+    "mt-eviction": MtEvictionChannel,
+    "mt-misalignment": MtMisalignmentChannel,
+    "mt-retirement": RetirementChannel,
+    "power-eviction": PowerEvictionChannel,
+    "power-misalignment": PowerMisalignmentChannel,
+}
+#: The channels whose constructor takes a ``variant``.
+_VARIANT_CHANNELS = {"eviction", "misalignment", "power-eviction", "power-misalignment"}
 
-#: Per-channel default protocol parameters, mirroring each constructor's
-#: ``config is None`` branch so sweep overrides start from the same
-#: baseline as a plain ``transmit``.
+#: Channel names accepted by ``transmit``/``sweep``/``submit``.
+CHANNEL_NAMES = tuple(_CHANNELS)
+
+#: Per-channel default protocol parameters: each class's ``DEFAULTS``,
+#: which its constructor applies when no config is given, so sweep
+#: overrides start from the same baseline as a plain ``transmit``.
 CHANNEL_DEFAULTS: dict[str, dict] = {
-    "eviction": {},
-    "misalignment": dict(MISALIGN_DEFAULTS),
-    "slow-switch": {},
-    "mt-eviction": dict(MtEvictionChannel.MT_DEFAULTS),
-    "mt-misalignment": dict(MtMisalignmentChannel.MT_DEFAULTS),
-    "mt-retirement": dict(RetirementChannel.MT_DEFAULTS),
-    "power-eviction": {"p": POWER_ITERATIONS, "q": POWER_ITERATIONS},
-    "power-misalignment": {
-        "p": POWER_ITERATIONS,
-        "q": POWER_ITERATIONS,
-        "d": 5,
-        "M": 8,
-    },
+    name: dict(cls.DEFAULTS) for name, cls in _CHANNELS.items()
 }
 
 
 def build_channel(machine: Machine, name: str, variant: str, config=None):
     """Construct one covert channel by CLI name."""
-    builders = {
-        "eviction": lambda: NonMtEvictionChannel(machine, config, variant=variant),
-        "misalignment": lambda: NonMtMisalignmentChannel(
-            machine, config, variant=variant
-        ),
-        "slow-switch": lambda: SlowSwitchChannel(machine, config),
-        "mt-eviction": lambda: MtEvictionChannel(machine, config),
-        "mt-misalignment": lambda: MtMisalignmentChannel(machine, config),
-        "mt-retirement": lambda: RetirementChannel(machine, config),
-        "power-eviction": lambda: PowerEvictionChannel(
-            machine, config, variant=variant
-        ),
-        "power-misalignment": lambda: PowerMisalignmentChannel(
-            machine, config, variant=variant
-        ),
-    }
     try:
-        builder = builders[name]
+        cls = _CHANNELS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown channel {name!r}; choose from {sorted(builders)}"
+            f"unknown channel {name!r}; choose from {sorted(_CHANNELS)}"
         ) from None
-    return builder()
+    if name in _VARIANT_CHANNELS:
+        return cls(machine, config, variant=variant)
+    return cls(machine, config)
 
 
 def sweep_config(channel_name: str, overrides) -> ChannelConfig:

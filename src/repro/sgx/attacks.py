@@ -18,13 +18,15 @@ Both attacks place the *sender* Trojan inside the enclave:
 
 from __future__ import annotations
 
-from repro.channels.base import BitSample, ChannelConfig, CovertChannel
+from repro.channels.base import ChannelConfig, CovertChannel, MtChannel, NonMtChannel
 from repro.channels.eviction import MtEvictionChannel, NonMtEvictionChannel
 from repro.channels.misalignment import (
     MtMisalignmentChannel,
     NonMtMisalignmentChannel,
 )
 from repro.errors import ChannelError, EnclaveError
+from repro.frontend.engine import LoopReport
+from repro.isa.blocks import MixBlock
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.sgx.enclave import Enclave, EnclaveParams
@@ -41,13 +43,41 @@ _MT_MECHANISMS = {
 }
 
 
-class SgxNonMtAttack(CovertChannel):
-    """Non-MT timing attack on an SGX enclave (Section VII-2)."""
+def _mechanism(
+    attack: CovertChannel,
+    mechanisms: dict[str, type[CovertChannel]],
+    mechanism: str,
+    machine: Machine,
+    config: ChannelConfig | None,
+) -> tuple[type[CovertChannel], ChannelConfig]:
+    """The mechanism's channel class and the attack's config.
 
-    requires_smt = False
+    Without a config, the attack's own ``DEFAULTS`` apply over the
+    mechanism's (e.g. misalignment's ``d`` and ``M``).
+    """
+    if mechanism not in mechanisms:
+        raise ChannelError(
+            f"mechanism must be one of {sorted(mechanisms)}, got {mechanism!r}"
+        )
+    if not machine.spec.sgx:
+        raise EnclaveError(f"{machine.spec.name} has no SGX support")
+    channel_cls = mechanisms[mechanism]
+    if config is None:
+        config = ChannelConfig(**{**channel_cls.DEFAULTS, **attack.DEFAULTS})
+    return channel_cls, config
+
+
+class SgxNonMtAttack(NonMtChannel):
+    """Non-MT timing attack on an SGX enclave (Section VII-2).
+
+    The one-thread protocol with each bit's loop run as one enclave
+    call; the mechanism's channel supplies the bit bodies.
+    """
 
     #: Paper: p = q = 1,000 - 5,000 iterations per bit for SGX.
-    SGX_ITERATIONS = 1000
+    DEFAULTS = {"p": 1000, "q": 1000}
+    #: ``name`` pattern; the name also names the channel's noise stream.
+    NAME = "sgx-non-mt-{variant}-{mechanism}"
 
     def __init__(
         self,
@@ -57,46 +87,34 @@ class SgxNonMtAttack(CovertChannel):
         config: ChannelConfig | None = None,
         enclave_params: EnclaveParams | None = None,
     ) -> None:
-        if mechanism not in _NONMT_MECHANISMS:
-            raise ChannelError(
-                f"mechanism must be one of {sorted(_NONMT_MECHANISMS)}, got {mechanism!r}"
-            )
-        if not machine.spec.sgx:
-            raise EnclaveError(f"{machine.spec.name} has no SGX support")
+        channel_cls, config = _mechanism(
+            self, _NONMT_MECHANISMS, mechanism, machine, config
+        )
         self.mechanism = mechanism
-        self.name = f"sgx-non-mt-{variant}-{mechanism}"
-        if config is None:
-            defaults = {"p": self.SGX_ITERATIONS, "q": self.SGX_ITERATIONS}
-            if mechanism == "misalignment":
-                defaults.update(d=5, M=8)
-            config = ChannelConfig(**defaults)
+        self.name = self.NAME.format(variant=variant, mechanism=mechanism)
         super().__init__(machine, config)
         self.enclave = Enclave(machine, enclave_params)
-        # The inner channel only provides block layout / body building;
-        # measurement is replaced with the outside-the-enclave timer.
-        self._inner = _NONMT_MECHANISMS[mechanism](
-            machine, self.config, variant=variant
-        )
+        self._inner = channel_cls(machine, self.config, variant=variant)
+        self._programs = self._bit_programs()
 
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
-        body = self._inner.bit_body(m)
-        program = LoopProgram(body, self.config.p, label=f"{self.name}.bit{m}")
-        report = self.enclave.ecall(program)
-        true_cycles = report.cycles + self._disturbance()
-        measured = self.machine.timer.measure(true_cycles).measured_cycles
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+    def bit_body(self, m: int) -> list[MixBlock]:
+        return self._inner.bit_body(m)
+
+    def _run(self, program: LoopProgram) -> LoopReport:
+        return self.enclave.ecall(program)
 
 
-class SgxMtAttack(CovertChannel):
-    """MT timing attack on an SGX enclave (Section VII-1)."""
+class SgxMtAttack(MtChannel):
+    """MT timing attack on an SGX enclave (Section VII-1).
 
-    requires_smt = True
+    The MT protocol with the mechanism's receiver and sender loops; the
+    enclave sender is slowed by the enclave factor, and each bit pays
+    one enclave entry and exit.
+    """
 
     #: Paper iteration counts: p = 1,000 receiver decodes, q = 10,000
     #: enclave sender encodes per bit.
-    SGX_MT_DEFAULTS = {"p": 1000, "q": 10_000}
+    DEFAULTS = {"p": 1000, "q": 10_000}
 
     def __init__(
         self,
@@ -105,63 +123,14 @@ class SgxMtAttack(CovertChannel):
         config: ChannelConfig | None = None,
         enclave_params: EnclaveParams | None = None,
     ) -> None:
-        if mechanism not in _MT_MECHANISMS:
-            raise ChannelError(
-                f"mechanism must be one of {sorted(_MT_MECHANISMS)}, got {mechanism!r}"
-            )
-        if not machine.spec.sgx:
-            raise EnclaveError(f"{machine.spec.name} has no SGX support")
+        channel_cls, config = _mechanism(
+            self, _MT_MECHANISMS, mechanism, machine, config
+        )
         self.mechanism = mechanism
         self.name = f"sgx-mt-{mechanism}"
-        if config is None:
-            defaults = dict(self.SGX_MT_DEFAULTS)
-            if mechanism == "misalignment":
-                defaults.update(d=5, M=8)
-            config = ChannelConfig(**defaults)
         super().__init__(machine, config)
         self.enclave = Enclave(machine, enclave_params)
-        self._inner = _MT_MECHANISMS[mechanism](machine, self.config)
-
-    def send_bit(self, m: int) -> BitSample:
-        """One bit: enclave sender active (m=1) or idle (m=0).
-
-        The receiver's observation is its own decode-loop timing; the
-        enclave's execution (slowed by the enclave factor) sets the wall
-        clock for m=1 since sender and receiver run concurrently.
-        """
-        m = self._validate_bit(m)
-        cfg = self.config
-        slowdown = self.enclave.params.slowdown
-        slipped = self._rng.random() < self._slip_rate(m)
-        if m:
-            overlap = self._rng.uniform(0.25, 0.75) if slipped else 1.0
-        else:
-            overlap = self._rng.uniform(0.05, 0.40) if slipped else 0.0
-
-        receiver_cycles = 0.0
-        wall_cycles = self.enclave.params.round_trip_cycles  # one entry+exit
-        overlap_q = round(cfg.q * overlap)
-        overlap_p = round(cfg.p * overlap)
-        if overlap_q >= 1 and overlap_p >= 1:
-            result = self.machine.run_smt(
-                self._inner._receiver_program(overlap_p),
-                self._inner._sender_program(overlap_q),
-            )
-            receiver_cycles += result.primary.cycles
-            # The enclave sender is slowed by the enclave factor; the
-            # concurrent region lasts as long as the slower of the two.
-            wall_cycles += max(
-                result.primary.cycles, result.secondary.cycles * slowdown
-            )
-        solo_p = cfg.p - max(overlap_p, 0)
-        if solo_p >= 1:
-            report = self.machine.run_loop(self._inner._receiver_program(solo_p))
-            receiver_cycles += report.cycles
-            wall_cycles += report.cycles
-        measured = self.machine.smt_timer.measure(receiver_cycles).measured_cycles
-        elapsed = (
-            self._slotted(wall_cycles)
-            + cfg.p * cfg.measurement_overhead_cycles
-            + cfg.bit_overhead_cycles
-        )
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+        inner = channel_cls(machine, self.config)
+        self._receiver, self._sender = inner._receiver, inner._sender
+        self._entry_cycles = self.enclave.params.round_trip_cycles
+        self._sender_slowdown = self.enclave.params.slowdown

@@ -16,31 +16,23 @@ receiver differences a *privileged* RAPL interface that works even when
 
 from __future__ import annotations
 
-from repro.channels.base import BitSample, ChannelConfig, CovertChannel
-from repro.channels.eviction import NonMtEvictionChannel
-from repro.channels.misalignment import NonMtMisalignmentChannel
-from repro.errors import ChannelError, EnclaveError
-from repro.isa.program import LoopProgram
+from repro.channels.base import ChannelConfig
+from repro.channels.power import POWER_ITERATIONS
 from repro.machine.machine import Machine
 from repro.measure.rapl import RaplInterface
-from repro.sgx.enclave import Enclave, EnclaveParams
+from repro.sgx.attacks import SgxNonMtAttack
+from repro.sgx.enclave import EnclaveParams
 
 __all__ = ["SgxPowerAttack"]
 
-_MECHANISMS = {
-    "eviction": NonMtEvictionChannel,
-    "misalignment": NonMtMisalignmentChannel,
-}
 
-#: RAPL-refresh-limited iteration count, as for the Table V channels.
-POWER_ITERATIONS = 240_000
-
-
-class SgxPowerAttack(CovertChannel):
+class SgxPowerAttack(SgxNonMtAttack):
     """Privileged-OS power attack on an SGX enclave."""
 
-    requires_smt = False
     requires_rapl = False  # deliberately: the privileged path bypasses it
+    #: RAPL-refresh-limited iteration count, as for the Table V channels.
+    DEFAULTS = {"p": POWER_ITERATIONS, "q": POWER_ITERATIONS}
+    NAME = "sgx-power-{variant}-{mechanism}"
 
     def __init__(
         self,
@@ -50,38 +42,11 @@ class SgxPowerAttack(CovertChannel):
         config: ChannelConfig | None = None,
         enclave_params: EnclaveParams | None = None,
     ) -> None:
-        if mechanism not in _MECHANISMS:
-            raise ChannelError(
-                f"mechanism must be one of {sorted(_MECHANISMS)}, got {mechanism!r}"
-            )
-        if not machine.spec.sgx:
-            raise EnclaveError(f"{machine.spec.name} has no SGX support")
-        self.mechanism = mechanism
-        self.name = f"sgx-power-{variant}-{mechanism}"
-        if config is None:
-            defaults = {"p": POWER_ITERATIONS, "q": POWER_ITERATIONS}
-            if mechanism == "misalignment":
-                defaults.update(d=5, M=8)
-            config = ChannelConfig(**defaults)
-        super().__init__(machine, config)
-        self.enclave = Enclave(machine, enclave_params)
-        self._inner = _MECHANISMS[mechanism](machine, self.config, variant=variant)
+        super().__init__(machine, mechanism, variant, config, enclave_params)
         # The malicious OS's own RAPL handle: enabled regardless of the
         # machine's user-level RAPL policy.
-        self.privileged_rapl = RaplInterface(
+        self.meter = RaplInterface(
             machine.rngs.stream("sgx-privileged-rapl"),
             frequency_hz=machine.spec.frequency_hz,
             enabled=True,
-        )
-
-    def send_bit(self, m: int) -> BitSample:
-        m = self._validate_bit(m)
-        body = self._inner.bit_body(m)
-        program = LoopProgram(body, self.config.p, label=f"{self.name}.bit{m}")
-        report = self.enclave.ecall(program)
-        true_cycles = report.cycles + self._disturbance()
-        sample = self.privileged_rapl.measure_region(report.energy_nj, true_cycles)
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(
-            measurement=sample.measured_energy_nj, elapsed_cycles=elapsed, sent=m
         )

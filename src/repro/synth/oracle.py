@@ -36,7 +36,7 @@ from typing import Mapping
 
 from repro.analysis.bits import alternating_bits
 from repro.analysis.outcome import ScenarioOutcome
-from repro.channels.base import BitSample, ChannelConfig, CovertChannel
+from repro.channels.base import ChannelConfig, NonMtChannel
 from repro.defense.evaluation import (
     BROKEN_ERROR,
     DEGRADED_ERROR,
@@ -63,17 +63,16 @@ __all__ = [
 _FINGERPRINT_ITERATIONS = 4
 
 
-class SynthChannel(CovertChannel):
+class SynthChannel(NonMtChannel):
     """A candidate genome run as a non-MT covert channel.
 
-    ``send_bit`` executes the candidate's Init+Encode+Decode body for
-    the bit value and times the whole traversal through the machine's
-    noisy timer — the same receiver model as
+    Each bit runs the candidate's Init+Encode+Decode loop for the bit
+    value and times the whole traversal through the machine's noisy
+    timer — the one-thread protocol of
     :class:`~repro.channels.eviction.NonMtEvictionChannel`.
     """
 
     name = "synth"
-    requires_smt = False
 
     def __init__(
         self,
@@ -83,16 +82,7 @@ class SynthChannel(CovertChannel):
     ) -> None:
         self.candidate = candidate
         super().__init__(machine, config)
-        zero, one = candidate.programs(machine.layout())
-        self._programs = {0: zero, 1: one}
-
-    def send_bit(self, m: int) -> BitSample:
-        program = self._programs[self._validate_bit(m)]
-        report = self.machine.run_loop(program)
-        true_cycles = report.cycles + self._disturbance()
-        measured = self.machine.timer.measure(true_cycles).measured_cycles
-        elapsed = true_cycles + self.config.bit_overhead_cycles
-        return BitSample(measurement=measured, elapsed_cycles=elapsed, sent=m)
+        self._programs = candidate.programs(machine.layout())
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ class TestMtMisalignment:
 
     def test_sender_blocks_are_misaligned(self):
         channel = MtMisalignmentChannel(quiet_machine(), quiet_config())
-        assert all(b.spans_windows for b in channel._sender_blocks)
-        assert not any(b.spans_windows for b in channel._receiver_blocks)
+        assert all(b.spans_windows for b in channel._sender.body)
+        assert not any(b.spans_windows for b in channel._receiver.body)
 
     def test_defaults_follow_paper(self):
         channel = MtMisalignmentChannel(quiet_machine())

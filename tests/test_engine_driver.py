@@ -83,7 +83,7 @@ class TestIterationCostKey:
 
 
 # ----------------------------------------------------------------------
-# scaled() / tail extrapolation conservation (bugfix regression)
+# tail extrapolation conservation (bugfix regression)
 # ----------------------------------------------------------------------
 def extrapolate_tail(prev_cost, last_cost, remaining, period_two):
     """The report of ``remaining`` iterations that ``_extend`` adds
@@ -126,17 +126,6 @@ class TestExtrapolationConservation:
         dsb_evictions=0,
         energy_nj=6.5,
     )
-
-    @given(st.integers(min_value=0, max_value=10**7))
-    @settings(max_examples=60, deadline=None)
-    def test_scaled_integral_factor_is_exact(self, factor):
-        report = self.LAST.to_report()
-        scaled = report.scaled(factor)
-        assert scaled.uops_dsb == report.uops_dsb * factor
-        assert scaled.uops_mite == report.uops_mite * factor
-        assert scaled.lcp_stalls == report.lcp_stalls * factor
-        assert scaled.switches_to_mite == report.switches_to_mite * factor
-        assert scaled.cycles == report.cycles * factor
 
     def test_period_two_odd_remaining_golden(self):
         """5 remaining after ...prev,last ends => prev,last,prev,last,prev."""

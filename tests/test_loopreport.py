@@ -56,17 +56,6 @@ class TestLoopReportArithmetic:
         a = report()
         assert a.merge(report(cycles=1.0)) is a
 
-    def test_scaled_floats_exact_ints_rounded(self):
-        base = report(cycles=3.0, uops_dsb=3)
-        scaled = base.scaled(2.5)
-        assert scaled.cycles == 7.5
-        assert scaled.uops_dsb == 8  # round(7.5)
-
-    def test_scaled_zero(self):
-        scaled = report(cycles=100.0, uops_mite=7).scaled(0)
-        assert scaled.cycles == 0.0
-        assert scaled.uops_mite == 0
-
     @given(st.integers(min_value=0, max_value=1000),
            st.integers(min_value=0, max_value=1000),
            st.integers(min_value=0, max_value=1000))
