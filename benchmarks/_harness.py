@@ -30,18 +30,13 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 def sweep_executor():
     """Executor + cache configured from ``REPRO_SWEEP_*`` env vars."""
-    from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
+    from repro.cluster import make_executor
+    from repro.exec import ResultCache
 
-    jobs = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
-    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "0"))
-    if workers > 0:
-        from repro.cluster import DistributedExecutor
-
-        executor = DistributedExecutor(workers=workers, jobs=jobs)
-    elif jobs > 1:
-        executor = ParallelExecutor(jobs=jobs)
-    else:
-        executor = SerialExecutor()
+    executor = make_executor(
+        jobs=int(os.environ.get("REPRO_SWEEP_JOBS", "1")),
+        workers=int(os.environ.get("REPRO_SWEEP_WORKERS", "0")),
+    )
     cache = None
     cache_dir = os.environ.get("REPRO_SWEEP_CACHE_DIR")
     if cache_dir and not os.environ.get("REPRO_SWEEP_NO_CACHE"):

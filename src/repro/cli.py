@@ -44,12 +44,18 @@ started with ``--auth``, and ``--timeout`` for a per-read deadline.
 ``synth minimize`` accept ``--backend {reference,vectorized}`` and
 ignore it: there is one simulator, and the flag stays only because the
 benchmark under ``perf/`` passes it.
+
+A flag that mirrors a spec field (``SweepSpec``, ``ScenarioSweepSpec``,
+``SearchConfig``, ``OracleConfig``) defaults to ``None`` so the spec
+states the default; ``sweep`` runs the ``SweepSpec`` ``submit`` sends.
+:func:`repro.cluster.make_executor` picks the executor for ``--jobs``/
+``--workers``/``--bind``.  Each subparser names its handler.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import dataclasses
 import os
 import sys
 from typing import Sequence
@@ -63,15 +69,15 @@ from repro.machine.machine import Machine
 from repro.machine.specs import ALL_SPECS, spec_by_name
 from repro.service.spec import (
     CHANNEL_NAMES,
+    SweepSpec,
     build_channel,
     parse_param_axis,
-    sweep_point_metrics,
 )
+from repro.wire import canonical_json
 
 __all__ = ["main", "build_parser"]
 
 DEFAULT_SOCKET = ".repro-service.sock"
-_DEFAULT_BIND = "tcp://127.0.0.1:0"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,15 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="experiment seed")
+    # ``sweep``/``submit``: --seed is SweepSpec.base_seed, default and all.
+    spec_seed = argparse.ArgumentParser(add_help=False)
+    spec_seed.add_argument("--seed", type=int, help="experiment seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser(
         "machines", help="list the simulated Table I CPUs", parents=[common]
-    )
+    ).set_defaults(handler=_cmd_machines)
 
     transmit = sub.add_parser(
         "transmit", help="run a covert channel", parents=[common]
     )
+    transmit.set_defaults(handler=_cmd_transmit)
     transmit.add_argument("--machine", default="Gold 6226")
     transmit.add_argument(
         "--channel", default="eviction", choices=list(CHANNEL_NAMES)
@@ -103,12 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser(
         "probe", help="time the three frontend paths", parents=[common]
     )
+    probe.set_defaults(handler=_cmd_probe)
     probe.add_argument("--machine", default="Gold 6226")
     probe.add_argument("--samples", type=int, default=100)
 
     fingerprint = sub.add_parser(
         "fingerprint", help="detect the microcode/LSD state", parents=[common]
     )
+    fingerprint.set_defaults(handler=_cmd_fingerprint)
     fingerprint.add_argument("--machine", default="Gold 6226")
     fingerprint.add_argument(
         "--patch", default=None, choices=[None, "patch1", "patch2"],
@@ -118,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectre = sub.add_parser(
         "spectre", help="Spectre v1 secret recovery", parents=[common]
     )
+    spectre.set_defaults(handler=_cmd_spectre)
     spectre.add_argument("--machine", default="Gold 6226")
     spectre.add_argument("--secret", default="SecretKey!")
     spectre.add_argument(
@@ -134,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sgx = sub.add_parser("sgx", help="attack an SGX enclave", parents=[common])
+    sgx.set_defaults(handler=_cmd_sgx)
     sgx.add_argument("--machine", default="Xeon E-2174G")
     sgx.add_argument(
         "--mode", default="non-mt", choices=["non-mt", "mt", "power"]
@@ -146,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     defense = sub.add_parser(
         "defense", help="mitigation/attack matrix", parents=[common]
     )
+    defense.set_defaults(handler=_cmd_defense)
     defense.add_argument("--bits", type=int, default=32)
 
     scenario = sub.add_parser(
@@ -153,10 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run declarative attack scenarios (docs/scenarios.md)",
     )
     scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
-    scenario_sub.add_parser("list", help="list the registered scenarios")
+    scenario_sub.add_parser(
+        "list", help="list the registered scenarios"
+    ).set_defaults(handler=_cmd_scenario_list)
     describe = scenario_sub.add_parser(
         "describe", help="print one scenario's full spec"
     )
+    describe.set_defaults(handler=_cmd_scenario_describe)
     describe.add_argument("name", help="registered scenario name")
     describe.add_argument(
         "--json",
@@ -166,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run = scenario_sub.add_parser(
         "run", help="run a scenario and check its success criteria"
     )
+    scenario_run.set_defaults(handler=_cmd_scenario_run)
     scenario_run.add_argument("name", help="registered scenario name")
     scenario_run.add_argument(
         "--trials",
@@ -195,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a scenario parameter grid to a running service",
     )
+    scenario_submit.set_defaults(handler=_cmd_scenario_submit)
     scenario_submit.add_argument("name", help="registered scenario name")
     scenario_submit.add_argument(
         "--socket", default=DEFAULT_SOCKET, help="Unix socket of the service"
@@ -207,14 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid axis over a scenario parameter, e.g. "
         "attempts_per_chunk=1,3,5 (repeat for multi-axis grids)",
     )
-    scenario_submit.add_argument("--trials", type=int, default=1)
-    scenario_submit.add_argument(
-        "--seed", type=int, default=0, help="sweep base seed"
-    )
-    scenario_submit.add_argument("--priority", type=int, default=0)
-    scenario_submit.add_argument(
-        "--label", default=None, help="job label for the event log"
-    )
+    scenario_submit.add_argument("--trials", type=int)
+    scenario_submit.add_argument("--seed", type=int, help="sweep base seed")
+    scenario_submit.add_argument("--priority", type=int)
+    scenario_submit.add_argument("--label", help="job label for the event log")
     _add_client_auth_arguments(scenario_submit)
 
     synth = sub.add_parser(
@@ -226,31 +242,28 @@ def build_parser() -> argparse.ArgumentParser:
     synth_run = synth_sub.add_parser(
         "run", help="run a search campaign and print its findings"
     )
-    synth_run.add_argument("--seed", type=int, default=0, help="campaign seed")
+    synth_run.set_defaults(handler=_cmd_synth_run)
+    synth_run.add_argument("--seed", type=int, help="campaign seed")
     synth_run.add_argument(
-        "--budget", type=int, default=64, help="oracle evaluations to spend"
+        "--budget", type=int, help="oracle evaluations to spend"
     )
+    synth_run.add_argument("--batch-size", type=int, help="candidates per round")
+    synth_run.add_argument("--machine")
     synth_run.add_argument(
-        "--batch-size", type=int, default=8, help="candidates per round"
+        "--bits", type=int, help="message bits per oracle run"
     )
-    synth_run.add_argument("--machine", default="Gold 6226")
+    synth_run.add_argument("--training-bits", type=int)
     synth_run.add_argument(
-        "--bits", type=int, default=32, help="message bits per oracle run"
-    )
-    synth_run.add_argument("--training-bits", type=int, default=12)
-    synth_run.add_argument(
-        "--max-findings", type=int, default=4, help="stop after N findings"
+        "--max-findings", type=int, help="stop after N findings"
     )
     synth_run.add_argument(
         "--shrink-budget",
         type=int,
-        default=96,
         help="oracle evaluations the minimizer may spend per finding",
     )
     synth_run.add_argument(
         "--defense",
         action="append",
-        default=None,
         metavar="M1+M2",
         help="mitigation stack findings are re-scored against, as "
         "'+'-joined names from repro.defense (repeat for several "
@@ -268,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     synth_run.add_argument(
         "--bind",
-        default=_DEFAULT_BIND,
         help="coordinator endpoint for cluster runs (see 'sweep --bind')",
     )
     synth_run.add_argument(
@@ -305,14 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
         "minimize", help="shrink one candidate genome to its minimal "
         "still-leaking form"
     )
+    synth_minimize.set_defaults(handler=_cmd_synth_minimize)
     synth_minimize.add_argument(
         "candidate",
         help="candidate genome as a JSON file path, or '-' for stdin",
     )
     synth_minimize.add_argument("--seed", type=int, default=0)
-    synth_minimize.add_argument("--machine", default="Gold 6226")
-    synth_minimize.add_argument("--bits", type=int, default=32)
-    synth_minimize.add_argument("--training-bits", type=int, default=12)
+    synth_minimize.add_argument("--machine")
+    synth_minimize.add_argument("--bits", type=int)
+    synth_minimize.add_argument("--training-bits", type=int)
     synth_minimize.add_argument(
         "--budget", type=int, default=96, help="oracle evaluations to spend"
     )
@@ -320,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth_report = synth_sub.add_parser(
         "report", help="summarise a saved campaign report"
     )
+    synth_report.set_defaults(handler=_cmd_synth_report)
     synth_report.add_argument(
         "input", help="report JSON written by 'synth run --out'"
     )
@@ -327,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="grid-sweep channel parameters (parallel + cached)",
-        parents=[common],
+        parents=[spec_seed],
     )
+    sweep.set_defaults(handler=_cmd_sweep)
     _add_grid_arguments(sweep)
     sweep.add_argument(
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
@@ -355,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--bind",
-        default=_DEFAULT_BIND,
         help="coordinator endpoint for cluster runs; an explicit --bind "
         "with --workers 0 waits for external workers started with "
         "'repro worker --connect' (default: loopback, ephemeral port)",
@@ -373,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sweep service on a Unix socket",
         parents=[common],
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument(
         "--socket", default=DEFAULT_SOCKET, help="Unix socket path to listen on"
     )
@@ -429,14 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit",
         help="submit a sweep to a running service and stream progress",
-        parents=[common],
+        parents=[spec_seed],
     )
+    submit.set_defaults(handler=_cmd_submit)
     submit.add_argument(
         "--socket", default=DEFAULT_SOCKET, help="Unix socket of the service"
     )
     _add_grid_arguments(submit)
-    submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--label", default=None, help="job label for the event log")
+    submit.add_argument("--priority", type=int)
+    submit.add_argument("--label", help="job label for the event log")
     _add_client_auth_arguments(submit)
 
     watch = sub.add_parser(
@@ -444,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a running service's event feed as JSONL on stdout",
         parents=[common],
     )
+    watch.set_defaults(handler=_cmd_watch)
     watch.add_argument(
         "--socket",
         default=DEFAULT_SOCKET,
@@ -469,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fetch a running service's metrics snapshot",
         parents=[common],
     )
+    metrics.set_defaults(handler=_cmd_metrics)
     metrics.add_argument(
         "--socket",
         default=DEFAULT_SOCKET,
@@ -488,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a cluster coordinator as a compute node",
         parents=[common],
     )
+    worker.set_defaults(handler=_cmd_worker)
     worker.add_argument(
         "--connect",
         required=True,
@@ -520,13 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="check the model's paper invariants (10-point checklist)",
         parents=[common],
-    )
+    ).set_defaults(handler=_cmd_validate)
 
     lint = sub.add_parser(
         "lint",
         help="run the determinism/layering/fidelity linter (repro.lint)",
         parents=[common],
     )
+    lint.set_defaults(handler=_cmd_lint)
     lint.add_argument(
         "paths",
         nargs="*",
@@ -573,6 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="assemble benchmarks/results/ into REPORT.md",
         parents=[common],
     )
+    report.set_defaults(handler=_cmd_report)
     report.add_argument(
         "--results", default="benchmarks/results", help="results directory"
     )
@@ -620,14 +641,11 @@ def _client_auth(args) -> dict:
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """The grid-description options shared by ``sweep`` and ``submit``."""
-    parser.add_argument("--machine", default="Gold 6226")
-    parser.add_argument(
-        "--channel", default="eviction", choices=list(CHANNEL_NAMES)
-    )
-    parser.add_argument(
-        "--variant", default="fast", choices=["stealthy", "fast"]
-    )
+    """The grid-description options shared by ``sweep`` and ``submit``;
+    each defaults to None, leaving the default to :class:`SweepSpec`."""
+    parser.add_argument("--machine")
+    parser.add_argument("--channel", choices=list(CHANNEL_NAMES))
+    parser.add_argument("--variant", choices=["stealthy", "fast"])
     parser.add_argument(
         "--param",
         action="append",
@@ -636,9 +654,36 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         help="grid axis over a ChannelConfig field, e.g. d=1,2,4,6,8 "
         "(repeat for multi-axis grids)",
     )
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument(
-        "--bits", type=int, default=32, help="message bits per point"
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--bits", type=int, help="message bits per point")
+
+
+def _spec_from_flags(cls, args, **fields):
+    """Spec dataclass ``cls`` from ``fields`` plus every field whose flag
+    was given (``--seed`` is ``base_seed``); the rest keep its defaults."""
+    for spec_field in dataclasses.fields(cls):
+        name = spec_field.name
+        value = getattr(args, "seed" if name == "base_seed" else name, None)
+        if value is not None:
+            fields.setdefault(name, value)
+    return cls(**fields)
+
+
+def _parse_grid(axes: Sequence[str]) -> dict:
+    """``--param`` flags into a ``{name: values}`` grid."""
+    return dict(parse_param_axis(axis) for axis in axes)
+
+
+def _sweep_spec(args) -> SweepSpec:
+    """The :class:`SweepSpec` ``sweep`` runs and ``submit`` sends."""
+    return _spec_from_flags(SweepSpec, args, grid=_parse_grid(args.param))
+
+
+def _sweep_heading(spec: SweepSpec) -> str:
+    """The line above a sweep's table, locally run or submitted."""
+    return (
+        f"sweep over {', '.join(spec.grid)} — {spec.channel} on {spec.machine} "
+        f"({spec.bits}-bit message, {spec.trials} trial(s)/point)"
     )
 
 
@@ -793,45 +838,28 @@ def _check_jobs(args) -> None:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
 
 
-def _local_executor(jobs: int):
-    from repro.exec import ParallelExecutor, SerialExecutor
-
-    return ParallelExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()
-
-
 def _executor(args, on_event=None):
     """Executor for ``--jobs``/``--workers``/``--bind`` (sweeps and synth
-    campaigns); ``on_event`` receives cluster shard/worker events."""
+    campaigns, see :func:`repro.cluster.make_executor`); ``on_event``
+    receives cluster shard/worker events."""
     _check_jobs(args)
     if args.workers < 0:
         raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
-    # --workers N launches in-process cluster workers; an explicit
-    # --bind with --workers 0 runs the coordinator for *external*
-    # workers only (python -m repro worker --connect <bind>).
-    if args.workers > 0 or args.bind != _DEFAULT_BIND:
-        from repro.cluster import DistributedExecutor
+    from repro.cluster import make_executor
 
-        return DistributedExecutor(
-            workers=args.workers,
-            bind=args.bind,
-            jobs=args.jobs,
-            shard_size=args.shard_size,
-            on_event=on_event,
-        )
-    return _local_executor(args.jobs)
+    return make_executor(
+        args.jobs, args.workers, args.bind,
+        shard_size=args.shard_size, on_event=on_event,
+    )
 
 
 def _cmd_sweep(args) -> int:
     from repro.exec import ResultCache
     from repro.reporting import format_execution_stats
     from repro.service.events import jsonl_progress
-    from repro.sweep import ParameterSweep
 
-    grid = dict(parse_param_axis(axis) for axis in args.param)
-    factory = functools.partial(
-        sweep_point_metrics, args.machine, args.channel, args.variant, args.bits
-    )
-    sweep = ParameterSweep(factory, grid, trials=args.trials, base_seed=args.seed)
+    spec = _sweep_spec(args)
+    sweep = spec.build_sweep()
     # Shard/worker events share the progress stream (stderr JSONL).
     on_event = (
         (lambda event: print(event.to_json(), file=sys.stderr, flush=True))
@@ -844,10 +872,7 @@ def _cmd_sweep(args) -> int:
     # stdout stays byte-identical with and without --progress.
     progress = jsonl_progress() if args.progress else None
     table = sweep.run(executor=executor, cache=cache, progress=progress)
-    print(
-        f"sweep over {', '.join(grid)} — {args.channel} on {args.machine} "
-        f"({args.bits}-bit message, {args.trials} trial(s)/point)"
-    )
+    print(_sweep_heading(spec))
     print(table.render(precision=3))
     print(format_execution_stats(sweep.last_stats))
     if getattr(executor, "last_run", None) is not None:
@@ -868,11 +893,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.exec import ResultCache
+    from repro.exec import ResultCache, local_executor
     from repro.service import AuthPolicy, JobStore, SweepServer, SweepService
 
     _check_jobs(args)
-    executor = _local_executor(args.jobs)
+    executor = local_executor(args.jobs)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = JobStore(args.state_dir) if args.state_dir else None
     auth = AuthPolicy.from_file(args.auth) if args.auth else None
@@ -901,26 +926,10 @@ def _cmd_serve(args) -> int:
 
 def _cmd_submit(args) -> int:
     from repro.service.client import submit_and_stream
-    from repro.service.spec import SweepSpec
 
-    grid = dict(parse_param_axis(axis) for axis in args.param)
-    spec = SweepSpec(
-        grid=grid,
-        machine=args.machine,
-        channel=args.channel,
-        variant=args.variant,
-        bits=args.bits,
-        trials=args.trials,
-        base_seed=args.seed,
-        priority=args.priority,
-        label=args.label,
-    )
+    spec = _sweep_spec(args)
     final = submit_and_stream(args.socket, spec, **_client_auth(args))
-    return _render_job(
-        final,
-        f"sweep over {', '.join(grid)} — {args.channel} on {args.machine} "
-        f"({args.bits}-bit message, {args.trials} trial(s)/point)",
-    )
+    return _render_job(final, _sweep_heading(spec))
 
 
 def _render_job(final, heading: str) -> int:
@@ -967,14 +976,12 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    import json as _json
-
     from repro.obs import render_text
     from repro.service.client import fetch_metrics
 
     snapshot = fetch_metrics(args.socket, **_client_auth(args))
     if args.fmt == "json":
-        print(_json.dumps(snapshot, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(snapshot))
     else:
         print(render_text(snapshot))
     return 0
@@ -1033,80 +1040,84 @@ def _render_criteria(criteria) -> str:
     )
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario_list(_args) -> int:
+    from repro import scenarios
+
+    print(f"{'name':20s} {'kind':11s} {'machine':14s} {'trials':>6s}  title")
+    for spec in scenarios.all_specs():
+        print(
+            f"{spec.name:20s} {spec.kind:11s} {spec.machine:14s} "
+            f"{spec.trials:>6d}  {spec.title}"
+        )
+    return 0
+
+
+def _cmd_scenario_describe(args) -> int:
+    from repro import scenarios
+
+    spec = scenarios.get(args.name)
+    if args.json:
+        print(spec.to_json())
+        return 0
+    print(f"name     : {spec.name}")
+    print(f"kind     : {spec.kind}")
+    print(f"title    : {spec.title}")
+    print(f"machine  : {spec.machine}")
+    print(f"trials   : {spec.trials} (base seed {spec.base_seed})")
+    print(f"criteria : {_render_criteria(spec.criteria)}")
+    for name in sorted(spec.params):
+        print(f"param    : {name} = {spec.params[name]!r}")
+    return 0
+
+
+def _cmd_scenario_run(args) -> int:
     import json as _json
 
     from repro import scenarios
+    from repro.obs import MetricsRegistry
 
-    if args.scenario_command == "list":
-        print(f"{'name':20s} {'kind':11s} {'machine':14s} {'trials':>6s}  title")
-        for spec in scenarios.all_specs():
-            print(
-                f"{spec.name:20s} {spec.kind:11s} {spec.machine:14s} "
-                f"{spec.trials:>6d}  {spec.title}"
-            )
-        return 0
     spec = scenarios.get(args.name)
-    if args.scenario_command == "describe":
-        if args.json:
-            print(spec.to_json())
-            return 0
-        print(f"name     : {spec.name}")
-        print(f"kind     : {spec.kind}")
-        print(f"title    : {spec.title}")
-        print(f"machine  : {spec.machine}")
-        print(f"trials   : {spec.trials} (base seed {spec.base_seed})")
-        print(f"criteria : {_render_criteria(spec.criteria)}")
-        for name in sorted(spec.params):
-            print(f"param    : {name} = {spec.params[name]!r}")
-        return 0
-    if args.scenario_command == "run":
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        result = scenarios.run_scenario(
-            spec, trials=args.trials, base_seed=args.seed, registry=registry
-        )
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                _json.dump(
-                    registry.snapshot(), handle, indent=2, sort_keys=True
-                )
-                handle.write("\n")
-        if args.json:
-            print(_json.dumps(result.to_dict(), sort_keys=True))
-            return 0 if result.passed else 1
-        outcome = result.outcome
-        print(f"scenario : {spec.name} ({spec.kind}) on {spec.machine}")
-        print(f"trials   : {len(result.per_trial)}")
-        print(
-            f"outcome  : accuracy {outcome.accuracy * 100:.1f}%, "
-            f"error {outcome.error_rate * 100:.2f}%, "
-            f"{outcome.kbps:.1f} Kbps"
-        )
-        verdict = "PASS" if result.passed else "FAIL"
-        print(f"criteria : {_render_criteria(spec.criteria)} -> {verdict}")
-        for failure in result.failures:
-            print(f"  failed : {failure}")
+    registry = MetricsRegistry()
+    result = scenarios.run_scenario(
+        spec, trials=args.trials, base_seed=args.seed, registry=registry
+    )
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            _json.dump(registry.snapshot(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    if args.json:
+        print(_json.dumps(result.to_dict(), sort_keys=True))
         return 0 if result.passed else 1
-    # submit: a scenario parameter grid through the running sweep service.
+    outcome = result.outcome
+    print(f"scenario : {spec.name} ({spec.kind}) on {spec.machine}")
+    print(f"trials   : {len(result.per_trial)}")
+    print(
+        f"outcome  : accuracy {outcome.accuracy * 100:.1f}%, "
+        f"error {outcome.error_rate * 100:.2f}%, "
+        f"{outcome.kbps:.1f} Kbps"
+    )
+    verdict = "PASS" if result.passed else "FAIL"
+    print(f"criteria : {_render_criteria(spec.criteria)} -> {verdict}")
+    for failure in result.failures:
+        print(f"  failed : {failure}")
+    return 0 if result.passed else 1
+
+
+def _cmd_scenario_submit(args) -> int:
+    """A scenario parameter grid through the running sweep service."""
+    from repro import scenarios
     from repro.scenarios.sweep import ScenarioSweepSpec
     from repro.service.client import submit_and_stream
 
-    grid = dict(parse_param_axis(axis) for axis in args.param)
-    sweep_spec = ScenarioSweepSpec(
-        scenario=spec.name,
-        grid=grid,
-        trials=args.trials,
-        base_seed=args.seed,
-        priority=args.priority,
-        label=args.label,
+    spec = scenarios.get(args.name)
+    sweep_spec = _spec_from_flags(
+        ScenarioSweepSpec, args, scenario=spec.name, grid=_parse_grid(args.param)
     )
     final = submit_and_stream(args.socket, sweep_spec, **_client_auth(args))
     return _render_job(
         final,
-        f"scenario grid over {', '.join(grid)} — {spec.name} on "
-        f"{spec.machine} ({args.trials} trial(s)/point)",
+        f"scenario grid over {', '.join(sweep_spec.grid)} — {spec.name} on "
+        f"{spec.machine} ({sweep_spec.trials} trial(s)/point)",
     )
 
 
@@ -1168,63 +1179,41 @@ def _read_text(path: str) -> str:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
 
 
-def _cmd_synth(args) -> int:
-    import json as _json
+def _cmd_synth_report(args) -> int:
+    from repro.synth import SearchReport
 
-    from repro.synth import (
-        CandidateProgram,
-        LeakageOracle,
-        OracleConfig,
-        SearchConfig,
-        SearchReport,
-        SynthSearch,
-        shrink,
+    _render_synth_findings(SearchReport.from_json(_read_text(args.input)))
+    return 0
+
+
+def _cmd_synth_minimize(args) -> int:
+    from repro.synth import CandidateProgram, LeakageOracle, OracleConfig, shrink
+
+    if args.candidate == "-":
+        text = sys.stdin.read()
+    else:
+        text = _read_text(args.candidate)
+    candidate = CandidateProgram.from_json(text)
+    oracle = LeakageOracle(_spec_from_flags(OracleConfig, args))
+    minimized, steps = shrink(candidate, oracle, args.seed, args.budget)
+    print(minimized.to_json())
+    print(
+        f"minimize: cost {candidate.cost} -> {minimized.cost} in "
+        f"{steps} oracle evaluation(s)",
+        file=sys.stderr,
     )
+    return 0
 
-    if args.synth_command == "report":
-        _render_synth_findings(SearchReport.from_json(_read_text(args.input)))
-        return 0
 
-    if args.synth_command == "minimize":
-        if args.candidate == "-":
-            text = sys.stdin.read()
-        else:
-            text = _read_text(args.candidate)
-        candidate = CandidateProgram.from_json(text)
-        oracle = LeakageOracle(
-            OracleConfig(
-                machine=args.machine,
-                bits=args.bits,
-                training_bits=args.training_bits,
-            )
-        )
-        minimized, steps = shrink(candidate, oracle, args.seed, args.budget)
-        print(minimized.to_json())
-        print(
-            f"minimize: cost {candidate.cost} -> {minimized.cost} in "
-            f"{steps} oracle evaluation(s)",
-            file=sys.stderr,
-        )
-        return 0
-
-    # run
+def _cmd_synth_run(args) -> int:
     from repro.exec import ResultCache
     from repro.reporting import format_execution_stats
+    from repro.synth import SearchConfig, SynthSearch
 
-    kwargs = {}
+    fields = {}
     if args.defense is not None:
-        kwargs["defenses"] = _parse_defense_stacks(args.defense)
-    config = SearchConfig(
-        seed=args.seed,
-        budget=args.budget,
-        batch_size=args.batch_size,
-        machine=args.machine,
-        bits=args.bits,
-        training_bits=args.training_bits,
-        max_findings=args.max_findings,
-        shrink_budget=args.shrink_budget,
-        **kwargs,
-    )
+        fields["defenses"] = _parse_defense_stacks(args.defense)
+    config = _spec_from_flags(SearchConfig, args, **fields)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     search = SynthSearch(config)
     report = search.run(executor=_executor(args), cache=cache)
@@ -1233,14 +1222,7 @@ def _cmd_synth(args) -> int:
             handle.write(report.to_json() + "\n")
     if args.scenarios_out:
         with open(args.scenarios_out, "w", encoding="utf-8") as handle:
-            handle.write(
-                _json.dumps(
-                    report.scenario_payloads(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            handle.write(canonical_json(report.scenario_payloads()) + "\n")
     if args.json:
         print(report.to_json())
     else:
@@ -1252,34 +1234,12 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "machines": _cmd_machines,
-    "transmit": _cmd_transmit,
-    "probe": _cmd_probe,
-    "fingerprint": _cmd_fingerprint,
-    "spectre": _cmd_spectre,
-    "sgx": _cmd_sgx,
-    "defense": _cmd_defense,
-    "scenario": _cmd_scenario,
-    "synth": _cmd_synth,
-    "sweep": _cmd_sweep,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "watch": _cmd_watch,
-    "metrics": _cmd_metrics,
-    "worker": _cmd_worker,
-    "lint": _cmd_lint,
-    "validate": _cmd_validate,
-    "report": _cmd_report,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,8 @@ Entry points:
 
 * :class:`DistributedExecutor` — drop-in :class:`~repro.exec.base.Executor`
   (``python -m repro sweep --workers N``);
+* :func:`make_executor` — the cluster-or-local choice for a ``jobs`` /
+  ``workers`` / ``bind`` triple;
 * :class:`ClusterWorker` / ``python -m repro worker`` — a compute node;
 * :class:`Coordinator` — the per-run shard dispatcher, for embedding.
 
@@ -20,7 +22,7 @@ the security caveats of TCP transport.
 """
 
 from repro.cluster.coordinator import Coordinator
-from repro.cluster.executor import DistributedExecutor
+from repro.cluster.executor import DistributedExecutor, make_executor
 from repro.cluster.protocol import PROTOCOL_VERSION, ClusterError, ClusterProtocolError
 from repro.cluster.shards import Shard, locality_key, plan_shards
 from repro.cluster.worker import ClusterWorker, run_worker
@@ -34,6 +36,7 @@ __all__ = [
     "DistributedExecutor",
     "Shard",
     "locality_key",
+    "make_executor",
     "plan_shards",
     "run_worker",
 ]

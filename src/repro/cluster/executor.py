@@ -15,10 +15,13 @@ started with ``python -m repro worker --connect ...`` may join the same
 address and simply enlarge the pool.
 
 Degradation is graceful by design: if **no** worker registers within
-``wait_workers_s``, the run silently falls back to the local
-:class:`~repro.exec.parallel.ParallelExecutor` (or serial for one job)
-— a sweep never fails just because a cluster did not materialise.  Set
-``fallback=False`` to make that a hard :class:`ClusterError` instead.
+``wait_workers_s``, the run silently falls back to
+:func:`~repro.exec.parallel.local_executor` — a sweep never fails just
+because a cluster did not materialise.  Set ``fallback=False`` to make
+that a hard :class:`ClusterError` instead.
+
+:func:`make_executor` is the one place that chooses between this
+executor and a local one, for the CLI and the benchmark harness alike.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ from repro.cluster.protocol import ClusterError
 from repro.cluster.worker import ClusterWorker
 from repro.errors import ConfigurationError
 from repro.exec.base import Executor
-from repro.exec.parallel import ParallelExecutor
-from repro.exec.serial import SerialExecutor
+from repro.exec.parallel import local_executor
 from repro.obs import MetricsRegistry
 from repro.service.endpoints import Endpoint, parse_endpoint
 from repro.service.events import Event
 from repro.sweep import SweepPoint
 
-__all__ = ["DistributedExecutor"]
+__all__ = ["DistributedExecutor", "make_executor"]
 
 
 class DistributedExecutor(Executor):
@@ -53,8 +55,8 @@ class DistributedExecutor(Executor):
     bind:
         Coordinator endpoint: ``tcp://host:port`` (``port`` may be 0
         for an ephemeral pick), bare ``host:port``, or a Unix socket
-        path.  Defaults to loopback; see ``docs/distributed.md`` before
-        binding anything wider.
+        path.  ``None`` (the default) is loopback on an ephemeral port;
+        see ``docs/distributed.md`` before binding anything wider.
     jobs:
         Process-pool width *inside each* in-process worker.
     shard_size:
@@ -79,7 +81,7 @@ class DistributedExecutor(Executor):
         self,
         workers: int = 2,
         *,
-        bind: str = "tcp://127.0.0.1:0",
+        bind: str | None = None,
         jobs: int = 1,
         shard_size: int = 4,
         wait_workers_s: float = 10.0,
@@ -98,7 +100,7 @@ class DistributedExecutor(Executor):
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.workers = int(workers)
-        self.bind = parse_endpoint(bind)
+        self.bind = parse_endpoint("tcp://127.0.0.1:0" if bind is None else bind)
         self.worker_jobs = int(jobs)
         self.shard_size = int(shard_size)
         self.wait_workers_s = float(wait_workers_s)
@@ -138,12 +140,7 @@ class DistributedExecutor(Executor):
                     f"{self.wait_workers_s:.1f}s and fallback is disabled"
                 )
             self.last_run = {"fallback": True, "workers": 0}
-            local: Executor = (
-                ParallelExecutor(jobs=self.jobs)
-                if self.jobs > 1
-                else SerialExecutor()
-            )
-            return local.compute_stream(pending, factory)
+            return local_executor(self.jobs).compute_stream(pending, factory)
         return results
 
     async def _run_cluster(
@@ -203,3 +200,18 @@ class DistributedExecutor(Executor):
             for task in worker_tasks:
                 task.cancel()
             await asyncio.gather(*worker_tasks, return_exceptions=True)
+
+
+def make_executor(
+    jobs: int = 1,
+    workers: int = 0,
+    bind: str | None = None,
+    **options,
+) -> Executor:
+    """A :class:`DistributedExecutor` for non-zero ``workers`` or any
+    explicit ``bind`` (``workers=0`` then waits for external workers),
+    else :func:`~repro.exec.parallel.local_executor`; ``options``
+    (``shard_size``, ``on_event``, ...) apply to the distributed one."""
+    if workers or bind is not None:
+        return DistributedExecutor(workers, bind=bind, jobs=jobs, **options)
+    return local_executor(jobs)

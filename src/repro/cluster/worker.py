@@ -46,8 +46,7 @@ from repro.errors import ConfigurationError
 from repro.exec.base import Executor
 from repro.exec.cache import ResultCache
 from repro.exec.canonical import callable_fingerprint
-from repro.exec.parallel import ParallelExecutor
-from repro.exec.serial import SerialExecutor
+from repro.exec.parallel import local_executor
 from repro.obs import Counter, MetricsRegistry, get_registry
 from repro.service.endpoints import Endpoint, open_endpoint, parse_endpoint
 from repro.sweep import SweepPoint
@@ -119,9 +118,7 @@ class ClusterWorker:
         self.connect_attempts = int(connect_attempts)
         self.connect_delay_s = float(connect_delay_s)
         self._cache = ResultCache(cache_dir) if cache_dir else None
-        self._executor: Executor = (
-            ParallelExecutor(jobs=self.jobs) if self.jobs > 1 else SerialExecutor()
-        )
+        self._executor: Executor = local_executor(self.jobs)
         self._send_lock = asyncio.Lock()
         # Tallies live on the process registry, tagged with the final
         # worker name — which the coordinator only confirms at welcome,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.analysis.bits import alternating_bits
-from repro.channels.base import ChannelConfig, CovertChannel
+from repro.channels.base import CovertChannel
 from repro.channels.eviction import MtEvictionChannel, NonMtEvictionChannel
 from repro.channels.misalignment import (
     MtMisalignmentChannel,
@@ -24,7 +24,7 @@ from repro.channels.misalignment import (
 )
 from repro.channels.slow_switch import SlowSwitchChannel
 from repro.defense.mitigations import Mitigation, mitigation_from_dict
-from repro.errors import ChannelError, ReproError
+from repro.errors import ChannelError, ConfigurationError, ReproError
 from repro.frontend.params import FrontendParams
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
@@ -188,6 +188,10 @@ class DefenseEvaluator:
         seed: int = 4242,
         message_bits: int = 48,
     ) -> None:
+        if message_bits < 1:
+            raise ConfigurationError(
+                f"message_bits must be >= 1, got {message_bits}"
+            )
         self.spec = spec
         self.seed = seed
         self.message_bits = message_bits
@@ -207,9 +211,7 @@ class DefenseEvaluator:
             ),
             (
                 "non-mt-misalignment",
-                lambda: NonMtMisalignmentChannel(
-                    machine, ChannelConfig(d=5, M=8), variant="stealthy"
-                ),
+                lambda: NonMtMisalignmentChannel(machine, variant="stealthy"),
             ),
             ("slow-switch", lambda: SlowSwitchChannel(machine)),
             ("mt-eviction", lambda: MtEvictionChannel(machine)),

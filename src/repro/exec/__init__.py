@@ -6,6 +6,8 @@ Pluggable strategies for computing a sweep's grid points:
   default; exact historical behaviour);
 * :class:`ParallelExecutor` — fans points across worker processes while
   preserving deterministic point order;
+* :func:`local_executor` — the one serial-or-parallel choice for a
+  ``jobs`` count;
 * :class:`ResultCache` — content-addressed on-disk memoisation so
   repeated benchmark runs skip already-computed points.
 
@@ -23,7 +25,7 @@ from repro.exec.canonical import (
     point_key,
     point_seed_name,
 )
-from repro.exec.parallel import ParallelExecutor
+from repro.exec.parallel import ParallelExecutor, local_executor
 from repro.exec.serial import SerialExecutor
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "ProgressFn",
     "SerialExecutor",
     "ParallelExecutor",
+    "local_executor",
     "ResultCache",
     "canonical_value",
     "canonical_point_key",

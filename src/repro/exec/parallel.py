@@ -20,9 +20,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.exec.base import Executor
+from repro.exec.serial import SerialExecutor
 from repro.obs import get_registry
 
-__all__ = ["ParallelExecutor"]
+__all__ = ["ParallelExecutor", "local_executor"]
 
 
 def _run_point(
@@ -86,3 +87,10 @@ class ParallelExecutor(Executor):
             ]
             for future in concurrent.futures.as_completed(futures):
                 yield future.result()
+
+
+def local_executor(jobs: int) -> Executor:
+    """The executor for ``jobs`` local processes: a
+    :class:`ParallelExecutor` pool when ``jobs > 1``, else a
+    :class:`SerialExecutor` in the calling process."""
+    return ParallelExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()

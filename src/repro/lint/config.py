@@ -148,6 +148,9 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     # The linter inspects everything but imports only foundations.
     "lint": frozenset({"errors"}),
     # -- entry points ----------------------------------------------------
+    # ``wire`` entered the cli set when the CLI's canonical JSON output
+    # (``metrics --format json``, ``synth run --scenarios-out``) moved to
+    # ``wire.canonical_json``; wire is a foundation over ``errors``.
     "cli": frozenset(
         {
             "analysis",
@@ -171,6 +174,7 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "sweep",
             "synth",
             "validate",
+            "wire",
             "workloads",
         }
     ),

@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.obs import get_registry
 from repro.scenarios import registry
 from repro.scenarios.runners import run_trial
-from repro.sweep import ParameterSweep, SweepPoint
+from repro.sweep import ParameterSweep, SweepPoint, grid_point_count
 from repro.wire import Wire
 
 __all__ = ["ScenarioSweepSpec", "scenario_point_metrics"]
@@ -72,15 +72,8 @@ class ScenarioSweepSpec(Wire):
 
     # ------------------------------------------------------------------
     def point_count(self) -> int:
-        """Points this spec expands to: axis-length product × trials.
-
-        Same contract as :meth:`SweepSpec.point_count` — cheap enough
-        that quota admission can run before the grid is materialised.
-        """
-        count = int(self.trials)
-        for values in self.grid.values():
-            count *= len(values)
-        return count
+        """Points this spec expands to (:func:`~repro.sweep.grid_point_count`)."""
+        return grid_point_count(self.grid, self.trials)
 
     def build_sweep(self) -> ParameterSweep:
         """Materialise as a runnable :class:`ParameterSweep`."""

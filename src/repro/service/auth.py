@@ -29,26 +29,33 @@ The policy file (``serve --auth policy.json``)::
 
 Omitted quota fields mean "unlimited"; ``"admin": true`` marks an
 operator account that may cancel any tenant's jobs and watch the
-unscoped event feed.  Rate limiting uses the injected
+unscoped event feed; an optional ``"anonymous"`` object is the quota of
+untokened clients when ``allow_anonymous`` is true.  The file is
+decoded strictly by :mod:`repro.wire` (:class:`AuthPolicyFile`): an
+unknown key, a string where a bool belongs or a fractional count is a
+:class:`~repro.errors.ConfigurationError` naming the field, never a
+silent default.  Rate limiting uses the injected
 clock (the registry's monotonic clock by default), so tests drive it
 with :class:`~repro.obs.ManualClock`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.service.frames import Deny, QuotaExceeded
+from repro.wire import Wire
 
 __all__ = ["Quota", "ClientAccount", "AuthPolicy"]
 
 
 @dataclass(frozen=True)
-class Quota:
+class Quota(Wire):
     """Per-client admission limits; ``None`` fields are unlimited."""
 
     #: Max jobs queued or running at once.
@@ -89,6 +96,36 @@ class ClientAccount:
     #: unscoped service-wide event feed.  Ordinary tenants only see and
     #: control their own jobs.
     admin: bool = False
+
+
+@dataclass(frozen=True, kw_only=True)
+class AuthTokenEntry(Quota):
+    """One ``tokens`` entry of the policy file: the account's name and
+    powers beside its :class:`Quota` fields."""
+
+    name: str
+    admin: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.name:
+            raise ConfigurationError("auth token entry needs a non-empty name")
+
+    def account(self) -> ClientAccount:
+        quota = Quota(
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(Quota)}
+        )
+        return ClientAccount(name=self.name, quota=quota, admin=self.admin)
+
+
+@dataclass(frozen=True)
+class AuthPolicyFile(Wire):
+    """The ``serve --auth`` JSON file, as :mod:`repro.wire` decodes it."""
+
+    allow_anonymous: bool = False
+    tokens: Mapping[str, AuthTokenEntry] = field(default_factory=dict)
+    #: Quota of untokened clients when ``allow_anonymous`` is true.
+    anonymous: Quota | None = None
 
 
 class _Bucket:
@@ -164,70 +201,12 @@ class AuthPolicy:
             raise ConfigurationError(
                 f"auth policy file {path} is not valid JSON: {exc}"
             ) from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"auth policy file {path} must hold a JSON object"
-            )
-        tokens_payload = payload.get("tokens", {})
-        if not isinstance(tokens_payload, dict):
-            raise ConfigurationError('auth policy "tokens" must be an object')
-        accounts: dict[str, ClientAccount] = {}
-        for token, entry in tokens_payload.items():
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"auth policy entry for token {token!r} must be an object"
-                )
-            name = entry.get("name")
-            if not isinstance(name, str) or not name:
-                raise ConfigurationError(
-                    f"auth policy entry for token {token!r} needs a name"
-                )
-            accounts[str(token)] = ClientAccount(
-                name=name,
-                quota=cls._quota_from(entry),
-                admin=bool(entry.get("admin", False)),
-            )
-        anonymous_payload = payload.get("anonymous")
-        anonymous_quota = (
-            cls._quota_from(anonymous_payload)
-            if isinstance(anonymous_payload, dict)
-            else None
-        )
+        policy = AuthPolicyFile.from_dict(payload)
         return cls(
-            accounts,
-            allow_anonymous=bool(payload.get("allow_anonymous", False)),
-            anonymous_quota=anonymous_quota,
+            {token: entry.account() for token, entry in policy.tokens.items()},
+            allow_anonymous=policy.allow_anonymous,
+            anonymous_quota=policy.anonymous,
             clock=clock,
-        )
-
-    @staticmethod
-    def _quota_from(entry: Mapping[str, object]) -> Quota:
-        def number(key: str):
-            value = entry.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"auth policy quota field {key!r} must be a number, "
-                    f"got {value!r}"
-                )
-            return value
-
-        burst = number("submit_burst")
-        return Quota(
-            max_active_jobs=(
-                int(limit) if (limit := number("max_active_jobs")) is not None
-                else None
-            ),
-            max_points=(
-                int(points) if (points := number("max_points")) is not None
-                else None
-            ),
-            submit_rate_per_s=(
-                float(rate) if (rate := number("submit_rate_per_s")) is not None
-                else None
-            ),
-            submit_burst=int(burst) if burst is not None else 2,
         )
 
     # ------------------------------------------------------------------

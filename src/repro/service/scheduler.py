@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro.errors import ConfigurationError
 from repro.exec.base import Executor
 from repro.exec.cache import ResultCache
 from repro.exec.canonical import point_key
@@ -91,7 +92,11 @@ class Scheduler:
     ) -> None:
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
-        self.batch_size = max(1, int(batch_size))
+        if batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be >= 1, got {batch_size}"
+            )
+        self.batch_size = int(batch_size)
         #: Results computed during this service's lifetime, by point key.
         self._memory: dict[str, Mapping[str, float]] = {}
         #: Unresolved unique points, by key.

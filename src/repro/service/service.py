@@ -26,6 +26,7 @@ import asyncio
 import itertools
 from typing import TYPE_CHECKING, Callable
 
+from repro.errors import ConfigurationError
 from repro.exec.base import ExecutionStats, Executor, PointTiming
 from repro.obs import MetricsRegistry, get_registry
 from repro.service.events import Event
@@ -88,16 +89,16 @@ class SweepService:
         store: JobStore | None = None,
     ) -> None:
         if job_ttl_s is not None and job_ttl_s < 0:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"job_ttl_s must be >= 0 or None, got {job_ttl_s}"
             )
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.queue = JobQueue()
         self.scheduler = Scheduler(
             executor=executor, cache=cache, batch_size=batch_size
         )
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.job_ttl_s = job_ttl_s
         self.registry = registry if registry is not None else get_registry()
         self._clock = clock if clock is not None else self.registry.clock

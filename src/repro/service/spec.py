@@ -36,7 +36,7 @@ from repro.channels.slow_switch import SlowSwitchChannel
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.machine.specs import spec_by_name
-from repro.sweep import ParameterSweep, SweepPoint
+from repro.sweep import ParameterSweep, SweepPoint, grid_point_count
 from repro.wire import Wire
 
 __all__ = [
@@ -173,16 +173,8 @@ class SweepSpec(Wire):
 
     # ------------------------------------------------------------------
     def point_count(self) -> int:
-        """Points this spec expands to: axis-length product × trials.
-
-        Computed from the grid's axis lengths alone — no cross-product
-        is materialised — so quota admission can bound a submission's
-        cost *before* the server pays it.
-        """
-        count = int(self.trials)
-        for values in self.grid.values():
-            count *= len(values)
-        return count
+        """Points this spec expands to (:func:`~repro.sweep.grid_point_count`)."""
+        return grid_point_count(self.grid, self.trials)
 
     def build_sweep(self) -> ParameterSweep:
         """Materialise the spec as a runnable :class:`ParameterSweep`."""

@@ -29,6 +29,7 @@ the most recent run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -42,7 +43,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.base import ExecutionStats, Executor, ProgressFn
     from repro.exec.cache import ResultCache
 
-__all__ = ["SweepPoint", "SweepResult", "SweepTable", "ParameterSweep"]
+__all__ = [
+    "SweepPoint",
+    "SweepResult",
+    "SweepTable",
+    "ParameterSweep",
+    "grid_point_count",
+]
+
+
+def grid_point_count(grid: Mapping[str, Sequence[object]], trials: int) -> int:
+    """Points a grid expands to: axis-length product × ``trials``.
+
+    Computed from the axis lengths alone — no cross-product is
+    materialised — so quota admission can bound a submission's cost
+    *before* the server pays it.
+    """
+    return int(trials) * math.prod(len(values) for values in grid.values())
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,6 @@ def build_pin(monkeypatch, argv: list[str]) -> dict:
     """What one CLI invocation hands to the library (nothing runs)."""
     import repro.service.client
     import repro.synth
-    import repro.synth.search
     from repro.exec import callable_fingerprint
     from repro.sweep import ParameterSweep
 
@@ -229,9 +228,8 @@ def build_pin(monkeypatch, argv: list[str]) -> dict:
 
     monkeypatch.setattr(ParameterSweep, "run", sweep_run)
     monkeypatch.setattr(repro.service.client, "submit_and_stream", submit)
-    monkeypatch.setattr(repro.synth.search.SynthSearch, "run", synth_run)
+    monkeypatch.setattr(repro.synth.SynthSearch, "run", synth_run)
     monkeypatch.setattr(repro.synth, "shrink", minimize)
-    monkeypatch.setattr(repro.synth.search, "shrink", minimize)
     monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GENOME)))
     with pytest.raises(_Captured):

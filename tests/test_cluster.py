@@ -35,6 +35,7 @@ from repro.cluster import (
     DistributedExecutor,
     Shard,
     locality_key,
+    make_executor,
     plan_shards,
 )
 from repro.cluster.protocol import (
@@ -51,7 +52,7 @@ from repro.cluster.protocol import (
     read_frame,
 )
 from repro.errors import ConfigurationError
-from repro.exec import SerialExecutor
+from repro.exec import ParallelExecutor, SerialExecutor
 from repro.service.endpoints import open_endpoint, parse_endpoint
 from repro.sweep import ParameterSweep, SweepResult
 from repro.wire import frame_table, send_frame
@@ -617,6 +618,22 @@ class TestDegradation:
             Coordinator([], square_factory, heartbeat_timeout=0.0)
         with pytest.raises(ConfigurationError):
             Coordinator([], square_factory, max_retries=-1)
+
+    def test_make_executor_choice(self):
+        assert type(make_executor()) is SerialExecutor
+        assert type(make_executor(jobs=2)) is ParallelExecutor
+        spawned = make_executor(jobs=2, workers=3, shard_size=5)
+        assert type(spawned) is DistributedExecutor
+        assert (spawned.workers, spawned.worker_jobs, spawned.shard_size) == (3, 2, 5)
+        assert str(spawned.bind) == "tcp://127.0.0.1:0"
+        # Any explicit bind waits for external workers, the loopback
+        # ephemeral address included.
+        for bind in ("cluster.sock", "tcp://127.0.0.1:0"):
+            external = make_executor(bind=bind)
+            assert type(external) is DistributedExecutor
+            assert external.workers == 0 and str(external.bind) == bind
+        with pytest.raises(ConfigurationError):
+            make_executor(workers=-1)
 
     def test_empty_grid_completes_without_workers(self):
         async def scenario():

@@ -16,7 +16,7 @@ from repro.defense.mitigations import (
     Mitigation,
     UniformPathTiming,
 )
-from repro.errors import ChannelError
+from repro.errors import ChannelError, ConfigurationError
 from repro.frontend.params import FrontendParams
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
@@ -110,6 +110,17 @@ class TestDefenseEvaluator:
     def reports(self):
         evaluator = DefenseEvaluator(message_bits=16)
         return {r.mitigation_name: r for r in evaluator.evaluate_all(ALL_MITIGATIONS)}
+
+    def test_rejects_an_empty_message(self, capsys):
+        """No bits to send is a usage error, not every channel "broken"."""
+        with pytest.raises(ConfigurationError, match="message_bits must be >= 1"):
+            DefenseEvaluator(message_bits=0)
+        from repro.cli import main
+
+        assert main(["defense", "--bits", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "message_bits must be >= 1, got 0" in captured.err
 
     def test_baseline_all_intact(self, reports):
         baseline = reports["baseline"]

@@ -23,6 +23,7 @@ from repro.exec import (
     callable_fingerprint,
     canonical_point_key,
     canonical_value,
+    local_executor,
     point_seed_name,
 )
 from repro.rng import derive_seed
@@ -294,6 +295,13 @@ class TestExecutorDeterminism:
 # ----------------------------------------------------------------------
 # result cache
 # ----------------------------------------------------------------------
+class TestLocalExecutor:
+    def test_one_job_is_serial_more_is_a_pool(self):
+        assert type(local_executor(1)) is SerialExecutor
+        pool = local_executor(3)
+        assert type(pool) is ParallelExecutor and pool.jobs == 3
+
+
 class TestResultCache:
     def test_round_trip_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

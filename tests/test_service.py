@@ -32,6 +32,7 @@ from repro.exec import ResultCache, SerialExecutor
 from repro.service import (
     Event,
     JobStatus,
+    Scheduler,
     ServiceClient,
     SweepServer,
     SweepService,
@@ -554,6 +555,16 @@ class TestJobGc:
     def test_negative_ttl_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepService(job_ttl_s=-1.0)
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            SweepService(workers=0)
+
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            Scheduler(batch_size=0)
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            SweepService(batch_size=0)
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.cluster.protocol import (
     Welcome,
     read_frame,
 )
+from repro.errors import ConfigurationError
 from repro.exec import ResultCache
 from repro.obs import ManualClock, MetricsRegistry
 from repro.service import (
@@ -535,6 +536,90 @@ class TestAuth:
         ops = policy.authenticate("t-o")
         assert isinstance(alice, ClientAccount) and not alice.admin
         assert isinstance(ops, ClientAccount) and ops.admin
+
+    def test_policy_file_example_loads(self, tmp_path):
+        """The docs/service.md policy, plus an anonymous quota."""
+        path = tmp_path / "policy.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "allow_anonymous": True,
+                    "anonymous": {"max_points": 64},
+                    "tokens": {
+                        "s3cret-alice": {
+                            "name": "alice", "max_active_jobs": 4,
+                            "max_points": 4096, "submit_rate_per_s": 5,
+                            "submit_burst": 10,
+                        },
+                        "s3cret-bob": {"name": "bob"},
+                        "s3cret-ops": {"name": "ops", "admin": True},
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        policy = AuthPolicy.from_file(path)
+        assert policy.authenticate("s3cret-alice") == ClientAccount(
+            name="alice",
+            quota=Quota(
+                max_active_jobs=4, max_points=4096, submit_rate_per_s=5.0,
+                submit_burst=10,
+            ),
+        )
+        assert policy.authenticate("s3cret-bob") == ClientAccount(name="bob")
+        assert policy.authenticate("s3cret-ops") == ClientAccount(
+            name="ops", admin=True
+        )
+        assert policy.allow_anonymous
+        assert policy.authenticate(None) == ClientAccount(
+            name="anonymous", quota=Quota(max_points=64)
+        )
+
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ({"allow_anonymous": "false"}, "allow_anonymous"),
+            ({"tokens": {"t1": {"name": "bob", "admin": "false"}}}, "admin"),
+            ({"tokens": {"t1": {"name": "bob", "max_point": 10}}}, "max_point"),
+            ({"tokens": {"t1": {"name": "bob", "max_points": 10.5}}}, "max_points"),
+        ],
+        ids=["string-allow-anonymous", "string-admin", "unknown-key", "fractional-count"],
+    )
+    def test_policy_file_is_decoded_strictly(self, tmp_path, payload, field):
+        """A malformed policy fails closed, naming the field, rather than
+        loading with anonymous access, an admin or no quota."""
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=field):
+            AuthPolicy.from_file(path)
+
+    def test_serve_refuses_a_malformed_policy_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "policy.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "allow_anonymous": "false",
+                    "tokens": {
+                        "t1": {"name": "bob", "admin": "false", "max_point": 10}
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        async def serve_forever(self):
+            """Return at once should the policy ever load."""
+
+        monkeypatch.setattr(SweepServer, "serve_forever", serve_forever)
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["serve", "--auth", str(path), "--no-cache", "--socket", "svc.sock"]
+        )
+        assert code == 1
+        assert "allow_anonymous" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
