@@ -69,18 +69,17 @@ class MemoryHierarchy:
         consulted.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        latencies = np.full(len(addrs), self.latencies.dram)
-        pending = np.arange(len(addrs))
-        for cache, latency in (
-            (self.l1, self.latencies.l1),
-            (self.l2, self.latencies.l2),
-            (self.llc, self.latencies.llc),
-        ):
-            if len(pending) == 0:
-                break
+        hit = self.l1.access_many(addrs)
+        if hit.all():
+            return np.full(len(addrs), self.latencies.l1)
+        latencies = np.where(hit, self.latencies.l1, self.latencies.dram)
+        pending = np.flatnonzero(~hit)
+        for cache, latency in ((self.l2, self.latencies.l2), (self.llc, self.latencies.llc)):
             hit = cache.access_many(addrs[pending])
             latencies[pending[hit]] = latency
             pending = pending[~hit]
+            if len(pending) == 0:
+                break
         return latencies
 
     def flush_line(self, addr: int) -> None:

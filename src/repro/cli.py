@@ -897,18 +897,19 @@ def _cmd_serve(args) -> int:
     from repro.service import AuthPolicy, JobStore, SweepServer, SweepService
 
     _check_jobs(args)
-    executor = local_executor(args.jobs)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = JobStore(args.state_dir) if args.state_dir else None
     auth = AuthPolicy.from_file(args.auth) if args.auth else None
     service = SweepService(
-        executor=executor,
-        cache=cache,
+        executor=local_executor(args.jobs),
         batch_size=args.batch_size,
         workers=args.workers,
         job_ttl_s=args.job_ttl if args.job_ttl > 0 else None,
         store=store,
     )
+    # The cache creates its directory, so only once the service has
+    # accepted its flags: a refused ``serve`` leaves nothing behind.
+    if not args.no_cache:
+        service.scheduler.cache = ResultCache(args.cache_dir)
     server = SweepServer(service, args.socket, tcp=args.tcp, auth=auth)
     if store is not None:
         print(f"persisting jobs to {args.state_dir}", file=sys.stderr)

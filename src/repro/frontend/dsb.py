@@ -263,10 +263,6 @@ class DecodedStreamBuffer:
         """Total ways currently in use across all sets."""
         return sum(self._ways)
 
-    def set_contents(self, index: int) -> list[LineKey]:
-        """Keys resident in physical set ``index``, LRU-oldest first."""
-        return list(self._sets[index])
-
     def resident_windows(self, thread: int) -> set[int]:
         """All window addresses currently cached for ``thread``."""
         return {

@@ -466,6 +466,12 @@ class FrontendEngine:
         # Per loop body: its window accesses, and the DSB plans built
         # from them per (thread, smt_active).
         self._window_cache: dict[tuple[MixBlock, ...], _BodyEntry] = {}
+        # The same plans per (program, thread, smt_active): a program
+        # hashes in O(1), a body only by hashing every block.
+        self._program_plans: dict[tuple[LoopProgram, int, bool], _Plan] = {}
+        # Per sweep head (programs, thread, smt_active): the sorted DSB
+        # sets its programs' plans touch.
+        self._sweep_sets: dict[tuple, tuple[int, ...]] = {}
         # (registry, sim.points counter, sim.latency histogram) — rebuilt
         # whenever the process registry is swapped (use_registry in tests).
         self._sim_cache: tuple | None = None
@@ -542,7 +548,13 @@ class FrontendEngine:
 
         Everything here is static in (body, thread, mode), so it is built
         once per body and mode and kept with the body's window accesses.
+        It is looked up by program first, so programs that share a body
+        (different trip counts) get the identical plan.
         """
+        key = (program, thread, smt_active)
+        plan = self._program_plans.get(key)
+        if plan is not None:
+            return plan
         accesses, plans = self._window_entry(program.body)
         plan = plans.get((thread, smt_active))
         if plan is None:
@@ -560,6 +572,7 @@ class FrontendEngine:
             touched = {index for access, index, _, _ in steps if not access.pure_lcp}
             plan = _Plan(steps, tuple(sorted(touched)))
             plans[(thread, smt_active)] = plan
+        self._program_plans[key] = plan
         return plan
 
     # ------------------------------------------------------------------
@@ -868,10 +881,13 @@ class FrontendEngine:
 
         # The head starts with a tuple, never equal to the program that
         # starts a single run's or an SMT pair's head.
-        sets = {i for p in programs for i in self._plan(p, thread, smt_active).sets}
-        reports = self.memo_run(
-            (programs, thread, smt_active), tuple(sorted(sets)), run, runs=len(programs)
-        )
+        head = (programs, thread, smt_active)
+        sets = self._sweep_sets.get(head)
+        if sets is None:
+            plans = [self._plan(p, thread, smt_active) for p in programs]
+            sets = tuple(sorted({i for plan in plans for i in plan.sets}))
+            self._sweep_sets[head] = sets
+        reports = self.memo_run(head, sets, run, runs=len(programs))
         if not interpreted:
             points, latency = self._sim_instruments(registry)
             points.inc(len(programs))

@@ -178,11 +178,6 @@ class FrontendParams:
                 f"got {self.dsb_replacement!r}"
             )
 
-    @property
-    def dsb_capacity_uops(self) -> int:
-        """Maximum uops the whole DSB can hold (1536 with paper geometry)."""
-        return self.dsb_sets * self.dsb_ways * self.dsb_line_uops
-
     def with_overrides(self, **kwargs: object) -> "FrontendParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)  # type: ignore[arg-type]

@@ -12,7 +12,7 @@ reads them on every iteration it interprets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import LayoutError
 from repro.isa.blocks import MixBlock
@@ -115,9 +115,6 @@ class LoopProgram:
         return LoopProgram(
             self.body + other.body, self.iterations, label or self.label
         )
-
-    def iter_blocks(self) -> Iterator[MixBlock]:
-        return iter(self.body)
 
     def __repr__(self) -> str:
         tag = f" {self.label}" if self.label else ""

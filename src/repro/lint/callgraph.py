@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.lint.core import ModuleInfo, Project, import_aliases, qualified_name
 
@@ -85,21 +84,6 @@ class CallGraph:
 
     def callers(self, qualname: str) -> list[CallSite]:
         return [site for site in self.calls if site.callee == qualname]
-
-    def module_functions(self, module: str) -> list[FunctionNode]:
-        return [f for f in self.functions.values() if f.module == module]
-
-    # -- construction ---------------------------------------------------
-    def add_module(self, module: ModuleInfo) -> None:
-        aliases = import_aliases(module.tree)
-        scope = _Scope(module=module.module, aliases=aliases, graph=self)
-        scope.index_body(module.tree.body, prefix=module.module, class_name=None)
-        scope.resolve_body(
-            module.tree.body,
-            caller=f"{module.module}.<module>",
-            class_name=None,
-            local_defs=[scope.module_defs],
-        )
 
 
 def _lambda_params(node: ast.Lambda) -> tuple[str, ...]:
@@ -350,12 +334,3 @@ def build_call_graph(project: Project) -> CallGraph:
     project._call_graph = graph  # type: ignore[attr-defined]
     return graph
 
-
-def iter_project_calls(project: Project) -> Iterator[tuple[ModuleInfo, CallSite]]:
-    """Every resolved call edge with its source module."""
-    graph = build_call_graph(project)
-    by_name = {module.module: module for module in project.modules}
-    for site in graph.calls:
-        module = by_name.get(site.module)
-        if module is not None:
-            yield module, site

@@ -306,3 +306,139 @@ class TestBatchKernels:
         assert cache.access_many(addrs).tolist() == [False, False, False, False]
         assert calls == addrs
         assert cache.lru_stack(0) == [0x200, 0x000]
+
+
+class _ReferenceCache:
+    """Per-address true-LRU model: each set a list, LRU-oldest first."""
+
+    def __init__(self, sets: int, ways: int, line_bytes: int) -> None:
+        self.sets, self.ways, self.line_bytes = sets, ways, line_bytes
+        self.data: list[list[int]] = [[] for _ in range(sets)]
+        self.stats = CacheStats()
+
+    def _locate(self, addr: int) -> tuple[list[int], int]:
+        line = addr - addr % self.line_bytes
+        return self.data[(addr // self.line_bytes) % self.sets], line
+
+    def access(self, addr: int) -> bool:
+        entry_set, line = self._locate(addr)
+        if line in entry_set:
+            entry_set.remove(line)
+            entry_set.append(line)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        if len(entry_set) >= self.ways:
+            entry_set.pop(0)
+            self.stats.evictions += 1
+        entry_set.append(line)
+        return False
+
+    def probe(self, addr: int) -> bool:
+        entry_set, line = self._locate(addr)
+        return line in entry_set
+
+    def flush_line(self, addr: int) -> bool:
+        entry_set, line = self._locate(addr)
+        if line not in entry_set:
+            return False
+        entry_set.remove(line)
+        self.stats.flushes += 1
+        return True
+
+    def flush_all(self) -> None:
+        for entry_set in self.data:
+            entry_set.clear()
+        self.stats.flushes += 1
+
+
+class TestDeferredMoves:
+    """All-hit batches defer their MRU moves to a backlog; everything that
+    reads or changes LRU order must see them applied, in order."""
+
+    @settings(max_examples=300)
+    @given(
+        geometry=st.tuples(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.sampled_from([1, 16])),
+        data=st.data(),
+    )
+    def test_op_sequences_equal_reference(self, geometry, data):
+        """Random op mixes check each op's result, and every line's
+        residency, on the spot; LRU order and stats are compared only at
+        the end, so deferred moves stay deferred across the sequence.
+        Every address comes from a few lines, so lines are proven
+        resident, then evicted or flushed, then batched again; negative
+        line numbers, too, must never match an empty proof slot."""
+        cache, reference = _cache(geometry), _ReferenceCache(*geometry)
+        sets, ways, line_bytes = geometry
+        lines = data.draw(
+            st.lists(
+                st.integers(-sets, sets * (ways + 2) - 1), min_size=1, max_size=2 * sets * ways
+            ),
+            label="lines",
+        )
+        pool = st.builds(
+            lambda line, offset: line * line_bytes + offset,
+            st.sampled_from(lines),
+            st.sampled_from([0, line_bytes - 1]),
+        )
+        # A batch of at most ``ways`` addresses never over-subscribes a
+        # set, so it takes the kernel unless its lines are all resident.
+        batches = {
+            "batch": st.lists(pool, max_size=40),
+            "fitting": st.lists(pool, min_size=1, max_size=ways),
+        }
+        ops = st.sampled_from(
+            ["all-hit", "all-hit", "absent", *batches, "access", "probe", "flush_line", "flush_all"]
+        )
+        for op in data.draw(st.lists(ops, min_size=12, max_size=40), label="ops"):
+            if op == "all-hit":
+                resident = [line for entry_set in reference.data for line in entry_set]
+                if not resident:
+                    continue
+                addrs = data.draw(
+                    st.lists(st.sampled_from(resident), min_size=1, max_size=40), label="resident"
+                )
+                assert cache.access_many(addrs).tolist() == [True] * len(addrs)
+                for addr in addrs:
+                    reference.access(addr)
+            elif op == "absent":
+                # A line evicted or flushed after it was proven resident
+                # must miss again.
+                absent = [line * line_bytes for line in lines]
+                absent = [addr for addr in absent if not reference.probe(addr)]
+                if not absent:
+                    continue
+                addr = data.draw(st.sampled_from(absent), label="absent")
+                assert cache.access_many([addr]).tolist() == [reference.access(addr)] == [False]
+            elif op in batches:
+                addrs = data.draw(batches[op], label=op)
+                hits = cache.access_many(addrs).tolist()
+                assert hits == [reference.access(addr) for addr in addrs]
+            elif op == "flush_all":
+                cache.flush_all()
+                reference.flush_all()
+            else:
+                addr = data.draw(pool, label="addr")
+                assert getattr(cache, op)(addr) == getattr(reference, op)(addr)
+            for line in lines:
+                assert cache.probe(line * line_bytes) == reference.probe(line * line_bytes)
+            for index in range(sets):
+                assert cache.occupancy(index) == len(reference.data[index])
+        assert cache.stats == reference.stats
+        for index in range(sets):
+            assert cache.lru_stack(index) == reference.data[index]
+
+    def test_backlog_stays_bounded(self):
+        """10,000 all-hit batches never hold more deferred accesses than
+        the bound, and the bound is tied to the geometry."""
+        cache = l1i_cache()
+        limit = SetAssociativeCache.BACKLOG_PER_LINE * cache.sets * cache.ways
+        rng = np.random.default_rng(0)
+        base = 0x40_0000
+        for line in range(96):
+            cache.access(base + line * 64)
+        for _ in range(10_000):
+            addrs = base + rng.integers(0, 96, size=650) * 64
+            assert cache.access_many(addrs).all()
+            assert sum(map(len, cache._backlog)) == cache._backlog_size <= limit
+        assert cache.stats == CacheStats(hits=6_500_000, misses=96)

@@ -124,6 +124,17 @@ class TestCommands:
         assert code == 1
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--workers", "workers must be >= 1"), ("--batch-size", "batch_size must be >= 1")],
+    )
+    def test_refused_serve_creates_no_cache_dir(self, tmp_path, capsys, flag, message):
+        cache_dir = tmp_path / "c"
+        code = main(["serve", flag, "0", "--cache-dir", str(cache_dir)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not cache_dir.exists()
+
     def test_sweep_rejects_non_numeric_value_cleanly(self, capsys):
         code = main(["sweep", "--param", "q=100,fast", "--no-cache"])
         assert code == 1

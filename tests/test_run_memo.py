@@ -568,3 +568,39 @@ class TestMemoBookkeeping:
             machine.run_loop(LoopProgram(BODIES[0], iterations))
             assert len(machine.core.engine._runs) <= 3
         assert not Machine(GOLD_6226).core.engine._runs
+
+
+class TestPlanTables:
+    """Each engine keeps its plans per program and each sweep's sets per
+    head; both tables must hand out what the per-body plans say."""
+
+    def test_programs_sharing_a_body_get_the_identical_plan(self):
+        engine = Machine(GOLD_6226).core.engine
+        short, long = LoopProgram(BODIES[5], 3), LoopProgram(BODIES[5], 2_001)
+        for thread, smt_active in ((0, False), (1, False), (0, True), (1, True)):
+            plan = engine._plan(short, thread, smt_active)
+            assert engine._plan(long, thread, smt_active) is plan
+            assert engine._plan(short.with_iterations(40), thread, smt_active) is plan
+        assert engine._plan(short, 0, False) is not engine._plan(short, 0, True)
+        assert engine._plan(short, 0, True) is not engine._plan(short, 1, True)
+
+    @pytest.mark.parametrize("thread, smt_active", [(0, False), (1, False), (1, True)])
+    def test_sweep_sets_are_the_union_of_plan_sets(self, thread, smt_active):
+        machine = Machine(GOLD_6226)
+        engine = machine.core.engine
+        programs = tuple(LoopProgram(body, 3) for body in BODIES)
+        for _ in range(2):
+            machine.run_loops(programs, thread, smt_active)
+        union = {i for p in programs for i in engine._plan(p, thread, smt_active).sets}
+        assert engine._sweep_sets == {(programs, thread, smt_active): tuple(sorted(union))}
+
+    def test_tables_are_per_engine(self):
+        first, second = Machine(GOLD_6226), Machine(GOLD_6226)
+        programs = (LoopProgram(BODIES[0], 3), LoopProgram(BODIES[1], 3))
+        first.run_loops(programs)
+        ours, theirs = first.core.engine, second.core.engine
+        assert ours._program_plans and ours._sweep_sets
+        assert not theirs._program_plans and not theirs._sweep_sets
+        second.run_loops(programs)
+        assert theirs._sweep_sets == ours._sweep_sets
+        assert theirs._plan(programs[0], 0, False) is not ours._plan(programs[0], 0, False)
