@@ -3,27 +3,37 @@
 Every benchmark regenerates one table or figure from the paper's
 evaluation: it runs the experiment on the simulated machines, prints the
 same rows/series the paper reports (with the paper's numbers alongside
-for comparison), writes the output under ``benchmarks/results/``, and
-asserts the qualitative *shape* (orderings, rough factors, crossovers).
+for comparison), checks the output against the committed
+``benchmarks/results/<name>.txt`` and asserts the qualitative *shape*
+(orderings, rough factors, crossovers).
+
+The committed result files are the reproduction's numbers.  When a run
+prints different text, :func:`save_result` fails the test with a
+unified diff of the rows that moved and writes the new text in place,
+so ``git diff benchmarks/results/`` shows the change; committing that
+diff is how an intended change to a paper number is accepted.
 
 Sweep-driven benchmarks route through :func:`run_sweep`, which picks up
 execution options from the environment so the whole suite can be fanned
-out or memoised without touching any benchmark source:
+out or memoised without touching any benchmark source; every mode must
+reproduce the same committed files:
 
 * ``REPRO_SWEEP_JOBS=N``      — run sweep points on N worker processes;
 * ``REPRO_SWEEP_WORKERS=N``   — shard sweeps across N cluster workers
   (the distributed fabric; combines with ``JOBS`` for per-worker pools);
-* ``REPRO_SWEEP_CACHE_DIR=D`` — cache point metrics on disk under D;
-* ``REPRO_SWEEP_NO_CACHE=1``  — ignore the cache even if a dir is set.
+* ``REPRO_SWEEP_CACHE_DIR=D`` — cache point metrics on disk under D.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
 import os
 import sys
 from contextlib import redirect_stdout
 from typing import Callable, Sequence
+
+import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -37,11 +47,8 @@ def sweep_executor():
         jobs=int(os.environ.get("REPRO_SWEEP_JOBS", "1")),
         workers=int(os.environ.get("REPRO_SWEEP_WORKERS", "0")),
     )
-    cache = None
     cache_dir = os.environ.get("REPRO_SWEEP_CACHE_DIR")
-    if cache_dir and not os.environ.get("REPRO_SWEEP_NO_CACHE"):
-        cache = ResultCache(cache_dir)
-    return executor, cache
+    return executor, ResultCache(cache_dir) if cache_dir else None
 
 
 def run_sweep(sweep):
@@ -62,7 +69,7 @@ def save_metrics_snapshot(name: str) -> str:
 
     Snapshots accumulate over the whole pytest process, so the file
     written by the *last* sweep covers every instrument the suite
-    touched — CI uploads these alongside the table outputs.
+    touched; CI uploads them as build artifacts.
     """
     from repro.obs import get_registry, snapshot_json
 
@@ -73,34 +80,52 @@ def save_metrics_snapshot(name: str) -> str:
     return path
 
 
-def run_and_report(benchmark, name: str, experiment: Callable[[], object]) -> object:
-    """Run an experiment exactly once under pytest-benchmark.
-
-    The experiment's stdout is captured and mirrored both to the test
-    output and to ``benchmarks/results/<name>.txt``.
-    """
-    outputs: dict[str, object] = {}
-
-    def once() -> None:
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            outputs["result"] = experiment()
-        outputs["text"] = buffer.getvalue()
-
-    benchmark.pedantic(once, rounds=1, iterations=1)
-    text = sanitize(str(outputs.get("text", "")))
+def run_and_report(name: str, experiment: Callable[[], object]) -> object:
+    """Run an experiment once and check its stdout against
+    ``benchmarks/results/<name>.txt`` (see :func:`save_result`); the
+    text is also mirrored to the test output."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        result = experiment()
+    text = sanitize(buffer.getvalue())
     print()
     print(text)
     save_result(name, text)
-    return outputs["result"]
+    return result
 
 
 def save_result(name: str, text: str) -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    """Check ``text`` against the committed ``results/<name>.txt``.
+
+    When the text differs, or no file is there, write the new text to
+    the file and fail the test.  The failure message is a unified diff from the committed text (empty
+    for a missing file) to the new one, so it names the moved rows.
+    """
+    text = sanitize(text)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    try:
+        with open(path) as handle:
+            old = handle.read()
+    except FileNotFoundError:
+        old = None
+    if old == text:
+        return path
     with open(path, "w") as handle:
-        handle.write(sanitize(text))
-    return path
+        handle.write(text)
+    diff = "".join(
+        difflib.unified_diff(
+            (old or "").splitlines(keepends=True),
+            text.splitlines(keepends=True),
+            fromfile=f"committed/{name}.txt",
+            tofile=f"measured/{name}.txt",
+        )
+    )
+    state = "was missing" if old is None else "changed"
+    pytest.fail(
+        f"{path} {state}; the new text is written there, commit it if the "
+        f"change is intended:\n{diff}",
+        pytrace=False,
+    )
 
 
 def sanitize(text: str) -> str:

@@ -65,8 +65,8 @@ def experiment() -> dict:
     return results
 
 
-def test_ablation_inclusivity(benchmark):
-    results = run_and_report(benchmark, "ablation_inclusivity", experiment)
+def test_ablation_inclusivity():
+    results = run_and_report("ablation_inclusivity", experiment)
     # Removing the eviction->flush coupling shrinks the channel's margin:
     # the receiver's loop keeps streaming from the LSD through m=1 bursts.
     assert results["ablated"] < 0.6 * results["inclusive"]

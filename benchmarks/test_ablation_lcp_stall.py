@@ -81,8 +81,8 @@ def experiment() -> dict:
     return {"stall": stall_sweep, "switch": switch_sweep}
 
 
-def test_ablation_lcp_stall(benchmark):
-    results = run_and_report(benchmark, "ablation_lcp_stall", experiment)
+def test_ablation_lcp_stall():
+    results = run_and_report("ablation_lcp_stall", experiment)
     stall, switch = results["stall"], results["switch"]
     # The stall penalty barely moves the margin (both encodings stall
     # identically)...

@@ -79,8 +79,8 @@ def experiment() -> dict:
     return sweep
 
 
-def test_ablation_lsd_detect(benchmark):
-    results = run_and_report(benchmark, "ablation_lsd_detect", experiment)
+def test_ablation_lsd_detect():
+    results = run_and_report("ablation_lsd_detect", experiment)
     # Benign steady-state share barely moves: detection cost is one-off.
     shares = [share for share, _ in results.values()]
     assert max(shares) - min(shares) < 0.01

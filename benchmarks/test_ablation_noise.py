@@ -56,8 +56,8 @@ def experiment() -> dict[float, float]:
     return results
 
 
-def test_ablation_noise(benchmark):
-    results = run_and_report(benchmark, "ablation_noise", experiment)
+def test_ablation_noise():
+    results = run_and_report("ablation_noise", experiment)
     # Noiseless: the channel is perfect (deterministic model).
     assert results[0.0] == 0.0
     # Heavy noise must push errors toward coin-flipping.

@@ -62,8 +62,8 @@ def experiment() -> dict:
     return results
 
 
-def test_ablation_partitioning(benchmark):
-    results = run_and_report(benchmark, "ablation_partitioning", experiment)
+def test_ablation_partitioning():
+    results = run_and_report("ablation_partitioning", experiment)
     # With partitioning: set 17 folds onto set 1 -> heavy conflicts.
     assert results[("partitioned", 17)] > 50 * max(results[("partitioned", 5)], 1)
     # Ablated: the mod-16 alias disappears; set 17 is as quiet as set 5.

@@ -82,8 +82,8 @@ def experiment() -> dict:
     return results
 
 
-def test_coding_tradeoff(benchmark):
-    results = run_and_report(benchmark, "coding_tradeoff", experiment)
+def test_coding_tradeoff():
+    results = run_and_report("coding_tradeoff", experiment)
     # Repetition monotonically trades rate for error on the noisy channel.
     raw_kbps, raw_err = results[("mt", "raw")]
     r3_kbps, r3_err = results[("mt", "repetition-3")]

@@ -65,8 +65,8 @@ def experiment() -> dict:
     return reports
 
 
-def test_defense_matrix(benchmark):
-    reports = run_and_report(benchmark, "defense_matrix", experiment)
+def test_defense_matrix():
+    reports = run_and_report("defense_matrix", experiment)
     baseline = reports["baseline"]
     assert baseline.set_leak_accuracy > 0.9
     assert all(o.status == "intact" for o in baseline.outcomes)

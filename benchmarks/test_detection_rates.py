@@ -107,8 +107,8 @@ def experiment() -> dict:
     return verdicts
 
 
-def test_detection_rates(benchmark):
-    verdicts = run_and_report(benchmark, "detection_rates", experiment)
+def test_detection_rates():
+    verdicts = run_and_report("detection_rates", experiment)
     # Zero false positives on the benign hold-outs.
     for name, suspicious in verdicts.items():
         if name.startswith("benign/"):

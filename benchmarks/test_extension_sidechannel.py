@@ -51,8 +51,8 @@ def experiment() -> dict:
     }
 
 
-def test_extension_sidechannel(benchmark):
-    results = run_and_report(benchmark, "extension_sidechannel", experiment)
+def test_extension_sidechannel():
+    results = run_and_report("extension_sidechannel", experiment)
     # One observation at nominal noise already recovers most bits...
     assert results[(1, 1.0)] > 0.9
     # ...five observations recover (essentially) the whole key.

@@ -54,8 +54,8 @@ def experiment() -> dict:
     return results
 
 
-def test_extension_streamline(benchmark):
-    results = run_and_report(benchmark, "extension_streamline", experiment)
+def test_extension_streamline():
+    results = run_and_report("extension_streamline", experiment)
     ring_info = results["ring-16"][2]
     sync_info = max(results["sync-eviction"][2], results["sync-misalignment"][2])
     # Order-of-magnitude speedup from removing per-bit synchronisation,

@@ -73,8 +73,8 @@ def experiment() -> dict:
     return results
 
 
-def test_fig02_dsb_partitioning(benchmark):
-    results = run_and_report(benchmark, "fig02_dsb_partitioning", experiment)
+def test_fig02_dsb_partitioning():
+    results = run_and_report("fig02_dsb_partitioning", experiment)
     for spec_name, (with_sender, without_sender) in results.items():
         conflict = {FIXED_SET, FIXED_SET + 16}
         quiet_max = max(
@@ -87,7 +87,7 @@ def test_fig02_dsb_partitioning(benchmark):
         assert max(without_sender) < min(with_sender[s] for s in conflict) / 10
 
 
-def test_fig02_lsd_oversized_blocks(benchmark):
+def test_fig02_lsd_oversized_blocks():
     """The paper's third condition: Gold 6226 with LSD enabled but
     chains exceeding the 64-uop LSD (forcing the DSB even with the LSD
     present) shows the same partitioning collisions."""
@@ -102,7 +102,7 @@ def test_fig02_lsd_oversized_blocks(benchmark):
             print(f"  swept set {s:2d}: MITE uops {with_sender[s]:.2e}")
         return {"with_sender": with_sender}
 
-    results = run_and_report(benchmark, "fig02_lsd_oversized", oversized)
+    results = run_and_report("fig02_lsd_oversized", oversized)
     with_sender = results["with_sender"]
     conflict = {FIXED_SET, FIXED_SET + 16}
     quiet = [u for s, u in enumerate(with_sender) if s not in conflict]

@@ -60,8 +60,8 @@ def experiment() -> dict:
     return results
 
 
-def test_fig03_path_counters(benchmark):
-    results = run_and_report(benchmark, "fig03_path_counters", experiment)
+def test_fig03_path_counters():
+    results = run_and_report("fig03_path_counters", experiment)
 
     gold = results["Gold 6226"]
     # 40-uop loop: LSD services (almost) everything on the LSD machine.

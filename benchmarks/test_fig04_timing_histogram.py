@@ -11,16 +11,18 @@ from __future__ import annotations
 from _harness import run_and_report
 
 from repro.analysis.stats import separation, summarize, trimmed
-from repro.channels.probes import path_timing_samples
+from repro.channels.probes import PathProbe, path_timing_samples
 from repro.frontend.paths import DeliveryPath
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.measure.histogram import Histogram
 
+ITERATIONS = 10
+
 
 def experiment() -> dict:
     machine = Machine(GOLD_6226, seed=42)
-    samples = path_timing_samples(machine, samples=400, iterations=10)
+    samples = path_timing_samples(machine, samples=400, iterations=ITERATIONS)
     cleaned = {path: trimmed(obs) for path, obs in samples.items()}
     lo = min(min(obs) for obs in cleaned.values())
     hi = max(max(obs) for obs in cleaned.values())
@@ -34,8 +36,8 @@ def experiment() -> dict:
     return cleaned
 
 
-def test_fig04_timing_histogram(benchmark):
-    cleaned = run_and_report(benchmark, "fig04_timing_histogram", experiment)
+def test_fig04_timing_histogram():
+    cleaned = run_and_report("fig04_timing_histogram", experiment)
     lsd = cleaned[DeliveryPath.LSD]
     dsb = cleaned[DeliveryPath.DSB]
     mite = cleaned[DeliveryPath.MITE]
@@ -47,3 +49,11 @@ def test_fig04_timing_histogram(benchmark):
     mite_gap = abs(summarize(mite).mean - summarize(dsb).mean)
     lsd_gap = abs(summarize(lsd).mean - summarize(dsb).mean)
     assert mite_gap > 3 * lsd_gap
+    # Per uop, the calibrated latency order is DSB < LSD < MITE+DSB (the
+    # probes deliver different uop counts per traversal).
+    probes = PathProbe.all_probes(Machine(GOLD_6226), ITERATIONS)
+    per_uop = {
+        path: summarize(cleaned[path]).mean / probe.program.total_uops
+        for path, probe in probes.items()
+    }
+    assert per_uop[DeliveryPath.DSB] < per_uop[DeliveryPath.LSD] < per_uop[DeliveryPath.MITE]

@@ -57,8 +57,8 @@ def experiment() -> dict:
     return {"mixed": mixed, "ordered": ordered}
 
 
-def test_fig06_lcp_issue(benchmark):
-    results = run_and_report(benchmark, "fig06_lcp_issue", experiment)
+def test_fig06_lcp_issue():
+    results = run_and_report("fig06_lcp_issue", experiment)
     mixed, ordered = results["mixed"], results["ordered"]
     # Similar per-path uop totals (paper: "similar number of micro-ops
     # from MITE and DSB")...

@@ -34,8 +34,8 @@ def experiment() -> dict:
     return {"samples": samples, "decoder": channel.decoder}
 
 
-def test_fig10_trace(benchmark):
-    results = run_and_report(benchmark, "fig10_trace", experiment)
+def test_fig10_trace():
+    results = run_and_report("fig10_trace", experiment)
     samples, decoder = results["samples"], results["decoder"]
     ones = [s.measurement for s in samples if s.sent == 1]
     zeros = [s.measurement for s in samples if s.sent == 0]

@@ -63,8 +63,8 @@ def experiment() -> dict[int, tuple[float, float, float]]:
     return results
 
 
-def test_fig11_d_sweep(benchmark):
-    results = run_and_report(benchmark, "fig11_d_sweep", experiment)
+def test_fig11_d_sweep():
+    results = run_and_report("fig11_d_sweep", experiment)
     margins = {d: margin for d, (_, _, margin) in results.items()}
     errors = {d: err for d, (_, err, _) in results.items()}
     # Small d => small timing difference (paper: d=1,2 unreliable).

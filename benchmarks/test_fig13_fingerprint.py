@@ -59,8 +59,8 @@ def experiment() -> dict:
     return readings
 
 
-def test_fig13_fingerprint(benchmark):
-    readings = run_and_report(benchmark, "fig13_fingerprint", experiment)
+def test_fig13_fingerprint():
+    readings = run_and_report("fig13_fingerprint", experiment)
     patch1, patch2 = readings["patch1"], readings["patch2"]
     # Correct classification of both patch states.
     assert patch1.lsd_enabled and patch1.matching_patch((PATCH1, PATCH2)) is PATCH1

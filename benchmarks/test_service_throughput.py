@@ -112,8 +112,8 @@ def experiment() -> dict:
     }
 
 
-def test_service_throughput(benchmark):
-    results = run_and_report(benchmark, "service_throughput", experiment)
+def test_service_throughput():
+    results = run_and_report("service_throughput", experiment)
 
     assert all(job.status is JobStatus.DONE for job in results["jobs"])
     assert all(job.status is JobStatus.DONE for job in results["warm_jobs"])

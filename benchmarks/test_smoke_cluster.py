@@ -1,4 +1,4 @@
-"""Cluster-fabric smoke test — stays in the default (tier-1) run.
+"""Cluster-fabric smoke test.
 
 One small, real sweep (the same Figure 11 d-sweep slice the executor
 smoke test uses) runs through the full distributed stack: a
@@ -8,9 +8,8 @@ speaking the genuine JSONL wire protocol, shard dispatch, and the
 idempotent merge.  The resulting table must agree bit-for-bit with the
 ``SerialExecutor`` reference — the fabric's core guarantee.
 
-Deliberately a plain test (no ``benchmark`` fixture) so it runs in
-every configuration; the fault-injection paths (worker kill, heartbeat
-eviction, duplicate delivery) live in ``tests/test_cluster.py``.
+The fault-injection paths (worker kill, heartbeat eviction, duplicate
+delivery) live in ``tests/test_cluster.py``.
 
 The run is also pinned against the deterministic-replay fixture in
 ``tests/fixtures/replay/`` (results only — cluster wall-clock timing is
@@ -23,8 +22,6 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.bits import alternating_bits
 from repro.channels.base import ChannelConfig
 from repro.channels.eviction import MtEvictionChannel
@@ -33,8 +30,6 @@ from repro.exec import SerialExecutor
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.sweep import ParameterSweep, SweepPoint
-
-pytestmark = pytest.mark.smoke
 
 GRID = {"d": [1, 2, 4, 6]}
 BASE_SEED = 1100

@@ -1,4 +1,4 @@
-"""Service-layer smoke test — stays in the default (tier-1) run.
+"""Service-layer smoke test.
 
 Drives the in-process :class:`~repro.service.service.SweepService` (no
 sockets) over a real channel sweep described by a
@@ -9,18 +9,14 @@ unique point at most once — the service's core dedup guarantee, checked
 here against the genuine channel factory rather than a test stub.
 
 The full-grid service benchmark (throughput, cache-warm resubmits) is
-``slow``-marked in ``test_service_throughput.py``.
+``test_service_throughput.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.service import JobStatus, SweepService, SweepSpec
-
-pytestmark = pytest.mark.smoke
 
 BASE_SEED = 1100
 

@@ -1,4 +1,4 @@
-"""Executor-layer smoke sweep — stays in the default (tier-1) run.
+"""Executor-layer smoke sweep.
 
 One small, real sweep (a 4-point slice of the Figure 11 d-sweep) runs
 through every execution strategy and must agree bit-for-bit:
@@ -6,18 +6,11 @@ through every execution strategy and must agree bit-for-bit:
 * ``SerialExecutor`` — the reference;
 * ``ParallelExecutor(jobs=2)`` — fan-out across worker processes;
 * cache-cold then cache-warm serial runs — memoised metrics.
-
-This is deliberately a plain test (no ``benchmark`` fixture) so it
-executes in every configuration, including ``pytest`` with no plugins
-selected.  The full-grid benchmarks are ``slow``-marked and excluded
-from the default run (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.analysis.bits import alternating_bits
 from repro.channels.base import ChannelConfig
@@ -26,8 +19,6 @@ from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226
 from repro.sweep import ParameterSweep, SweepPoint
-
-pytestmark = pytest.mark.smoke
 
 GRID = {"d": [1, 2, 4, 6]}
 BASE_SEED = 1100

@@ -38,8 +38,8 @@ def experiment():
     return ALL_SPECS
 
 
-def test_table1_specs(benchmark):
-    specs = run_and_report(benchmark, "table1_specs", experiment)
+def test_table1_specs():
+    specs = run_and_report("table1_specs", experiment)
     by_name = {spec.name: spec for spec in specs}
     gold = by_name["Gold 6226"]
     assert (gold.cores, gold.threads, gold.frequency_ghz) == (12, 24, 2.7)

@@ -68,8 +68,8 @@ def experiment() -> dict:
     return results
 
 
-def test_table2_patterns(benchmark):
-    results = run_and_report(benchmark, "table2_patterns", experiment)
+def test_table2_patterns():
+    results = run_and_report("table2_patterns", experiment)
     for spec in SMT_SPECS:
         constant_err = max(
             results[("all_zeros", spec.name)][1],

@@ -116,8 +116,8 @@ def experiment() -> dict:
     return results
 
 
-def test_table3_rates(benchmark):
-    results = run_and_report(benchmark, "table3_rates", experiment)
+def test_table3_rates():
+    results = run_and_report("table3_rates", experiment)
 
     def rate(channel, machine):
         return results[(channel, machine)][0]

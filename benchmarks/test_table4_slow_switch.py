@@ -47,8 +47,8 @@ def experiment() -> dict:
     return results
 
 
-def test_table4_slow_switch(benchmark):
-    results = run_and_report(benchmark, "table4_slow_switch", experiment)
+def test_table4_slow_switch():
+    results = run_and_report("table4_slow_switch", experiment)
     gold_rate, gold_err = results["Gold 6226"]
     azure_rate, azure_err = results["Xeon E-2288G"]
     # Rates in the paper's band, with the higher-frequency E-2288G faster.

@@ -55,8 +55,8 @@ def experiment() -> dict:
     return results
 
 
-def test_table5_power(benchmark):
-    results = run_and_report(benchmark, "table5_power", experiment)
+def test_table5_power():
+    results = run_and_report("table5_power", experiment)
     for label, (kbps, err) in results.items():
         # Sub-Kbps rates, orders of magnitude below the timing channels,
         # but above the TCSEC 100 bps high-bandwidth threshold.

@@ -82,8 +82,8 @@ def experiment() -> dict:
     return results
 
 
-def test_table6_sgx(benchmark):
-    results = run_and_report(benchmark, "table6_sgx", experiment)
+def test_table6_sgx():
+    results = run_and_report("table6_sgx", experiment)
     for (name, machine_name), (kbps, err) in results.items():
         if name.startswith("sgx-non-mt"):
             # Paper band: roughly 19-35 Kbps for non-MT SGX attacks.

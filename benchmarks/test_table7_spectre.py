@@ -67,8 +67,8 @@ def experiment() -> dict:
     return results
 
 
-def test_table7_spectre(benchmark):
-    results = run_and_report(benchmark, "table7_spectre", experiment)
+def test_table7_spectre():
+    results = run_and_report("table7_spectre", experiment)
     rates = {name: report.l1_miss_rate for name, report in results.items()}
     # Headline: the frontend channel has the lowest L1 miss rate.
     frontend = rates["frontend-dsb"]

@@ -25,9 +25,7 @@ Gives each of the library's headline capabilities a one-line invocation:
 * ``metrics``     — fetch a running service's metrics snapshot;
 * ``worker``      — join a cluster coordinator as a compute node;
 * ``lint``        — run the determinism/layering/fidelity linter
-  (``repro.lint``);
-* ``validate``    — run the 10-point model-invariant checklist;
-* ``report``      — assemble benchmark results into REPORT.md.
+  (``repro.lint``).
 
 All commands accept ``--seed`` for exact reproducibility.  ``sweep``
 additionally takes ``--jobs N`` (worker processes), ``--cache-dir``
@@ -535,12 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_argument(worker)
 
-    sub.add_parser(
-        "validate",
-        help="check the model's paper invariants (10-point checklist)",
-        parents=[common],
-    ).set_defaults(handler=_cmd_validate)
-
     lint = sub.add_parser(
         "lint",
         help="run the determinism/layering/fidelity linter (repro.lint)",
@@ -587,17 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-
-    report = sub.add_parser(
-        "report",
-        help="assemble benchmarks/results/ into REPORT.md",
-        parents=[common],
-    )
-    report.set_defaults(handler=_cmd_report)
-    report.add_argument(
-        "--results", default="benchmarks/results", help="results directory"
-    )
-    report.add_argument("--output", default="REPORT.md")
 
     return parser
 
@@ -816,21 +797,6 @@ def _cmd_lint(args) -> int:
         return 0
     write_report(report, args.fmt, sys.stdout)
     return report.exit_code()
-
-
-def _cmd_validate(_args) -> int:
-    from repro.validate import run_validation
-
-    results = run_validation(verbose=True)
-    return 0 if all(result.passed for result in results) else 1
-
-
-def _cmd_report(args) -> int:
-    from repro.reporting import write_report
-
-    path = write_report(args.results, args.output)
-    print(f"wrote {path}")
-    return 0
 
 
 def _check_jobs(args) -> None:

@@ -89,8 +89,6 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     ),
     # -- experiment plumbing --------------------------------------------
     "workloads": frozenset({"errors", "isa"}),
-    "configio": frozenset({"channels", "errors", "frontend", "machine", "wire"}),
-    "validate": frozenset({"errors", "fingerprint", "frontend", "isa", "machine"}),
     # sweep <-> exec are one layer split over two modules: the sweep
     # grid model and the executors that run it share canonical identity
     # helpers, so each may import the other (and nothing higher).
@@ -98,7 +96,7 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
     # ``wire`` entered the exec set when result-cache entries became
     # typed records; wire is a foundation that imports only ``errors``.
     "exec": frozenset({"errors", "obs", "rng", "sweep", "wire"}),
-    "reporting": frozenset({"errors", "exec"}),
+    "reporting": frozenset({"exec"}),
     # -- scenario registry ------------------------------------------------
     # Declarative attack scenarios sit above every attack layer they
     # orchestrate and reuse the service's JSON spec conventions; only
@@ -173,7 +171,6 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "spectre",
             "sweep",
             "synth",
-            "validate",
             "wire",
             "workloads",
         }
@@ -187,7 +184,6 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "caches",
             "channels",
             "cluster",
-            "configio",
             "defense",
             "errors",
             "exec",
@@ -206,7 +202,6 @@ DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
             "spectre",
             "sweep",
             "synth",
-            "validate",
             "workloads",
         }
     ),

@@ -1,38 +1,18 @@
-"""Reproduction report generation and run-progress formatting.
+"""Human-facing formatting of the execution layer's throughput numbers.
 
-Collects the benchmark harness outputs (``benchmarks/results/*.txt``)
-into a single ``REPORT.md`` — the artifact a reviewer reads first.  Runs
-from the CLI (``python -m repro report``) after
-``pytest benchmarks/ --benchmark-only -m slow`` has populated the
-results.
-
-Also home to the human-facing formatting of the execution layer's
-throughput numbers (:class:`~repro.exec.base.ExecutionStats`): sweep
-commands and the benchmark harness print one
-:func:`format_execution_stats` line per run, and long sweeps can stream
-per-point progress through :func:`progress_printer`.
+Sweep commands and the benchmark harness print one
+:func:`format_execution_stats` line per
+:class:`~repro.exec.base.ExecutionStats` run.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable
-
-from repro.errors import ConfigurationError
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.base import ExecutionStats, PointTiming
+    from repro.exec.base import ExecutionStats
 
-__all__ = [
-    "ReportSection",
-    "collect_sections",
-    "write_report",
-    "REPORT_ORDER",
-    "format_execution_stats",
-    "progress_printer",
-]
+__all__ = ["format_execution_stats"]
 
 
 def format_execution_stats(stats: "ExecutionStats") -> str:
@@ -54,111 +34,3 @@ def format_execution_stats(stats: "ExecutionStats") -> str:
     if computed:
         parts.append(f"slowest point {max(computed):.2f}s")
     return " — ".join(parts[:1]) + " — " + ", ".join(parts[1:])
-
-
-def progress_printer(
-    stream: IO[str] | None = None, every: int = 1
-) -> Callable[[int, int, "PointTiming"], None]:
-    """Progress callback for :meth:`repro.sweep.ParameterSweep.run`.
-
-    Prints ``[done/total]`` lines (every ``every``-th point and the
-    last) to ``stream`` (default stderr), flagging cache hits.
-    """
-    out = stream if stream is not None else sys.stderr
-
-    def callback(done: int, total: int, timing: "PointTiming") -> None:
-        if done % every and done != total:
-            return
-        source = "cache" if timing.cached else f"{timing.elapsed_s:.2f}s"
-        print(f"[{done}/{total}] point {timing.index} ({source})", file=out)
-
-    return callback
-
-#: Result-file stem -> human heading, in the paper's presentation order.
-REPORT_ORDER: tuple[tuple[str, str], ...] = (
-    ("table1_specs", "Table I — machine specifications"),
-    ("fig02_dsb_partitioning", "Figure 2 — DSB partitioning under SMT"),
-    ("fig02_lsd_oversized", "Figure 2 (third condition) — LSD-oversized chains"),
-    ("fig03_path_counters", "Figure 3 — per-path uop counters"),
-    ("fig04_timing_histogram", "Figure 4 — path timing histogram"),
-    ("fig06_lcp_issue", "Figure 6 — LCP ordered vs mixed issue"),
-    ("fig10_trace", "Figure 10 — MT eviction trace"),
-    ("fig11_d_sweep", "Figure 11 — d sweep"),
-    ("fig12_power_histogram", "Figure 12 — path power histogram"),
-    ("fig13_fingerprint", "Figure 13 — microcode fingerprint"),
-    ("table2_patterns", "Table II — message patterns"),
-    ("table3_rates", "Table III — timing-channel rates"),
-    ("table4_slow_switch", "Table IV — slow-switch rates"),
-    ("table5_power", "Table V — power channels"),
-    ("table6_sgx", "Table VI — SGX attacks"),
-    ("table7_spectre", "Table VII — Spectre L1 miss rates"),
-    ("ablation_partitioning", "Ablation — SMT partitioning"),
-    ("ablation_inclusivity", "Ablation — DSB/LSD inclusivity"),
-    ("ablation_lcp_stall", "Ablation — LCP/switch penalties"),
-    ("ablation_noise", "Ablation — noise amplitude"),
-    ("ablation_lsd_detect", "Ablation — LSD detection latency"),
-    ("defense_matrix", "Extension — defense matrix"),
-    ("detection_rates", "Extension — counter-based detection"),
-    ("coding_tradeoff", "Extension — channel coding"),
-    ("extension_streamline", "Extension — asynchronous streaming"),
-    ("extension_sidechannel", "Extension — key-extraction reliability sweep"),
-)
-
-
-@dataclass(frozen=True)
-class ReportSection:
-    stem: str
-    heading: str
-    body: str
-
-
-def collect_sections(results_dir: str | Path) -> list[ReportSection]:
-    """Load every known result file present under ``results_dir``."""
-    results_dir = Path(results_dir)
-    if not results_dir.is_dir():
-        raise ConfigurationError(
-            f"{results_dir} is not a directory; run "
-            "`pytest benchmarks/ --benchmark-only -m slow` first"
-        )
-    sections = []
-    for stem, heading in REPORT_ORDER:
-        path = results_dir / f"{stem}.txt"
-        if path.exists():
-            sections.append(
-                ReportSection(stem=stem, heading=heading, body=path.read_text().rstrip())
-            )
-    return sections
-
-
-def write_report(
-    results_dir: str | Path,
-    output: str | Path = "REPORT.md",
-    title: str = "Leaky Frontends — reproduction report",
-) -> Path:
-    """Assemble the collected sections into a markdown report."""
-    sections = collect_sections(results_dir)
-    if not sections:
-        raise ConfigurationError(
-            f"no benchmark results found in {results_dir}; run "
-            "`pytest benchmarks/ --benchmark-only -m slow` first"
-        )
-    known = {stem for stem, _ in REPORT_ORDER}
-    lines = [
-        f"# {title}",
-        "",
-        "Generated from `benchmarks/results/` — regenerate with",
-        "`pytest benchmarks/ --benchmark-only -m slow && python -m repro report`.",
-        "",
-        f"Sections present: {len(sections)}/{len(known)}.",
-        "",
-    ]
-    for section in sections:
-        lines.append(f"## {section.heading}")
-        lines.append("")
-        lines.append("```")
-        lines.append(section.body)
-        lines.append("```")
-        lines.append("")
-    output = Path(output)
-    output.write_text("\n".join(lines))
-    return output

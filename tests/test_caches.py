@@ -252,8 +252,9 @@ class TestBatchKernels:
         assert cache.stats.delta(before) == CacheStats(hits=len(addrs))
 
     def test_far_apart_all_hit_batch_equals_access_loop(self):
-        """Resident lines spanning more than four times the batch length
-        skip the all-hit check; the kernel still matches the loop."""
+        """Far-apart resident lines (line numbers 0 and 1024 share one
+        residency-proof slot) are looked up in the sets, pass as an
+        all-hit batch and are deferred; settled, they match the loop."""
         batched, looped = (SetAssociativeCache(sets=4, ways=2, line_bytes=64) for _ in range(2))
         for cache in (batched, looped):
             for addr in (0x000, 0x10000):

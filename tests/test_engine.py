@@ -190,3 +190,20 @@ class TestThreadManagement:
         intruder = LoopProgram(layout.chain(3, 9, first_slot=50), 1)
         engine.run_iteration(intruder, 0)
         assert not engine.lsds[0].is_streaming(loop)
+
+
+class TestWindowCacheAliasing:
+    def test_different_bodies_same_addresses_do_not_alias(self):
+        """Regression: two programs at the same base address must not
+        share cached window decompositions (found by `repro validate`)."""
+        from repro.frontend.engine import FrontendEngine
+        from repro.isa.blocks import filler_block
+        from repro.isa.program import LoopProgram
+
+        engine = FrontendEngine()
+        small = LoopProgram([filler_block(0x400000, 400)], 50)
+        engine.run_loop(small, exact=True)
+        engine.reset_thread(0)
+        big = LoopProgram([filler_block(0x400000, 4000)], 50)
+        report = engine.run_loop(big, exact=True)
+        assert report.total_uops == 4000 * 50  # not the 400-uop layout
