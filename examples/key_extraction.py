@@ -37,7 +37,7 @@ def main() -> None:
     print(f"accuracy : {recovery.accuracy * 100:.1f}% "
           f"({recovery.recovered_int:#018x})")
 
-    stats = machine.core.l1i.stats
+    stats = machine.l1i.stats
     print(f"L1I      : {stats.misses} misses over the whole attack "
           "(cold fills only; the probe loop never touches the caches)")
     if recovery.accuracy == 1.0:

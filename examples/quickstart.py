@@ -50,7 +50,7 @@ def main() -> None:
 
     # The headline stealth property: the whole transmission caused no
     # instruction-cache misses beyond the initial cold fills.
-    stats = machine.core.l1i.stats
+    stats = machine.l1i.stats
     print(f"L1I     : {stats.misses} misses / {stats.accesses} fetches "
           "(cold fills only - the channel lives entirely in the DSB/LSD)")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.analysis.bits import alternating_bits, bits_to_string
-from repro.analysis.outcome import ScenarioOutcome
+from repro.analysis.outcome import ScenarioOutcome, leak_kbps
 from repro.analysis.threshold import ThresholdDecoder, calibrate_threshold
 from repro.analysis.wagner_fischer import error_rate
 from repro.errors import ChannelError
@@ -303,7 +303,7 @@ class CovertChannel(abc.ABC):
             samples=samples,
             decoder=self.decoder,
             total_cycles=total_cycles,
-            kbps=self.machine.kbps(len(bits), total_cycles),
+            kbps=leak_kbps(len(bits), total_cycles, self.machine.spec.frequency_hz),
             error_rate=error_rate(bits, received),
             channel_name=self.name,
             machine_name=self.machine.spec.name,

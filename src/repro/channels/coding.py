@@ -27,6 +27,7 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.analysis.outcome import leak_kbps
 from repro.analysis.threshold import ThresholdDecoder
 from repro.analysis.wagner_fischer import error_rate
 from repro.channels.base import CovertChannel, TransmissionResult
@@ -187,13 +188,14 @@ class CodedChannel:
         measurements = [s.measurement for s in samples]
         decoded = self.code.decode(measurements, self.channel.decoder)
         total_cycles = sum(s.elapsed_cycles for s in samples)
+        frequency_hz = self.channel.machine.spec.frequency_hz
         raw = TransmissionResult(
             sent_bits=symbols,
             received_bits=self.channel.decoder.decide_many(measurements),
             samples=samples,
             decoder=self.channel.decoder,
             total_cycles=total_cycles,
-            kbps=self.channel.machine.kbps(len(symbols), total_cycles),
+            kbps=leak_kbps(len(symbols), total_cycles, frequency_hz),
             error_rate=error_rate(
                 symbols, self.channel.decoder.decide_many(measurements)
             ),
@@ -204,7 +206,7 @@ class CodedChannel:
             raw=raw,
             payload_bits=bits,
             decoded_bits=decoded,
-            kbps=self.channel.machine.kbps(len(bits), total_cycles),
+            kbps=leak_kbps(len(bits), total_cycles, frequency_hz),
             error_rate=error_rate(bits, decoded),
             code_name=self.code.name,
         )

@@ -25,6 +25,7 @@ bit, and one calibration for the whole stream.
 
 from __future__ import annotations
 
+from repro.analysis.outcome import leak_kbps
 from repro.channels.base import BitSample, ChannelConfig, CovertChannel
 from repro.errors import ChannelError
 from repro.isa.program import LoopProgram
@@ -164,7 +165,7 @@ class RingBufferChannel(CovertChannel):
             samples=samples,
             decoder=self.decoder,
             total_cycles=total_cycles,
-            kbps=self.machine.kbps(len(bits), total_cycles),
+            kbps=leak_kbps(len(bits), total_cycles, self.machine.spec.frequency_hz),
             error_rate=error_rate(bits, received),
             channel_name=self.name,
             machine_name=self.machine.spec.name,

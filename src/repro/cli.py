@@ -703,7 +703,7 @@ def _cmd_probe(args) -> int:
     machine = Machine(spec_by_name(args.machine), seed=args.seed)
     samples = path_timing_samples(machine, samples=args.samples)
     print(f"frontend path timings on {machine.spec.name} "
-          f"(LSD {'on' if machine.core.lsd_enabled else 'off'}):")
+          f"(LSD {'on' if machine.lsd_enabled else 'off'}):")
     for path in (DeliveryPath.LSD, DeliveryPath.DSB, DeliveryPath.MITE):
         observations = sorted(samples[path])
         median = observations[len(observations) // 2]

@@ -123,7 +123,7 @@ class LsdFingerprint:
 
     def _programs(self, machine: Machine) -> tuple[LoopProgram, LoopProgram]:
         layout = machine.layout()
-        capacity = machine.frontend_params.lsd_capacity
+        capacity = machine.params.lsd_capacity
         # Small: fits LSD and one DSB set (8 blocks x 5 uops = 40 <= 64).
         small = LoopProgram(
             layout.chain(self.target_set, 8, label="fp.small"),

@@ -57,5 +57,5 @@ def apply_patch(machine: Machine, patch: MicrocodePatch) -> None:
     Toggles the LSD and cold-resets the core, as the required reboot
     would.
     """
-    machine.core.set_lsd_enabled(patch.lsd_enabled)
+    machine.set_lsd_enabled(patch.lsd_enabled)
     machine.reset()

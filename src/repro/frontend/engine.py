@@ -19,13 +19,15 @@ Cost model per iteration (cycles)::
     cycles    = base + frontend * smt_factor + loop_iteration_overhead
               + pending LSD flush/capture penalties
 
-For long loops the engine detects a steady state (per-iteration cost
-repeating with period 1 or 2) and extrapolates the remaining iterations
-analytically, which lets the 20-million-iteration experiments of
-Section III run in milliseconds without changing the modelled state
-machine behaviour.
+For long loops the engine detects a steady state (per-iteration report
+repeating with period 1 or 2 under one key, :func:`_steady_key`) and
+extrapolates the remaining iterations analytically, which lets the
+20-million-iteration experiments of Section III run in milliseconds
+without changing the modelled state machine behaviour.  Two hardware
+threads (:meth:`FrontendEngine.run_smt`) interleave in rounds, and the
+same key and the same period-1/2 tail serve the rounds.
 
-Loop runs are memoized per engine (:meth:`FrontendEngine.memo_run`): a
+Loop runs are memoized per engine (:meth:`FrontendEngine._memo_run`): a
 run that starts from frontend state already seen with the same
 arguments replays its recorded reports and state changes instead of
 being interpreted again.  A run that reached a steady state is recorded
@@ -52,7 +54,7 @@ from repro.isa.blocks import MixBlock
 from repro.isa.instructions import Instruction
 from repro.isa.program import LoopProgram
 
-__all__ = ["FrontendEngine", "LoopReport", "WindowAccess"]
+__all__ = ["FrontendEngine", "LoopReport", "SmtRunResult", "WindowAccess"]
 
 #: ``sim.latency`` bucket edges, in seconds.  One ``run_loop`` call takes
 #: tens to hundreds of microseconds, so the registry's millisecond-scale
@@ -188,27 +190,6 @@ class LoopReport:
         self.simulated_iterations += other.simulated_iterations
         return self
 
-    def add_iteration(self, cost: "_IterationCost") -> "LoopReport":
-        """Accumulate one simulated iteration; same as
-        ``merge(cost.to_report())`` without building the report."""
-        self.cycles += cost.cycles
-        self.iterations += 1
-        self.uops_lsd += cost.uops_lsd
-        self.uops_dsb += cost.uops_dsb
-        self.uops_mite += cost.uops_mite
-        self.windows_lsd += cost.windows_lsd
-        self.windows_dsb += cost.windows_dsb
-        self.windows_mite += cost.windows_mite
-        self.switches_to_mite += cost.switches_to_mite
-        self.switches_to_dsb += cost.switches_to_dsb
-        self.lcp_stalls += cost.lcp_stalls
-        self.lsd_flushes += cost.lsd_flushes
-        self.lsd_captures += cost.lsd_captures
-        self.dsb_evictions += cost.dsb_evictions
-        self.energy_nj += cost.energy_nj
-        self.simulated_iterations += 1
-        return self
-
     def dominant_path(self) -> DeliveryPath:
         """Path that delivered the most uops."""
         counts = {
@@ -226,73 +207,39 @@ _REPORT_FIELDS = tuple(f.name for f in fields(LoopReport))
 #: rebuilds it), and where ``iterations`` sits among them.
 _report_values = attrgetter(*_REPORT_FIELDS)
 _ITERATIONS = _REPORT_FIELDS.index("iterations")
+#: Where the float fields sit among a report's values.
+_FLOATS = tuple(i for i, f in enumerate(fields(LoopReport)) if f.type == "float")
+
+
+def _steady_key(report: LoopReport) -> tuple:
+    """Equality key for steady-state detection, of one simulated
+    iteration or one SMT round.
+
+    Every report field participates: two iterations only count as "the
+    same" when the full delivery profile repeats.  A key over a subset
+    (cycles alone, or a few uop counts) let iterations with differing
+    switch/flush/eviction counters compare equal, so extrapolation
+    scaled the wrong per-iteration deltas.  Floats are rounded to 9
+    decimals to absorb representation jitter only.
+    """
+    values = list(_report_values(report))
+    for i in _FLOATS:
+        values[i] = round(values[i], 9)
+    return tuple(values)
 
 
 @dataclass
-class _IterationCost:
-    """Deterministic cost of a single loop iteration (internal)."""
+class SmtRunResult:
+    """Per-thread delivery reports of one concurrent run."""
 
-    cycles: float
-    uops_lsd: int
-    uops_dsb: int
-    uops_mite: int
-    windows_lsd: int
-    windows_dsb: int
-    windows_mite: int
-    switches_to_mite: int
-    switches_to_dsb: int
-    lcp_stalls: int
-    lsd_flushes: int
-    lsd_captures: int
-    dsb_evictions: int
-    energy_nj: float
+    primary: LoopReport
+    secondary: LoopReport
 
-    def key(self) -> tuple:
-        """Equality key for steady-state detection.
-
-        Every cost field participates: two iterations only count as
-        "the same" when the full delivery profile repeats.  A key over a
-        subset (the pre-fix behaviour) let iterations with differing
-        switch/flush/eviction counters compare equal, so extrapolation
-        could scale the wrong per-iteration deltas.  Floats are rounded
-        to 9 decimals to absorb representation jitter only.
-        """
-        return (
-            round(self.cycles, 9),
-            self.uops_lsd,
-            self.uops_dsb,
-            self.uops_mite,
-            self.windows_lsd,
-            self.windows_dsb,
-            self.windows_mite,
-            self.switches_to_mite,
-            self.switches_to_dsb,
-            self.lcp_stalls,
-            self.lsd_flushes,
-            self.lsd_captures,
-            self.dsb_evictions,
-            round(self.energy_nj, 9),
-        )
-
-    def to_report(self) -> LoopReport:
-        return LoopReport(
-            cycles=self.cycles,
-            iterations=1,
-            uops_lsd=self.uops_lsd,
-            uops_dsb=self.uops_dsb,
-            uops_mite=self.uops_mite,
-            windows_lsd=self.windows_lsd,
-            windows_dsb=self.windows_dsb,
-            windows_mite=self.windows_mite,
-            switches_to_mite=self.switches_to_mite,
-            switches_to_dsb=self.switches_to_dsb,
-            lcp_stalls=self.lcp_stalls,
-            lsd_flushes=self.lsd_flushes,
-            lsd_captures=self.lsd_captures,
-            dsb_evictions=self.dsb_evictions,
-            energy_nj=self.energy_nj,
-            simulated_iterations=1,
-        )
+    @property
+    def total_cycles(self) -> float:
+        """Wall-clock cycles: the threads run concurrently, so the run
+        lasts as long as the busier thread."""
+        return max(self.primary.cycles, self.secondary.cycles)
 
 
 class _FetchLog:
@@ -408,6 +355,23 @@ def _extend(values: tuple, terms: tuple, remaining: int, period_two: bool) -> li
     return values
 
 
+def _round_terms(
+    prev: tuple[LoopReport, LoopReport] | None,
+    last: tuple[LoopReport, LoopReport],
+    period_two: bool,
+) -> tuple:
+    """What an SMT finish extrapolates from the last simulated round
+    (and ``prev``, the one before it, in a period-2 steady state): the
+    primary's :func:`_terms`, its burst, the secondary's terms, and
+    whether the tail alternates."""
+    return (
+        _terms(None if prev is None else prev[0], last[0]),
+        last[0].iterations,
+        _terms(None if prev is None else prev[1], last[1]),
+        period_two,
+    )
+
+
 class FrontendEngine:
     """Executes loop programs through the modelled frontend.
 
@@ -429,6 +393,10 @@ class FrontendEngine:
     MIN_WARMUP = 4
     #: Upper bound of explicitly simulated iterations per run_loop call.
     MAX_SIMULATED = 64
+    #: Interleave rounds simulated before SMT extrapolation may engage.
+    MIN_WARMUP_ROUNDS = 6
+    #: Upper bound of explicitly simulated rounds per run_smt call.
+    MAX_SIMULATED_ROUNDS = 128
 
     def __init__(
         self,
@@ -478,7 +446,7 @@ class FrontendEngine:
         # (registry, sim.replays counter), rebuilt the same way.
         self._replays_cache: tuple | None = None
         # Recorded loop runs, keyed on their arguments and the frontend
-        # state they read (see memo_run); at most RUN_MEMO_LIMIT.
+        # state they read (see _memo_run); at most RUN_MEMO_LIMIT.
         self._runs: dict[tuple, _RunEffect] = {}
 
     # ------------------------------------------------------------------
@@ -614,8 +582,10 @@ class FrontendEngine:
     # ------------------------------------------------------------------
     def run_iteration(
         self, program: LoopProgram, thread: int = 0, smt_active: bool = False
-    ) -> _IterationCost:
-        """Execute one iteration of ``program`` on ``thread``; mutate state."""
+    ) -> LoopReport:
+        """Execute one iteration of ``program`` on ``thread``; mutate state.
+        Returns the iteration's report (``iterations`` and
+        ``simulated_iterations`` both 1)."""
         if thread not in self.lsds:
             raise ExecutionError(f"no hardware thread {thread} on this core")
         params = self.params
@@ -628,9 +598,9 @@ class FrontendEngine:
         self._pending_penalty[thread] = 0.0
 
         if lsd.is_streaming(program):
-            cost = self._lsd_iteration(program, thread, penalty, flushes, smt_active)
+            report = self._lsd_iteration(program, thread, penalty, flushes, smt_active)
             lsd.observe_iteration(program, all_from_dsb=True)
-            return cost
+            return report
 
         plan = self._plan(program, thread, smt_active).steps
         lookup_at = self.dsb.lookup_at
@@ -754,8 +724,9 @@ class FrontendEngine:
             + lcp_stalls * energy.lcp_stall_energy
             + (to_mite + to_dsb) * energy.switch_energy
         )
-        return _IterationCost(
+        return LoopReport(
             cycles=cycles,
+            iterations=1,
             uops_lsd=0,
             uops_dsb=uops_dsb,
             uops_mite=uops_mite,
@@ -769,6 +740,7 @@ class FrontendEngine:
             lsd_captures=captures,
             dsb_evictions=evictions,
             energy_nj=energy_nj,
+            simulated_iterations=1,
         )
 
     def _lsd_iteration(
@@ -778,8 +750,8 @@ class FrontendEngine:
         penalty: float,
         flushes: int,
         smt_active: bool,
-    ) -> _IterationCost:
-        """Cost of an iteration streamed entirely from the LSD."""
+    ) -> LoopReport:
+        """Report of an iteration streamed entirely from the LSD."""
         params = self.params
         uops = program.uops_per_iteration
         windows = program.window_events_per_iteration
@@ -793,8 +765,9 @@ class FrontendEngine:
         cycles = base + frontend + params.loop_iteration_overhead + penalty
         energy_nj = uops * self.energy.lsd_uop_energy + cycles * self.energy.cycle_energy
         self._last_path[thread] = DeliveryPath.LSD
-        return _IterationCost(
+        return LoopReport(
             cycles=cycles,
+            iterations=1,
             uops_lsd=uops,
             uops_dsb=0,
             uops_mite=0,
@@ -808,6 +781,7 @@ class FrontendEngine:
             lsd_captures=0,
             dsb_evictions=0,
             energy_nj=energy_nj,
+            simulated_iterations=1,
         )
 
     # ------------------------------------------------------------------
@@ -836,14 +810,14 @@ class FrontendEngine:
 
         ``exact=True`` disables steady-state extrapolation and simulates
         every iteration (used by tests and short loops).  The run goes
-        through the run memo (:meth:`memo_run`), so a run from an entry
+        through the run memo (:meth:`_memo_run`), so a run from an entry
         state already seen replays instead of being interpreted.
         """
         registry = get_registry()
         start = registry.clock()
         plan = self._plan(program, thread, smt_active)
         # The plan names the body, thread and mode.
-        (report,) = self.memo_run(
+        (report,) = self._memo_run(
             (program, thread, smt_active, exact),
             plan.sets,
             lambda: self._interpret(program, thread, smt_active, exact),
@@ -887,7 +861,7 @@ class FrontendEngine:
             plans = [self._plan(p, thread, smt_active) for p in programs]
             sets = tuple(sorted({i for plan in plans for i in plan.sets}))
             self._sweep_sets[head] = sets
-        reports = self.memo_run(head, sets, run, runs=len(programs))
+        reports = self._memo_run(head, sets, run, runs=len(programs))
         if not interpreted:
             points, latency = self._sim_instruments(registry)
             points.inc(len(programs))
@@ -907,8 +881,7 @@ class FrontendEngine:
         iteration = 0
         limit = program.iterations if exact else min(program.iterations, self.MAX_SIMULATED)
         steady = False
-        prev_cost: _IterationCost | None = None
-        cost: _IterationCost | None = None
+        prev = last = None
         # Pre-capture DSB iterations look steady but are not: a loop the
         # LSD could still lock onto must be simulated past the detection
         # latency before extrapolation may engage.
@@ -916,20 +889,19 @@ class FrontendEngine:
         if self.lsds[thread].structurally_qualifies(program):
             min_warmup = max(min_warmup, self.params.lsd_detect_iterations + 2)
         while iteration < limit:
-            prev_cost, cost = cost, self.run_iteration(program, thread, smt_active)
-            report.add_iteration(cost)
-            history.append(cost.key())
+            prev, last = last, self.run_iteration(program, thread, smt_active)
+            report.merge(last)
+            history.append(_steady_key(last))
             iteration += 1
             if not exact and iteration >= min_warmup and self._is_steady(history):
                 steady = True
                 break
         period_two = steady and history[-1] != history[-2]
-        prev = prev_cost.to_report() if period_two else None
         return _Prefix(
             steady,
             (iteration,) if steady else None,
             (_report_values(report),),
-            (_terms(prev, cost.to_report()), period_two),
+            (_terms(prev if period_two else None, last), period_two),
         )
 
     def _finish(
@@ -946,9 +918,9 @@ class FrontendEngine:
         if remaining > 0 and not prefix.steady:
             # Hit MAX_SIMULATED without period-1/2 convergence: run one
             # more live iteration and repeat it for the tail.
-            cost = self.run_iteration(program, thread, smt_active)
-            values = _report_values(LoopReport(*values).add_iteration(cost))
-            terms = _terms(None, cost.to_report())
+            last = self.run_iteration(program, thread, smt_active)
+            values = _report_values(LoopReport(*values).merge(last))
+            terms = _terms(None, last)
             remaining -= 1
         if remaining > 0:
             values = _extend(values, terms, remaining, period_two)
@@ -965,9 +937,167 @@ class FrontendEngine:
         return report
 
     # ------------------------------------------------------------------
+    # two hardware threads
+    # ------------------------------------------------------------------
+    def run_smt(
+        self, primary: LoopProgram, secondary: LoopProgram, exact: bool = False
+    ) -> SmtRunResult:
+        """Run ``primary`` on thread 0 and ``secondary`` on thread 1
+        concurrently.
+
+        Iterations interleave in *rounds* of ``ratio`` primary iterations
+        and one secondary iteration, so both loops finish at roughly the
+        same time, like two free-running threads.  Both threads run in
+        SMT mode (folded DSB index, shared decode bandwidth) for the
+        whole overlap; the primary's leftover iterations then drain
+        single-threaded, where its DSB index mapping reverts: the
+        repartitioning the paper's Figure 2 exposes.
+
+        Like :meth:`run_loop`, the run is a simulated prefix
+        (:meth:`_interleave`) and a finish (:meth:`_smt_finish`) through
+        the run memo.  The prefix head names both bodies and the ratio
+        but not the counts, so the MT channels' slipped bits, which run
+        the same two loops at new counts, replay it and finish live.
+        """
+        # Both threads' SMT plans, plus the primary's single-thread plan
+        # for the drain.
+        plans = (self._plan(primary, 0, True), self._plan(secondary, 1, True))
+        sets = {*plans[0].sets, *plans[1].sets, *self._plan(primary, 0, False).sets}
+        ratio = max(1, round(primary.iterations / secondary.iterations))
+        # The SMT plans name both bodies.
+        reports = self._memo_run(
+            (primary, secondary, exact),
+            tuple(sorted(sets)),
+            lambda: self._interleave(primary, secondary, ratio, exact),
+            finish=lambda prefix: self._smt_finish(primary, secondary, ratio, exact, prefix),
+            prefix=None if exact else ((*plans, ratio), (primary.iterations, secondary.iterations)),
+        )
+        return SmtRunResult(*reports)
+
+    def _round(
+        self, primary: LoopProgram, secondary: LoopProgram, burst: int
+    ) -> tuple[LoopReport, LoopReport]:
+        """One interleave round: ``burst`` primary iterations, then one
+        secondary iteration, both in SMT mode."""
+        round_primary = LoopReport()
+        for _ in range(burst):
+            round_primary.merge(self.run_iteration(primary, 0, True))
+        return round_primary, self.run_iteration(secondary, 1, True)
+
+    def _interleave(
+        self, primary: LoopProgram, secondary: LoopProgram, ratio: int, exact: bool
+    ) -> _Prefix:
+        """The SMT driver's simulated prefix: interleave rounds until both
+        threads' round reports repeat with period 1 or 2 (or the
+        simulation limit), keyed as :meth:`_interpret` keys iterations.
+
+        Trip counts enter only through the limit and the bursts, so a
+        prefix that reached a steady state after ``r`` full-burst rounds
+        is the prefix of every run with the same bodies and ratio, at
+        least ``r * ratio`` primary and more than ``r`` secondary
+        iterations.
+        """
+        total_rounds = secondary.iterations
+        primary_left = primary.iterations
+        primary_report = LoopReport()
+        secondary_report = LoopReport()
+        history: list[tuple] = []
+        rounds = 0
+        limit = total_rounds if exact else min(total_rounds, self.MAX_SIMULATED_ROUNDS)
+        steady = False
+        prev = last = None
+        while rounds < limit:
+            prev, last = last, self._round(primary, secondary, min(ratio, primary_left))
+            primary_left -= last[0].iterations
+            primary_report.merge(last[0])
+            secondary_report.merge(last[1])
+            rounds += 1
+            history.append((_steady_key(last[0]), _steady_key(last[1])))
+            if (
+                not exact
+                and rounds >= self.MIN_WARMUP_ROUNDS
+                and self._is_steady(history)
+                and rounds < total_rounds
+            ):
+                steady = True
+                break
+        period_two = steady and history[-1] != history[-2]
+        full = steady and primary_report.iterations == rounds * ratio
+        return _Prefix(
+            steady,
+            (rounds * ratio, rounds + 1) if full else None,
+            (_report_values(primary_report), _report_values(secondary_report)),
+            _round_terms(prev if period_two else None, last, period_two) if steady else None,
+        )
+
+    def _smt_finish(
+        self,
+        primary: LoopProgram,
+        secondary: LoopProgram,
+        ratio: int,
+        exact: bool,
+        prefix: _Prefix,
+    ) -> tuple[LoopReport, LoopReport]:
+        """The rest of an SMT run after its simulated prefix: extrapolate
+        the remaining rounds via :func:`_extend`, drain the primary's
+        leftover iterations, charge both loop exits.  ``prefix`` is only
+        read."""
+        primary_values, secondary_values = prefix.reports
+        repeats = prefix.last
+        remaining = secondary.iterations - secondary_values[_ITERATIONS]
+        primary_left = primary.iterations - primary_values[_ITERATIONS]
+        if remaining > 0 and not prefix.steady:
+            # Hit MAX_SIMULATED_ROUNDS without period-1/2 convergence: run
+            # one more live round and repeat it for the rest.
+            last = self._round(primary, secondary, min(ratio, primary_left))
+            primary_left -= last[0].iterations
+            primary_values = _report_values(LoopReport(*primary_values).merge(last[0]))
+            secondary_values = _report_values(LoopReport(*secondary_values).merge(last[1]))
+            repeats = _round_terms(None, last, False)
+            remaining -= 1
+        if remaining > 0:
+            primary_terms, burst, secondary_terms, period_two = repeats
+            secondary_values = _extend(secondary_values, secondary_terms, remaining, period_two)
+            # The primary side must never extrapolate past its own
+            # iteration budget (the last simulated round's burst may
+            # exceed what remains when the interleave ratio rounds).  A
+            # period-2 tail's two rounds have equal bursts: a short burst
+            # only ever comes once, followed by empty ones.
+            if burst > 0 and primary_left > 0:
+                full_rounds = min(remaining, primary_left // burst)
+                if full_rounds > 0:
+                    primary_values = _extend(
+                        primary_values, primary_terms, full_rounds, period_two
+                    )
+                    primary_left -= full_rounds * burst
+        primary_report = LoopReport(*primary_values)
+        secondary_report = LoopReport(*secondary_values)
+
+        # Drain any leftover primary iterations single-threaded (the
+        # sender went idle; DSB indexing reverts to all sets).
+        primary_drained = False
+        if primary_left > 0:
+            drain = primary.with_iterations(primary_left)
+            primary_report.merge(self.run_loop(drain, thread=0, smt_active=False, exact=exact))
+            primary_drained = True  # run_loop already charged the loop exit
+
+        # Loop exits for both threads (unless already charged by a drain).
+        exit_cost = self.params.loop_exit_mispredict
+        targets = [(secondary_report, 1)]
+        if not primary_drained:
+            targets.append((primary_report, 0))
+        for report, thread in targets:
+            report.cycles += exit_cost
+            report.energy_nj += exit_cost * self.energy.cycle_energy
+            self.lsds[thread].flush()
+        if primary_drained:
+            self.lsds[0].flush()
+        return primary_report, secondary_report
+
+    # ------------------------------------------------------------------
     # whole-run memo
     # ------------------------------------------------------------------
-    def memo_run(
+    def _memo_run(
         self,
         head: tuple,
         sets: tuple[int, ...],
@@ -1066,7 +1196,7 @@ class FrontendEngine:
         return result if whole else finish(result)
 
     def _replay(self, sets: tuple[int, ...], effect: _RunEffect, runs: int) -> None:
-        """Re-apply a recorded run's effect (see :meth:`memo_run`); it
+        """Re-apply a recorded run's effect (see :meth:`_memo_run`); it
         counts as ``runs`` loop runs in ``sim.replays``."""
         dsb = self.dsb
         dsb_sets = dsb._sets
@@ -1105,7 +1235,8 @@ class FrontendEngine:
 
     @staticmethod
     def _is_steady(history: list[tuple]) -> bool:
-        """Detect per-iteration cost repeating with period 1 or 2."""
+        """Detect steady-state keys (of iterations or rounds) repeating
+        with period 1 or 2."""
         if len(history) >= 2 and history[-1] == history[-2]:
             return True
         if len(history) >= 4 and history[-1] == history[-3] and history[-2] == history[-4]:

@@ -107,7 +107,7 @@ class LoopStreamDetector:
 
         Pure in (program, params), so callers may cache it per program;
         ``enabled`` must be re-read at use time because microcode
-        patches toggle it on a live core (``Core.set_lsd_enabled``).
+        patches toggle it on a live core (``Machine.set_lsd_enabled``).
         """
         if program.uops_per_iteration > self.params.lsd_capacity:
             return False

@@ -1,17 +1,17 @@
-"""Machine models: Table I CPU presets, cores, and SMT execution.
+"""Machine models: Table I CPU presets and the simulated machine.
 
 :class:`~repro.machine.machine.Machine` is the top-level object the
 attacks run against: it bundles a :class:`~repro.machine.specs.MachineSpec`
-(one of the four Table I CPUs or a custom configuration), a simulated core
-(frontend engine + L1I), and the measurement facilities (cycle timer, RAPL
-interface, perf counters).
+(one of the four Table I CPUs or a custom configuration), one simulated
+core (the frontend engine, which also runs two hardware threads
+concurrently, and the L1I), and the measurement facilities (cycle timer,
+RAPL interface, perf counters).
 """
 
 from repro.machine.specs import MachineSpec, GOLD_6226, XEON_E2174G, XEON_E2286G, XEON_E2288G, ALL_SPECS, spec_by_name
-from repro.machine.core import Core
-from repro.machine.smt import SmtExecutor, SmtRunResult
+from repro.frontend.engine import SmtRunResult
 from repro.machine.machine import Machine
-from repro.machine.trace import LoopTrace, TraceEvent, render_trace, trace_loop
+from repro.machine.trace import LoopTrace, render_trace, trace_loop
 
 __all__ = [
     "MachineSpec",
@@ -21,11 +21,8 @@ __all__ = [
     "XEON_E2288G",
     "ALL_SPECS",
     "spec_by_name",
-    "Core",
-    "SmtExecutor",
     "SmtRunResult",
     "Machine",
-    "TraceEvent",
     "LoopTrace",
     "trace_loop",
     "render_trace",

@@ -1,21 +1,23 @@
 """The top-level :class:`Machine` facade.
 
-Bundles a Table I machine spec with one simulated core and all the
-measurement facilities an attacker (or experimenter) uses: the ``rdtscp``
-timer (non-MT and SMT noise profiles), the RAPL energy interface, perf
-counters, and a layout helper pre-configured for the machine's DSB
-geometry.  This is the object every channel, SGX attack, Spectre variant
-and fingerprinting probe runs against.
+Bundles a Table I machine spec with one simulated physical core — the
+frontend engine (shared DSB and MITE, one LSD per hardware thread) and
+the L1I — and all the measurement facilities an attacker (or
+experimenter) uses: the ``rdtscp`` timer (non-MT and SMT noise
+profiles), the RAPL energy interface, perf counters, and a layout
+helper pre-configured for the machine's DSB geometry.  This is the
+object every channel, SGX attack, Spectre variant and fingerprinting
+probe runs against.
 """
 
 from __future__ import annotations
 
-from repro.frontend.engine import LoopReport
+from repro.caches.sa_cache import SetAssociativeCache
+from repro.errors import ConfigurationError
+from repro.frontend.engine import FrontendEngine, LoopReport, SmtRunResult
 from repro.frontend.params import EnergyParams, FrontendParams
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
-from repro.machine.core import Core
-from repro.machine.smt import SmtExecutor, SmtRunResult
 from repro.machine.specs import MachineSpec, GOLD_6226
 from repro.measure.noise import NONMT_PROFILE, SMT_PROFILE, NoiseProfile
 from repro.measure.perf import PerfCounters
@@ -40,7 +42,26 @@ class Machine:
     ) -> None:
         self.spec = spec
         self.rngs = RngFactory(seed)
-        self.core = Core(spec, params=params, energy=energy)
+        base = params or FrontendParams()
+        self.params = base.with_overrides(
+            dsb_sets=spec.dsb_sets,
+            dsb_ways=spec.dsb_ways,
+            lsd_capacity=spec.lsd_entries if spec.lsd_enabled else base.lsd_capacity,
+        )
+        self.energy = energy or EnergyParams()
+        self.l1i = SetAssociativeCache(
+            sets=spec.l1i_sets,
+            ways=spec.l1i_ways,
+            line_bytes=spec.l1i_line_bytes,
+            name="L1I",
+        )
+        self.engine = FrontendEngine(
+            params=self.params,
+            energy=self.energy,
+            n_threads=spec.threads_per_core,
+            lsd_enabled=spec.lsd_enabled,
+            l1i=self.l1i,
+        )
         self.timer = CycleTimer(
             self.rngs.stream("timer"), timing_noise or NONMT_PROFILE
         )
@@ -64,8 +85,9 @@ class Machine:
         smt_active: bool = False,
         exact: bool = False,
     ) -> LoopReport:
-        """Run a loop single-threaded and record its perf events."""
-        report = self.core.run_loop(program, thread, smt_active, exact=exact)
+        """Run a loop on one hardware thread and record its perf events."""
+        self._check_thread(thread, smt_active)
+        report = self.engine.run_loop(program, thread, smt_active, exact=exact)
         self.perf.record(report)
         return report
 
@@ -77,7 +99,8 @@ class Machine:
     ) -> tuple[LoopReport, ...]:
         """Run loops one after another on one thread, as one memoized
         sweep, and record each one's perf events in order."""
-        reports = self.core.run_loops(programs, thread, smt_active)
+        self._check_thread(thread, smt_active)
+        reports = self.engine.run_loops(programs, thread, smt_active)
         for report in reports:
             self.perf.record(report)
         return reports
@@ -86,7 +109,8 @@ class Machine:
         self, primary: LoopProgram, secondary: LoopProgram, exact: bool = False
     ) -> SmtRunResult:
         """Run two loops concurrently on the core's two hardware threads."""
-        result = SmtExecutor(self.core).run(primary, secondary, exact=exact)
+        self._check_thread(1, smt_active=True)
+        result = self.engine.run_smt(primary, secondary, exact=exact)
         self.perf.record(result.primary)
         self.perf.record(result.secondary)
         return result
@@ -98,18 +122,35 @@ class Machine:
         """Chain layout helper matching this machine's DSB geometry."""
         return BlockChainLayout(dsb_sets=self.spec.dsb_sets, region_base=region_base)
 
-    def kbps(self, bits: int, total_cycles: float) -> float:
-        """Convert a transmission to kilobits per second on this machine."""
-        seconds = self.spec.cycles_to_seconds(total_cycles)
-        return bits / seconds / 1e3 if seconds > 0 else 0.0
+    def _check_thread(self, thread: int, smt_active: bool) -> None:
+        threads = self.spec.threads_per_core
+        if thread >= threads:
+            raise ConfigurationError(
+                f"{self.spec.name} has {threads} thread(s) per core; "
+                f"thread {thread} does not exist"
+            )
+        if smt_active and not self.spec.smt:
+            raise ConfigurationError(f"{self.spec.name} has hyper-threading disabled")
 
     def reset(self) -> None:
-        """Cold-reset the core's microarchitectural state."""
-        self.core.reset()
+        """Return the core to a cold state (new process / context)."""
+        for thread in range(self.spec.threads_per_core):
+            self.engine.reset_thread(thread)
+        self.l1i.flush_all()
+
+    def set_lsd_enabled(self, enabled: bool) -> None:
+        """Toggle the LSD at runtime (microcode patch application).
+
+        The real operation needs a reboot; the model just flips the
+        per-thread detectors, flushing any active stream.
+        """
+        for lsd in self.engine.lsds.values():
+            lsd.flush()
+            lsd.enabled = enabled
 
     @property
-    def frontend_params(self) -> FrontendParams:
-        return self.core.params
+    def lsd_enabled(self) -> bool:
+        return next(iter(self.engine.lsds.values())).enabled
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Machine({self.spec.name}, lsd={'on' if self.core.lsd_enabled else 'off'})"
+        return f"Machine({self.spec.name}, lsd={'on' if self.lsd_enabled else 'off'})"

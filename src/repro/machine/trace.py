@@ -2,8 +2,8 @@
 
 Attack development lives and dies on understanding *when* delivery moves
 between LSD, DSB, and MITE.  :func:`trace_loop` runs a loop iteration by
-iteration (no steady-state extrapolation) and records one
-:class:`TraceEvent` per iteration; :func:`render_trace` draws the
+iteration (no steady-state extrapolation) and keeps each iteration's
+:class:`~repro.frontend.engine.LoopReport`; :func:`render_trace` draws the
 timeline as one character per iteration::
 
     LLLLLLLLDDMMMMMMMM...
@@ -18,39 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError
+from repro.frontend.engine import LoopReport
 from repro.frontend.paths import DeliveryPath
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
-__all__ = ["TraceEvent", "LoopTrace", "trace_loop", "render_trace"]
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One loop iteration's delivery summary."""
-
-    iteration: int
-    cycles: float
-    uops_lsd: int
-    uops_dsb: int
-    uops_mite: int
-    dsb_evictions: int
-    lsd_flushes: int
-    switches_to_mite: int
-
-    @property
-    def dominant_path(self) -> DeliveryPath:
-        counts = {
-            DeliveryPath.LSD: self.uops_lsd,
-            DeliveryPath.DSB: self.uops_dsb,
-            DeliveryPath.MITE: self.uops_mite,
-        }
-        return max(counts, key=counts.get)  # type: ignore[arg-type]
-
-    @property
-    def symbol(self) -> str:
-        char = {"lsd": "L", "dsb": "D", "mite": "M"}[self.dominant_path.value]
-        return char.lower() if self.lsd_flushes else char
+__all__ = ["LoopTrace", "trace_loop", "render_trace"]
 
 
 @dataclass(frozen=True)
@@ -58,22 +31,24 @@ class LoopTrace:
     """Full iteration-level trace of one loop execution."""
 
     label: str
-    events: tuple[TraceEvent, ...]
+    #: One single-iteration report per simulated iteration, in order.
+    reports: tuple[LoopReport, ...]
 
     @property
     def total_cycles(self) -> float:
-        return sum(event.cycles for event in self.events)
+        return sum(report.cycles for report in self.reports)
+
+    def paths(self) -> list[DeliveryPath]:
+        """Each iteration's dominant delivery path."""
+        return [report.dominant_path() for report in self.reports]
 
     def path_transitions(self) -> list[int]:
         """Iterations where the dominant path changed from the previous."""
-        transitions = []
-        for previous, current in zip(self.events, self.events[1:]):
-            if previous.dominant_path is not current.dominant_path:
-                transitions.append(current.iteration)
-        return transitions
+        paths = self.paths()
+        return [i for i in range(1, len(paths)) if paths[i] is not paths[i - 1]]
 
     def iterations_on(self, path: DeliveryPath) -> int:
-        return sum(1 for event in self.events if event.dominant_path is path)
+        return self.paths().count(path)
 
 
 def trace_loop(
@@ -91,30 +66,22 @@ def trace_loop(
     """
     if max_iterations < 1:
         raise ExecutionError("max_iterations must be >= 1")
-    engine = machine.core.engine
+    engine = machine.engine
     count = min(program.iterations, max_iterations)
-    events = []
-    for iteration in range(count):
-        cost = engine.run_iteration(program, thread=thread, smt_active=smt_active)
-        events.append(
-            TraceEvent(
-                iteration=iteration,
-                cycles=cost.cycles,
-                uops_lsd=cost.uops_lsd,
-                uops_dsb=cost.uops_dsb,
-                uops_mite=cost.uops_mite,
-                dsb_evictions=cost.dsb_evictions,
-                lsd_flushes=cost.lsd_flushes,
-                switches_to_mite=cost.switches_to_mite,
-            )
-        )
-    return LoopTrace(label=program.label or "loop", events=tuple(events))
+    reports = tuple(
+        [engine.run_iteration(program, thread, smt_active) for _ in range(count)]
+    )
+    return LoopTrace(label=program.label or "loop", reports=reports)
 
 
 def render_trace(trace: LoopTrace, width: int = 72) -> str:
     """ASCII timeline: one path symbol per iteration, wrapped at ``width``."""
-    symbols = "".join(event.symbol for event in trace.events)
-    lines = [f"trace {trace.label!r}: {len(trace.events)} iterations, "
+    chars = {DeliveryPath.LSD: "L", DeliveryPath.DSB: "D", DeliveryPath.MITE: "M"}
+    symbols = "".join(
+        chars[path].lower() if report.lsd_flushes else chars[path]
+        for path, report in zip(trace.paths(), trace.reports)
+    )
+    lines = [f"trace {trace.label!r}: {len(trace.reports)} iterations, "
              f"{trace.total_cycles:.0f} cycles"]
     for offset in range(0, len(symbols), width):
         lines.append(f"  {offset:>5}  {symbols[offset:offset + width]}")

@@ -119,5 +119,5 @@ class Enclave:
         report.cycles += enter_cost + exit_cost
         report.energy_nj += (
             enter_cost + exit_cost
-        ) * self.machine.core.energy.cycle_energy
+        ) * self.machine.energy.cycle_energy
         return report

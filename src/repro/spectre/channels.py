@@ -413,7 +413,7 @@ class FrontendDsbChannel(SpectreChannel):
         ]
         # The frontend channel's i-side fetches go through the *machine*
         # core's L1I; mirror them into this experiment's L1I accounting.
-        self._l1i_snapshot = machine.core.l1i.stats.snapshot()
+        self._l1i_snapshot = machine.l1i.stats.snapshot()
 
     def prepare(self) -> None:
         for report in self.machine.run_loops(self._prime_programs):
@@ -438,7 +438,7 @@ class FrontendDsbChannel(SpectreChannel):
     def miss_counts(self) -> MissCounts:
         """Include the machine L1I traffic the frontend probes generate."""
         base = super().miss_counts()
-        core_delta = self.machine.core.l1i.stats.delta(self._l1i_snapshot)
+        core_delta = self.machine.l1i.stats.delta(self._l1i_snapshot)
         return MissCounts(
             accesses=base.accesses + core_delta.accesses,
             misses=base.misses + core_delta.misses,

@@ -22,8 +22,8 @@ from repro.frontend.engine import (
     FrontendEngine,
     LoopReport,
     _extend,
-    _IterationCost,
     _report_values,
+    _steady_key,
     _terms,
 )
 from repro.isa.blocks import standard_mix_block
@@ -43,8 +43,11 @@ LAYOUT = BlockChainLayout()
 # steady-state detection key (bugfix regression)
 # ----------------------------------------------------------------------
 class TestIterationCostKey:
+    """:func:`_steady_key` of one iteration's :class:`LoopReport`."""
+
     BASE = dict(
         cycles=10.0,
+        iterations=1,
         uops_lsd=0,
         uops_dsb=24,
         uops_mite=8,
@@ -58,44 +61,53 @@ class TestIterationCostKey:
         lsd_captures=0,
         dsb_evictions=0,
         energy_nj=5.0,
+        simulated_iterations=1,
     )
 
     def test_every_field_participates(self):
-        base = _IterationCost(**self.BASE)
-        for field in dataclasses.fields(_IterationCost):
+        base = LoopReport(**self.BASE)
+        for field in dataclasses.fields(LoopReport):
             bumped = dataclasses.replace(
                 base, **{field.name: getattr(base, field.name) + 1}
             )
-            assert bumped.key() != base.key(), field.name
+            assert _steady_key(bumped) != _steady_key(base), field.name
+
+    def test_floats_absorb_representation_jitter_only(self):
+        base = LoopReport(**self.BASE)
+        jitter = dataclasses.replace(base, cycles=10.0 + 1e-12, energy_nj=5.0 - 1e-12)
+        assert jitter.cycles != base.cycles
+        assert _steady_key(jitter) == _steady_key(base)
+        assert _steady_key(dataclasses.replace(base, cycles=10.0 + 1e-6)) != _steady_key(base)
 
     def test_switch_count_variation_breaks_equality(self):
         """Regression: the old key was the (cycles, uops_lsd, uops_dsb,
         uops_mite, lcp_stalls) subset, so iterations differing only in
         switch/flush/eviction/energy counters compared equal and
         extrapolation scaled the wrong deltas."""
-        a = _IterationCost(**self.BASE)
+        a = LoopReport(**self.BASE)
         b = dataclasses.replace(
             a, switches_to_mite=3, switches_to_dsb=3, energy_nj=9.0
         )
         old_subset = ("cycles", "uops_lsd", "uops_dsb", "uops_mite", "lcp_stalls")
         assert all(getattr(a, f) == getattr(b, f) for f in old_subset)
-        assert a.key() != b.key()
+        assert _steady_key(a) != _steady_key(b)
 
 
 # ----------------------------------------------------------------------
 # tail extrapolation conservation (bugfix regression)
 # ----------------------------------------------------------------------
-def extrapolate_tail(prev_cost, last_cost, remaining, period_two):
+def extrapolate_tail(prev, last, remaining, period_two):
     """The report of ``remaining`` iterations that ``_extend`` adds
-    after ``prev_cost`` and ``last_cost``, on its own."""
-    prev = prev_cost.to_report() if period_two else None
-    terms = _terms(prev, last_cost.to_report())
+    after the single-iteration reports ``prev`` and ``last``, on its
+    own."""
+    terms = _terms(prev if period_two else None, last)
     return LoopReport(*_extend(_report_values(LoopReport()), terms, remaining, period_two))
 
 
 class TestExtrapolationConservation:
-    PREV = _IterationCost(
+    PREV = LoopReport(
         cycles=12.5,
+        iterations=1,
         uops_lsd=0,
         uops_dsb=30,
         uops_mite=10,
@@ -109,9 +121,11 @@ class TestExtrapolationConservation:
         lsd_captures=0,
         dsb_evictions=1,
         energy_nj=7.25,
+        simulated_iterations=1,
     )
-    LAST = _IterationCost(
+    LAST = LoopReport(
         cycles=9.75,
+        iterations=1,
         uops_lsd=0,
         uops_dsb=36,
         uops_mite=4,
@@ -125,6 +139,7 @@ class TestExtrapolationConservation:
         lsd_captures=0,
         dsb_evictions=0,
         energy_nj=6.5,
+        simulated_iterations=1,
     )
 
     def test_period_two_odd_remaining_golden(self):
@@ -154,9 +169,9 @@ class TestExtrapolationConservation:
 
     def test_period_one_matches_repeated_merge(self):
         tail = extrapolate_tail(None, self.LAST, 7, period_two=False)
-        manual = self.LAST.to_report()
+        manual = dataclasses.replace(self.LAST)
         for _ in range(6):
-            manual.merge(self.LAST.to_report())
+            manual.merge(self.LAST)
         assert tail.uops_dsb == manual.uops_dsb
         assert tail.cycles == pytest.approx(manual.cycles, rel=0, abs=1e-9)
 
@@ -183,7 +198,7 @@ class TestExtrapolationConservation:
 
 def test_lsd_toggle_on_a_live_core_takes_effect():
     """A microcode patch flipping the LSD on a live core
-    (``Core.set_lsd_enabled``) changes the very next run.  From the third
+    (``Machine.set_lsd_enabled``) changes the very next run.  From the third
     run on, each entry state differs from a recorded one only in the
     LSD's ``enabled`` bit, and the last two runs are replays."""
     program = LoopProgram(
@@ -192,7 +207,7 @@ def test_lsd_toggle_on_a_live_core_takes_effect():
     )
     machine = Machine(GOLD_6226, seed=71)
     for enabled in (True, False, True, False, True):
-        machine.core.set_lsd_enabled(enabled)
+        machine.set_lsd_enabled(enabled)
         assert (machine.run_loop(program).uops_lsd > 0) == enabled
 
 

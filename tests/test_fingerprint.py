@@ -22,9 +22,9 @@ class TestPatches:
     def test_apply_patch_toggles_lsd(self):
         machine = Machine(GOLD_6226, seed=71)
         apply_patch(machine, PATCH2)
-        assert not machine.core.lsd_enabled
+        assert not machine.lsd_enabled
         apply_patch(machine, PATCH1)
-        assert machine.core.lsd_enabled
+        assert machine.lsd_enabled
 
 
 class TestDetection:

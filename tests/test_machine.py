@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.isa.program import LoopProgram
-from repro.machine.core import Core
 from repro.machine.machine import Machine
 from repro.machine.specs import (
     ALL_SPECS,
@@ -81,28 +80,34 @@ class TestTable1Specs:
 
 
 class TestCore:
+    """The machine's one simulated core: its engine's threads, the
+    thread and SMT checks, and the runtime LSD toggle."""
+
     def test_thread_count_follows_smt(self):
-        assert Core(GOLD_6226).n_threads == 2
-        assert Core(XEON_E2288G).n_threads == 1
+        assert Machine(GOLD_6226).engine.n_threads == 2
+        assert Machine(XEON_E2288G).engine.n_threads == 1
 
     def test_smt_rejected_on_azure(self):
-        core = Core(XEON_E2288G)
-        layout = Machine(XEON_E2288G).layout()
-        program = LoopProgram(layout.chain(3, 2), 5)
+        machine = Machine(XEON_E2288G)
+        program = LoopProgram(machine.layout().chain(3, 2), 5)
         with pytest.raises(ConfigurationError):
-            core.run_loop(program, smt_active=True)
+            machine.run_loop(program, smt_active=True)
+        with pytest.raises(ConfigurationError):
+            machine.run_loops((program,), smt_active=True)
 
     def test_missing_thread_rejected(self):
-        core = Core(XEON_E2288G)
-        layout = Machine(XEON_E2288G).layout()
+        machine = Machine(XEON_E2288G)
+        program = LoopProgram(machine.layout().chain(3, 2), 5)
         with pytest.raises(ConfigurationError):
-            core.run_loop(LoopProgram(layout.chain(3, 2), 5), thread=1)
+            machine.run_loop(program, thread=1)
+        with pytest.raises(ConfigurationError):
+            machine.run_loops((program,), thread=1)
 
     def test_lsd_toggle(self):
-        core = Core(GOLD_6226)
-        assert core.lsd_enabled
-        core.set_lsd_enabled(False)
-        assert not core.lsd_enabled
+        machine = Machine(GOLD_6226)
+        assert machine.lsd_enabled
+        machine.set_lsd_enabled(False)
+        assert not machine.lsd_enabled
 
 
 class TestMachineFacade:
@@ -112,11 +117,6 @@ class TestMachineFacade:
         report = machine.run_loop(program)
         assert machine.perf.read("uops_retired.any") == report.total_uops
         assert machine.perf.read("cycles") == pytest.approx(report.cycles)
-
-    def test_kbps(self):
-        machine = Machine(GOLD_6226)
-        # 2700 cycles at 2.7 GHz = 1 microsecond; 1 bit / us = 1000 Kbps.
-        assert machine.kbps(1, 2700) == pytest.approx(1000.0)
 
     def test_reset_restores_cold_state(self):
         machine = Machine(GOLD_6226, seed=1)

@@ -1,6 +1,6 @@
 """The engine's whole-run memo replays exactly what interpretation does.
 
-:meth:`FrontendEngine.memo_run` keys a loop run on its arguments plus
+:meth:`FrontendEngine._memo_run` keys a loop run on its arguments plus
 the frontend state it reads, and on a repeat re-applies the recorded
 effect instead of interpreting.  The checks here drive two identical
 machines through the same sequence of runs and state changes; one of
@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 
 import repro.frontend.engine as engine_module
 from repro.channels.eviction import MtEvictionChannel
-from repro.frontend.engine import SIM_LATENCY_EDGES
+from repro.frontend.engine import SIM_LATENCY_EDGES, FrontendEngine
 from repro.frontend.params import FrontendParams
 from repro.isa.blocks import MixBlock, filler_block, lcp_block, standard_mix_block
 from repro.isa.instructions import jmp_rel8, nop
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
-from repro.machine.smt import SmtExecutor
 from repro.machine.specs import GOLD_6226
 from repro.obs import MetricsRegistry, use_registry
 from repro.spectre.attack import SpectreV1Attack
@@ -195,7 +194,7 @@ def _run(machine: Machine, call: tuple) -> tuple:
 def _change(machine: Machine, calls: list[tuple], op: tuple) -> None:
     """Apply one op that is not a whole run."""
     kind = op[0]
-    engine = machine.core.engine
+    engine = machine.engine
     if kind == "iterate":
         # One bare iteration, as the trace recorder drives the engine:
         # it can leave an LSD mid-stream, a delivery path set or a
@@ -212,7 +211,7 @@ def _change(machine: Machine, calls: list[tuple], op: tuple) -> None:
     elif kind == "flush_thread":
         engine.dsb.flush_thread(op[1])
     elif kind == "set_lsd_enabled":
-        machine.core.set_lsd_enabled(op[1])
+        machine.set_lsd_enabled(op[1])
     else:
         machine.reset()
 
@@ -228,9 +227,9 @@ def _reports(reports) -> tuple:
 
 
 def _state(machine: Machine) -> tuple:
-    engine = machine.core.engine
+    engine = machine.engine
     dsb = engine.dsb
-    l1i = machine.core.l1i
+    l1i = machine.l1i
     return (
         tuple(tuple(s.items()) for s in dsb._sets),
         tuple(dsb._ways),
@@ -267,7 +266,7 @@ def _check(calls: list[tuple], ops: list[tuple], params=FrontendParams()) -> Non
     interp = Machine(GOLD_6226, params=params)
     # Clearing the memo before each call would not be enough: a sweep
     # could replay its own earlier runs.
-    interp.core.engine._runs = _Forgetful()
+    interp.engine._runs = _Forgetful()
     for op in ops:
         if op[0] != "run":
             _change(memo, calls, op)
@@ -541,18 +540,18 @@ class TestMemoBookkeeping:
         ``sim.points`` (69 against 71)."""
         registry = MetricsRegistry()
         interleaved, secondaries = [], set()
-        interleave, run = SmtExecutor._interleave, SmtExecutor.run
+        interleave, run_smt = FrontendEngine._interleave, FrontendEngine.run_smt
 
         def counting_interleave(self, *args):
             interleaved.append(args)
             return interleave(self, *args)
 
-        def counting_run(self, primary, secondary, exact=False):
+        def counting_run_smt(self, primary, secondary, exact=False):
             secondaries.add(secondary.iterations)
-            return run(self, primary, secondary, exact)
+            return run_smt(self, primary, secondary, exact)
 
-        monkeypatch.setattr(SmtExecutor, "_interleave", counting_interleave)
-        monkeypatch.setattr(SmtExecutor, "run", counting_run)
+        monkeypatch.setattr(FrontendEngine, "_interleave", counting_interleave)
+        monkeypatch.setattr(FrontendEngine, "run_smt", counting_run_smt)
         with use_registry(registry):
             machine = Machine(GOLD_6226, seed=7)
             MtEvictionChannel(machine).transmit([0, 1] * 32)
@@ -566,8 +565,8 @@ class TestMemoBookkeeping:
         machine = Machine(GOLD_6226)
         for iterations in (1, 2, 3, 4, 5, 6):
             machine.run_loop(LoopProgram(BODIES[0], iterations))
-            assert len(machine.core.engine._runs) <= 3
-        assert not Machine(GOLD_6226).core.engine._runs
+            assert len(machine.engine._runs) <= 3
+        assert not Machine(GOLD_6226).engine._runs
 
 
 class TestPlanTables:
@@ -575,7 +574,7 @@ class TestPlanTables:
     head; both tables must hand out what the per-body plans say."""
 
     def test_programs_sharing_a_body_get_the_identical_plan(self):
-        engine = Machine(GOLD_6226).core.engine
+        engine = Machine(GOLD_6226).engine
         short, long = LoopProgram(BODIES[5], 3), LoopProgram(BODIES[5], 2_001)
         for thread, smt_active in ((0, False), (1, False), (0, True), (1, True)):
             plan = engine._plan(short, thread, smt_active)
@@ -587,7 +586,7 @@ class TestPlanTables:
     @pytest.mark.parametrize("thread, smt_active", [(0, False), (1, False), (1, True)])
     def test_sweep_sets_are_the_union_of_plan_sets(self, thread, smt_active):
         machine = Machine(GOLD_6226)
-        engine = machine.core.engine
+        engine = machine.engine
         programs = tuple(LoopProgram(body, 3) for body in BODIES)
         for _ in range(2):
             machine.run_loops(programs, thread, smt_active)
@@ -598,7 +597,7 @@ class TestPlanTables:
         first, second = Machine(GOLD_6226), Machine(GOLD_6226)
         programs = (LoopProgram(BODIES[0], 3), LoopProgram(BODIES[1], 3))
         first.run_loops(programs)
-        ours, theirs = first.core.engine, second.core.engine
+        ours, theirs = first.engine, second.engine
         assert ours._program_plans and ours._sweep_sets
         assert not theirs._program_plans and not theirs._sweep_sets
         second.run_loops(programs)

@@ -96,11 +96,11 @@ class TestDsbFootprintAttack:
         victim = SquareAndMultiplyVictim(m, key)
         attack = DsbFootprintAttack(m, victim, attempts=1)
         attack.run()
-        warm_misses = m.core.l1i.stats.misses
+        warm_misses = m.l1i.stats.misses
         victim.reset()
         attack.victim.reset()
         DsbFootprintAttack(m, victim, attempts=1).run()
-        assert m.core.l1i.stats.misses == warm_misses  # steady state: none
+        assert m.l1i.stats.misses == warm_misses  # steady state: none
 
     def test_validation(self):
         m = machine()

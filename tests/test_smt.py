@@ -3,15 +3,16 @@ and cross-thread interference mechanics."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.frontend.engine import FrontendEngine
+from repro.frontend.engine import FrontendEngine, LoopReport
 from repro.isa.program import LoopProgram
-from repro.machine.core import Core
 from repro.machine.machine import Machine
-from repro.machine.smt import SmtExecutor
 from repro.machine.specs import GOLD_6226, XEON_E2288G
+from tests.test_run_memo import BODIES
 
 
 def swept_mite_uops(machine: Machine, swept_set: int, iterations: int = 2000) -> int:
@@ -55,9 +56,14 @@ class TestFigure2Partitioning:
 
 
 class TestSmtExecutor:
+    """The two-thread interleave, :meth:`FrontendEngine.run_smt`, as
+    :meth:`Machine.run_smt` drives it."""
+
     def test_rejects_single_thread_machine(self):
+        machine = Machine(XEON_E2288G)
+        program = LoopProgram(machine.layout().chain(3, 2), 5)
         with pytest.raises(ConfigurationError):
-            SmtExecutor(Core(XEON_E2288G))
+            machine.run_smt(program, program)
 
     def test_reports_cover_both_threads(self):
         machine = Machine(GOLD_6226, seed=2)
@@ -103,7 +109,7 @@ class TestSmtExecutor:
         assert result.primary.iterations == primary_iterations
         assert result.secondary.iterations == 300
         assert result.secondary.total_uops == 300 * secondary.uops_per_iteration
-        assert result.secondary.simulated_iterations == SmtExecutor.MAX_SIMULATED_ROUNDS + 1
+        assert result.secondary.simulated_iterations == FrontendEngine.MAX_SIMULATED_ROUNDS + 1
 
     def test_smt_slows_down_receiver(self):
         """Concurrent sibling activity inflates frontend delivery cost."""
@@ -144,3 +150,42 @@ class TestSmtExecutor:
         )
         # Folded sets 3 vs 9: no collision, only repartition cold misses.
         assert result.primary.uops_mite < 1000
+
+
+#: SMT pair shapes (primary/secondary trip counts) whose interleave
+#: bursts stay full to the end, so nothing is left to drain.
+FULL_BURST_SHAPES = ((40, 40), (400, 40), (80, 40), (1000, 100), (400, 400), (6000, 300))
+
+
+@pytest.mark.parametrize("shape", FULL_BURST_SHAPES, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_extrapolated_smt_equals_exact(shape):
+    """Extrapolating the rounds after a steady state gives the exact
+    run's reports, for every pair of the run-memo bodies under LRU.
+
+    Regression: rounds keyed on their cycles alone, repeating only the
+    last round, let ``BODIES[4]`` (window-spanning blocks, the
+    Section IV-B mechanism) on both threads settle on a round that
+    alternates with its neighbour: 96 secondary LSD flushes against 49
+    at 1000/100."""
+    primary_iterations, secondary_iterations = shape
+    extrapolated, exact = Machine(GOLD_6226), Machine(GOLD_6226)
+    for primary_body in BODIES:
+        for secondary_body in BODIES:
+            primary = LoopProgram(primary_body, primary_iterations)
+            secondary = LoopProgram(secondary_body, secondary_iterations)
+            extrapolated.reset()
+            exact.reset()
+            got = extrapolated.run_smt(primary, secondary)
+            want = exact.run_smt(primary, secondary, exact=True)
+            pair = (BODIES.index(primary_body), BODIES.index(secondary_body))
+            for ours, theirs in ((got.primary, want.primary), (got.secondary, want.secondary)):
+                for field in dataclasses.fields(LoopReport):
+                    name = field.name
+                    if name == "simulated_iterations":
+                        continue
+                    if name in ("cycles", "energy_nj"):
+                        assert getattr(ours, name) == pytest.approx(
+                            getattr(theirs, name), rel=1e-9, abs=0
+                        ), (pair, name)
+                    else:
+                        assert getattr(ours, name) == getattr(theirs, name), (pair, name)

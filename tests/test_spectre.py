@@ -246,7 +246,7 @@ _FRONTEND_PERF_PINS = {
 def _perf_pin(machine: Machine) -> tuple:
     return (
         {event: value.hex() for event, value in machine.perf.read_all().items()},
-        dataclasses.astuple(machine.core.engine.dsb.stats),
+        dataclasses.astuple(machine.engine.dsb.stats),
     )
 
 

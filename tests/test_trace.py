@@ -18,7 +18,7 @@ class TestTraceLoop:
         machine = Machine(GOLD_6226, seed=9)
         program = LoopProgram(machine.layout().chain(3, 8), 20)
         trace = trace_loop(machine, program)
-        paths = [event.dominant_path for event in trace.events]
+        paths = trace.paths()
         assert paths[0] is DeliveryPath.MITE  # cold fill
         assert paths[1] is DeliveryPath.DSB  # resident, detecting
         assert paths[-1] is DeliveryPath.LSD  # streaming
@@ -34,7 +34,7 @@ class TestTraceLoop:
         machine = Machine(XEON_E2174G, seed=9)
         program = LoopProgram(machine.layout().chain(3, 8), 20)
         trace = trace_loop(machine, program)
-        assert trace.events[-1].dominant_path is DeliveryPath.DSB
+        assert trace.reports[-1].dominant_path() is DeliveryPath.DSB
         assert trace.iterations_on(DeliveryPath.LSD) == 0
 
     def test_transitions_located(self):
@@ -48,7 +48,7 @@ class TestTraceLoop:
         machine = Machine(GOLD_6226, seed=9)
         program = LoopProgram(machine.layout().chain(3, 4), 1000)
         trace = trace_loop(machine, program, max_iterations=12)
-        assert len(trace.events) == 12
+        assert len(trace.reports) == 12
 
     def test_validation(self):
         machine = Machine(GOLD_6226, seed=9)
@@ -84,7 +84,8 @@ class TestRenderTrace:
         loop = LoopProgram(layout.chain(3, 8), 10)
         trace_loop(machine, loop)  # stream from the LSD
         intruder = LoopProgram(layout.chain(3, 9, first_slot=50), 3)
-        trace_loop(machine, intruder)  # evict under the stream
-        resumed = trace_loop(machine, loop, max_iterations=3)
-        symbols = "".join(event.symbol for event in resumed.events)
-        assert symbols != symbols.upper() or resumed.events[0].lsd_flushes >= 0
+        trace = trace_loop(machine, intruder)  # evict under the stream
+        symbols = render_trace(trace).splitlines()[1].split()[-1]
+        flushed = [report.lsd_flushes > 0 for report in trace.reports]
+        assert any(flushed)
+        assert [char.islower() for char in symbols] == flushed
