@@ -549,22 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text", dest="fmt"
     )
     lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of tolerated violations (missing file = empty)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot the current active violations into --baseline",
-    )
-    lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as failures",
-    )
-    lint.add_argument(
         "--changed",
         nargs="?",
         const="HEAD",
@@ -767,34 +751,18 @@ def _cmd_sgx(args) -> int:
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.lint import Baseline, all_rules, run_lint
+    from repro.lint import all_rules, run_lint
     from repro.lint.reporters import write_report
 
     if args.list_rules:
         for rule_cls in all_rules():
             print(
-                f"{rule_cls.name:24s} {rule_cls.default_severity.value:8s} "
-                f"[{rule_cls.family}] {rule_cls.description}"
+                f"{rule_cls.name:24s} [{rule_cls.family}] {rule_cls.description}"
             )
         return 0
-    root = Path.cwd()
-    baseline = Baseline.load(args.baseline)
     report = run_lint(
-        root,
-        paths=args.paths or None,
-        baseline=baseline,
-        strict=args.strict,
-        changed_only=args.changed,
+        Path.cwd(), paths=args.paths or None, changed_only=args.changed
     )
-    if args.write_baseline:
-        if args.baseline is None:
-            raise ConfigurationError("--write-baseline requires --baseline FILE")
-        Baseline.write(args.baseline, report.active)
-        print(
-            f"wrote {len(report.active)} entr"
-            f"{'y' if len(report.active) == 1 else 'ies'} to {args.baseline}"
-        )
-        return 0
     write_report(report, args.fmt, sys.stdout)
     return report.exit_code()
 

@@ -132,9 +132,6 @@ class Coordinator:
     steal_after_s:
         Age at which a lone in-flight shard becomes stealable by an
         idle worker; ``None`` disables stealing.
-    no_worker_grace_s:
-        With work unresolved and *zero* connected workers, fail the run
-        after this many seconds (workers may reconnect within it).
     on_event:
         Optional callback receiving :class:`~repro.service.events.Event`
         objects narrating the run (worker joins/losses, dispatches,
@@ -151,6 +148,10 @@ class Coordinator:
         runs in one process never double-count.
     """
 
+    #: With work unresolved and *zero* connected workers, fail the run
+    #: after this many seconds (workers may reconnect within it).
+    NO_WORKER_GRACE_S = 30.0
+
     def __init__(
         self,
         pending: Sequence[tuple[int, SweepPoint]],
@@ -161,7 +162,6 @@ class Coordinator:
         max_retries: int = 3,
         retry_backoff_s: float = 0.5,
         steal_after_s: float | None = 30.0,
-        no_worker_grace_s: float = 30.0,
         on_event: Callable[[Event], None] | None = None,
         clock: Callable[[], float] | None = None,
         registry: MetricsRegistry | None = None,
@@ -178,7 +178,6 @@ class Coordinator:
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self.steal_after_s = steal_after_s
-        self.no_worker_grace_s = float(no_worker_grace_s)
         self._on_event = on_event
         self.registry = registry if registry is not None else get_registry()
         self._clock = clock if clock is not None else self.registry.clock
@@ -675,13 +674,13 @@ class Coordinator:
                 not self._workers
                 and self._ever_had_workers
                 and self._workerless_since is not None
-                and now - self._workerless_since > self.no_worker_grace_s
+                and now - self._workerless_since > self.NO_WORKER_GRACE_S
                 and len(self._results) < self.total_points
             ):
                 self._fail(
                     ClusterError(
                         "every worker disconnected and none rejoined within "
-                        f"{self.no_worker_grace_s:.1f}s; "
+                        f"{self.NO_WORKER_GRACE_S:.1f}s; "
                         f"{self.total_points - len(self._results)} point(s) "
                         "unresolved"
                     )

@@ -90,7 +90,6 @@ class DistributedExecutor(Executor):
         max_retries: int = 3,
         retry_backoff_s: float = 0.5,
         steal_after_s: float | None = 30.0,
-        no_worker_grace_s: float = 30.0,
         cache_dir: str | None = None,
         fallback: bool = True,
         on_event: Callable[[Event], None] | None = None,
@@ -113,7 +112,6 @@ class DistributedExecutor(Executor):
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self.steal_after_s = steal_after_s
-        self.no_worker_grace_s = float(no_worker_grace_s)
         self.cache_dir = cache_dir
         self.fallback = bool(fallback)
         self.on_event = on_event
@@ -156,7 +154,6 @@ class DistributedExecutor(Executor):
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_s,
             steal_after_s=self.steal_after_s,
-            no_worker_grace_s=self.no_worker_grace_s,
             on_event=self.on_event,
         )
         self.address = await coordinator.start(self.bind)

@@ -36,6 +36,7 @@ __all__ = [
     "ChannelOutcome",
     "MitigationReport",
     "DefenseEvaluator",
+    "channel_status",
     "defended_machine",
     "evaluate_spectre_v2",
 ]
@@ -45,6 +46,15 @@ __all__ = [
 BROKEN_ERROR = 0.40
 #: ...and degraded when the error exceeds this while staying decodable.
 DEGRADED_ERROR = 0.20
+
+
+def channel_status(error_rate: float) -> str:
+    """``"broken"``, ``"degraded"`` or ``"intact"`` for a decoded error rate."""
+    if error_rate >= BROKEN_ERROR:
+        return "broken"
+    if error_rate >= DEGRADED_ERROR:
+        return "degraded"
+    return "intact"
 
 
 @dataclass(frozen=True)
@@ -161,16 +171,10 @@ def evaluate_spectre_v2(
             defense=defense,
         ).run()
         error = 1.0 - report.accuracy
-        if error >= BROKEN_ERROR:
-            status = "broken"
-        elif error >= DEGRADED_ERROR:
-            status = "degraded"
-        else:
-            status = "intact"
         outcomes.append(
             ChannelOutcome(
                 channel_name=f"spectre-v2[{defense or 'none'}]",
-                status=status,
+                status=channel_status(error),
                 kbps=report.leak_kbps,
                 error_rate=error,
                 detail=f"{report.chunks_correct}/{report.chunks_total} chunks",
@@ -228,14 +232,11 @@ class DefenseEvaluator:
         except ChannelError as exc:
             # Calibration found no signal: the channel carries nothing.
             return ChannelOutcome(name, "broken", detail=str(exc))
-        if result.error_rate >= BROKEN_ERROR:
-            status = "broken"
-        elif result.error_rate >= DEGRADED_ERROR:
-            status = "degraded"
-        else:
-            status = "intact"
         return ChannelOutcome(
-            name, status, kbps=result.kbps, error_rate=result.error_rate
+            name,
+            channel_status(result.error_rate),
+            kbps=result.kbps,
+            error_rate=result.error_rate,
         )
 
     def _benign_report(self, machine: Machine):

@@ -200,7 +200,7 @@ class DecodedStreamBuffer:
         used = self._ways
         capacity = self.params.dsb_ways
         while used[index] + ways > capacity:
-            victim_key = self._pick_victim(entry_set)
+            victim_key = next(iter(entry_set))  # LRU: the oldest entry
             used[index] -= entry_set.pop(victim_key).ways
             evicted.append(victim_key)
             self.stats.evictions += 1
@@ -209,26 +209,6 @@ class DecodedStreamBuffer:
         used[index] += ways
         self.stats.insertions += 1
         return evicted
-
-    def _pick_victim(self, entry_set: OrderedDict[LineKey, DsbLine]) -> LineKey:
-        """Choose the eviction victim per the configured policy.
-
-        ``lru``: the set's oldest entry.  ``hashed``: a deterministic
-        pseudo-random pick keyed on the insertion counter — under cyclic
-        over-capacity access this retains roughly ways/working-set of
-        the loop in the DSB instead of thrashing to zero, which is the
-        behaviour the paper's Figure 3 measurements imply.
-        """
-        if self.params.dsb_replacement == "lru":
-            return next(iter(entry_set))
-        # Pseudo-random (MRU-protected) victim: Knuth multiplicative hash
-        # over the insertion counter, high bits for mixing; the most
-        # recently used entry is never the victim, so a freshly fetched
-        # window survives at least until the next conflict.
-        keys = list(entry_set)
-        candidates = keys[:-1] if len(keys) > 1 else keys
-        mixed = (self.stats.insertions * 2654435761) & 0xFFFFFFFF
-        return candidates[(mixed >> 16) % len(candidates)]
 
     def invalidate(self, thread: int, window_addr: int) -> bool:
         """Drop a specific line wherever it currently resides."""

@@ -1117,11 +1117,10 @@ class FrontendEngine:
         keyed on ``head`` plus everything of the frontend it reads: the
         contents of those sets (keys, LRU order, uops and ways), every
         LSD, the per-thread pending penalties and flushes, last paths and
-        MITE streaks, and under ``hashed`` replacement the insertion
-        counter that picks victims.  Equal keys therefore mean equal
-        runs, so a repeat re-applies the recorded effect — set contents,
-        stat deltas, LSD and per-thread state, the L1I fetches in order —
-        and returns fresh copies of the recorded reports.
+        MITE streaks.  Equal keys therefore mean equal runs, so a repeat
+        re-applies the recorded effect — set contents, stat deltas, LSD
+        and per-thread state, the L1I fetches in order — and returns
+        fresh copies of the recorded reports.
 
         A loop driver passes ``finish``: ``run`` then only simulates the
         prefix and returns a :class:`_Prefix`, and ``finish`` turns it
@@ -1146,7 +1145,6 @@ class FrontendEngine:
             tuple(self._pending_flushes.values()),
             tuple(self._last_path.values()),
             tuple(self._mite_streak.values()),
-            dsb.stats.insertions if self.params.dsb_replacement == "hashed" else 0,
         )
         memo = self._runs
         if prefix is not None:

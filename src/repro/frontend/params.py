@@ -124,12 +124,6 @@ class FrontendParams:
     #: remains.
     smt_isolation: bool = False
 
-    #: DSB replacement policy: "lru" (default; matches the overflow-by-
-    #: one eviction arithmetic of the attacks) or "hashed" — a
-    #: deterministic pseudo-random victim choice kept for sensitivity
-    #: studies.
-    dsb_replacement: str = "lru"
-
     #: Consecutive MITE-delivered windows (within one loop iteration)
     #: after which the DSB stops accepting fills until the next DSB/LSD
     #: hit or loop-back branch.  Sustained legacy-decode streaks (loops
@@ -172,11 +166,6 @@ class FrontendParams:
                 raise ConfigurationError(f"{name} must be non-negative")
         if self.smt_frontend_factor < 1.0:
             raise ConfigurationError("smt_frontend_factor must be >= 1.0")
-        if self.dsb_replacement not in ("lru", "hashed"):
-            raise ConfigurationError(
-                f"dsb_replacement must be 'lru' or 'hashed', "
-                f"got {self.dsb_replacement!r}"
-            )
 
     def with_overrides(self, **kwargs: object) -> "FrontendParams":
         """Return a copy with the given fields replaced."""

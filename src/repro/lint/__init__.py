@@ -25,25 +25,25 @@ protocols are not linted: their frames are typed dataclasses decoded
 strictly at the socket (:mod:`repro.service.frames`,
 :mod:`repro.cluster.protocol`), so a malformed frame fails at run time.
 
-Run it as ``python -m repro.cli lint [--format json] [--baseline FILE]``
+Run it as ``python -m repro lint [--format json] [--changed [REF]]``
 or programmatically::
 
     from repro.lint import run_lint
     report = run_lint(".")
     assert report.exit_code() == 0, report.summary()
 
-See ``docs/linting.md`` for the rule catalogue, the suppression syntax
-(``# repro: lint-disable=<rule>``) and the baseline workflow.
+Every finding is an error.  The one way to tolerate a finding is a
+suppression comment (``# repro: lint-disable=<rule>`` on the line, or
+``# repro: lint-disable-file=<rule>`` for the file); see
+``docs/linting.md`` for the rule catalogue and the suppression syntax.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
 from repro.lint.config import DEFAULT_LAYERS, LintConfig, default_config
 from repro.lint.core import (
     ModuleInfo,
     Project,
     Rule,
-    Severity,
     Violation,
     all_rules,
     rules_by_name,
@@ -52,7 +52,6 @@ from repro.lint.dataflow import ForwardPass, fixpoint_functions
 from repro.lint.runner import Finding, LintReport, changed_files, run_lint
 
 __all__ = [
-    "Baseline",
     "CallGraph",
     "CallSite",
     "DEFAULT_LAYERS",
@@ -64,7 +63,6 @@ __all__ = [
     "ModuleInfo",
     "Project",
     "Rule",
-    "Severity",
     "Violation",
     "all_rules",
     "build_call_graph",

@@ -1,4 +1,4 @@
-"""Configuration for the repro linter: scopes, the import DAG, severities.
+"""Configuration for the repro linter: scopes and the import DAG.
 
 The layering table below is the repository's architecture written down
 as data.  Each key is a top-level unit under ``repro`` (a subpackage, a
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping
-
-from repro.lint.core import Severity
 
 __all__ = ["LintConfig", "DEFAULT_LAYERS", "default_config"]
 
@@ -241,10 +239,6 @@ class LintConfig:
     layers: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: dict(DEFAULT_LAYERS)
     )
-    #: Per-rule severity overrides, e.g. {"det-set-iteration": Severity.WARNING}.
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
-    #: Rule names to skip entirely.
-    disabled_rules: tuple[str, ...] = ()
 
 
 def default_config() -> LintConfig:

@@ -7,7 +7,7 @@ cache hits; the simulator's constants carry the paper's Table I / SDM
 figures and must not drift.  Those invariants are checkable from the
 AST, so this module provides the pieces every rule shares:
 
-* :class:`Severity`, :class:`Violation` — what a rule reports;
+* :class:`Violation` — what a rule reports (every finding is an error);
 * :class:`ModuleInfo`, :class:`Project` — what a rule sees (parsed
   sources plus per-line suppression comments);
 * :class:`Rule` and the registry (:func:`register`, :func:`all_rules`)
@@ -23,22 +23,20 @@ Suppressions are explicit and per-rule::
 
 suppresses exactly that rule on exactly that line; a line of the form
 ``# repro: lint-disable-file=<rule>`` anywhere in a file suppresses the
-rule for the whole file.  Suppressed violations are still collected
-(and counted in the summary) so they stay visible in ``--format json``.
+rule for the whole file.  Suppression comments are the one way to
+tolerate a finding.  Suppressed violations are still collected (and
+counted in the summary) so they stay visible in ``--format json``.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
-import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
-    "Severity",
     "Violation",
     "ModuleInfo",
     "Project",
@@ -49,47 +47,18 @@ __all__ = [
 ]
 
 
-class Severity(str, enum.Enum):
-    """How bad a violation is; errors fail the run, warnings only report."""
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
 @dataclass(frozen=True)
 class Violation:
     """One finding: a rule, a location, and a human-readable message."""
 
     rule: str
-    severity: Severity
     path: str  # repo-relative, forward slashes
     line: int
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity used by the baseline file.
-
-        Deliberately excludes the line/column so that unrelated edits
-        above a baselined violation do not un-baseline it.
-        """
-        material = f"{self.rule}|{self.path}|{self.message}"
-        return hashlib.sha256(material.encode()).hexdigest()[:16]
-
     def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
 
 _SUPPRESS_LINE = re.compile(r"#\s*repro:\s*lint-disable=([\w.,*-]+)")
@@ -232,15 +201,10 @@ class Rule:
 
     #: Unique rule id, e.g. ``"det-wall-clock"``; families share a prefix.
     name: str = ""
-    #: Rule family: determinism | layering | concurrency | fidelity.
+    #: Rule family: determinism | layering | concurrency | fidelity | races.
     family: str = ""
-    #: Default severity; the runner may override per configuration.
-    default_severity: Severity = Severity.ERROR
     #: One-line description for ``lint --list-rules`` and the docs.
     description: str = ""
-
-    def __init__(self, severity: Severity | None = None) -> None:
-        self.severity = severity if severity is not None else self.default_severity
 
     def check(self, project: Project) -> Iterator[Violation]:
         raise NotImplementedError
@@ -260,7 +224,6 @@ class Rule:
             line, col = int(node_or_line), 0
         return Violation(
             rule=self.name,
-            severity=self.severity,
             path=path,
             line=line,
             col=col,

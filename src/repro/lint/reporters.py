@@ -1,10 +1,9 @@
 """Text and JSON reporters for lint results.
 
-Text goes to humans (one ``path:line:col: severity [rule] message``
-line per finding plus a summary); JSON goes to tools (CI annotations,
-editors) and carries everything including suppressed/baselined
-findings and fingerprints, so a consumer can build its own baseline
-logic on top.
+Text goes to humans (one ``path:line:col: error [rule] message`` line
+per active finding plus a summary); JSON goes to tools (CI annotations,
+editors) and carries every finding, suppressed ones included, with its
+status.
 """
 
 from __future__ import annotations
@@ -24,23 +23,16 @@ def render_text(report: LintReport) -> str:
             continue
         v = finding.violation
         lines.append(
-            f"{v.path}:{v.line}:{v.col + 1}: {v.severity.value} "
-            f"[{v.rule}] {v.message}"
+            f"{v.path}:{v.line}:{v.col + 1}: error [{v.rule}] {v.message}"
         )
     for rel_path, message in report.parse_errors:
         lines.append(f"{rel_path}:1:1: error [parse] {message}")
     summary = report.summary()
     lines.append(
-        f"checked {summary['files']} files: "
-        f"{summary['errors']} error(s), {summary['warnings']} warning(s)"
+        f"checked {summary['files']} files: {summary['errors']} error(s)"
         + (
             f", {summary['suppressed']} suppressed"
             if summary["suppressed"]
-            else ""
-        )
-        + (
-            f", {summary['baselined']} baselined"
-            if summary["baselined"]
             else ""
         )
     )

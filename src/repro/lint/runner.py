@@ -5,15 +5,14 @@ One :func:`run_lint` call is one lint run:
 1. discover ``*.py`` files under the configured roots (or an explicit
    path list);
 2. parse everything once into a :class:`~repro.lint.core.Project`;
-3. run every registered rule (minus disabled ones, with severity
-   overrides applied);
-4. classify each violation as ``active``, ``suppressed`` (an inline
-   ``# repro: lint-disable=`` comment) or ``baselined`` (fingerprint in
-   the baseline file).
+3. run every registered rule;
+4. classify each violation as ``suppressed`` (an inline
+   ``# repro: lint-disable=`` or file-level ``lint-disable-file=``
+   comment) or ``active``.
 
-Exit-code policy (:meth:`LintReport.exit_code`): ``0`` when no active
-error-severity findings and no parse failures; ``1`` otherwise.
-Warnings never fail a run unless ``strict`` is set.
+Every finding is an error.  Exit-code policy
+(:meth:`LintReport.exit_code`): ``0`` when there is no active finding
+and no parse failure; ``1`` otherwise.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, default_config
-from repro.lint.core import Project, Severity, Violation, all_rules
+from repro.lint.core import Project, Violation, all_rules
 
 __all__ = [
     "Finding",
@@ -42,7 +40,7 @@ class Finding:
     """One violation plus how the run classified it."""
 
     violation: Violation
-    #: "active" | "suppressed" | "baselined"
+    #: "active" | "suppressed"
     status: str
 
 
@@ -53,36 +51,22 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     files: int = 0
-    strict: bool = False
 
     @property
     def active(self) -> list[Violation]:
         return [f.violation for f in self.findings if f.status == "active"]
 
     def summary(self) -> dict:
-        active = self.active
+        errors = len(self.active)
         return {
             "files": self.files,
-            "errors": sum(1 for v in active if v.severity is Severity.ERROR),
-            "warnings": sum(1 for v in active if v.severity is Severity.WARNING),
-            "suppressed": sum(
-                1 for f in self.findings if f.status == "suppressed"
-            ),
-            "baselined": sum(
-                1 for f in self.findings if f.status == "baselined"
-            ),
+            "errors": errors,
+            "suppressed": len(self.findings) - errors,
             "parse_errors": len(self.parse_errors),
         }
 
     def exit_code(self) -> int:
-        if self.parse_errors:
-            return 1
-        failing = (
-            (Severity.ERROR, Severity.WARNING) if self.strict else (Severity.ERROR,)
-        )
-        if any(v.severity in failing for v in self.active):
-            return 1
-        return 0
+        return 1 if self.parse_errors or self.active else 0
 
 
 def discover_files(
@@ -150,8 +134,6 @@ def run_lint(
     *,
     config: LintConfig | None = None,
     paths: Sequence[str] | None = None,
-    baseline: Baseline | None = None,
-    strict: bool = False,
     rules: Iterable[type] | None = None,
     changed_only: str | None = None,
 ) -> LintReport:
@@ -166,7 +148,6 @@ def run_lint(
     """
     root = Path(root).resolve()
     config = config if config is not None else default_config()
-    baseline = baseline if baseline is not None else Baseline()
     files = discover_files(root, config, paths)
     project = Project.load(root, files, config=config)
     changed: frozenset[str] | None = None
@@ -174,15 +155,11 @@ def run_lint(
         changed = changed_files(root, changed_only)
 
     report = LintReport(parse_errors=list(project.parse_errors),
-                        files=len(project.modules), strict=strict)
+                        files=len(project.modules))
     rule_classes = tuple(rules) if rules is not None else all_rules()
     violations: list[Violation] = []
     for rule_cls in rule_classes:
-        if rule_cls.name in config.disabled_rules:
-            continue
-        severity = config.severity_overrides.get(rule_cls.name)
-        rule = rule_cls(severity=severity)
-        violations.extend(rule.check(project))
+        violations.extend(rule_cls().check(project))
 
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     if changed is not None:
@@ -190,11 +167,9 @@ def run_lint(
     modules_by_path = {module.rel_path: module for module in project.modules}
     for violation in violations:
         module = modules_by_path.get(violation.path)
-        if module is not None and module.suppressed(violation.rule, violation.line):
-            status = "suppressed"
-        elif baseline.contains(violation):
-            status = "baselined"
-        else:
-            status = "active"
+        suppressed = module is not None and module.suppressed(
+            violation.rule, violation.line
+        )
+        status = "suppressed" if suppressed else "active"
         report.findings.append(Finding(violation=violation, status=status))
     return report

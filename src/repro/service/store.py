@@ -156,9 +156,6 @@ class JobStore:
     state_dir:
         Directory holding the log (created on first append).  One store
         per directory; the service owns it exclusively.
-    compact_every:
-        Appends between automatic compactions (the service checks
-        :meth:`should_compact` after each terminal transition).
     fsync:
         Force each append through to the device.  The default relies on
         the OS page cache, which survives process death — the fault
@@ -167,21 +164,18 @@ class JobStore:
     """
 
     WAL_NAME = "jobs.wal"
+    #: Appends between automatic compactions (the service checks
+    #: :meth:`should_compact` after each terminal transition).
+    COMPACT_EVERY = 512
 
     def __init__(
         self,
         state_dir: str | os.PathLike,
         *,
-        compact_every: int = 512,
         fsync: bool = False,
     ) -> None:
-        if compact_every < 1:
-            raise ConfigurationError(
-                f"compact_every must be >= 1, got {compact_every}"
-            )
         self.state_dir = Path(state_dir)
         self.path = self.state_dir / self.WAL_NAME
-        self.compact_every = int(compact_every)
         self.fsync = bool(fsync)
         self._appended = 0
         self._handle: IO[bytes] | None = None
@@ -204,7 +198,7 @@ class JobStore:
         self._append(StateRecord(job_id, status))
 
     def should_compact(self) -> bool:
-        return self._appended >= self.compact_every
+        return self._appended >= self.COMPACT_EVERY
 
     def _append(self, record: WalRecord) -> None:
         if self._handle is None or self._handle.closed:

@@ -4,7 +4,8 @@
 sender/receiver pair (a :class:`SynthChannel`, riding the covert-channel
 calibration/transmission framework) on a machine built from a
 declarative defense config, and classifies the result with the
-``DefenseEvaluator`` thresholds:
+``DefenseEvaluator`` thresholds
+(:func:`~repro.defense.evaluation.channel_status`):
 
 * ``blocked``  — the channel is unconstructible on the defended machine;
 * ``broken``   — calibration found no signal, or the Wagner–Fischer
@@ -37,11 +38,7 @@ from typing import Mapping
 from repro.analysis.bits import alternating_bits
 from repro.analysis.outcome import ScenarioOutcome
 from repro.channels.base import ChannelConfig, NonMtChannel
-from repro.defense.evaluation import (
-    BROKEN_ERROR,
-    DEGRADED_ERROR,
-    defended_machine,
-)
+from repro.defense.evaluation import channel_status, defended_machine
 from repro.errors import ChannelError, ConfigurationError, ReproError
 from repro.frontend.engine import LoopReport
 from repro.isa.program import LoopProgram
@@ -225,15 +222,9 @@ class LeakageOracle:
                 fingerprint=fingerprint,
                 detail=str(exc),
             )
-        if result.error_rate >= BROKEN_ERROR:
-            status = "broken"
-        elif result.error_rate >= DEGRADED_ERROR:
-            status = "degraded"
-        else:
-            status = "intact"
         outcome = result.to_outcome(machine.spec.frequency_hz)
         return OracleVerdict(
-            status=status,
+            status=channel_status(result.error_rate),
             kbps=result.kbps,
             error_rate=result.error_rate,
             accuracy=outcome.accuracy,

@@ -1,5 +1,5 @@
 """Tests for the engine's modelled policies: fill-streak throttling,
-replacement policies, uniform delivery, and SMT isolation."""
+uniform delivery, and SMT isolation."""
 
 from __future__ import annotations
 
@@ -46,31 +46,6 @@ class TestFillStreakThrottle:
         )
         assert report.cycles == pytest.approx(baseline.cycles)
         assert report.uops_mite == baseline.uops_mite
-
-
-class TestHashedReplacement:
-    def test_hashed_policy_deterministic(self, layout):
-        params = FrontendParams(dsb_replacement="hashed")
-        runs = []
-        for _ in range(2):
-            engine = FrontendEngine(params)
-            report = engine.run_loop(LoopProgram(layout.chain(3, 9), 200), exact=True)
-            runs.append(report.cycles)
-        assert runs[0] == runs[1]
-
-    def test_hashed_differs_from_lru(self, layout):
-        program = LoopProgram(layout.chain(3, 9), 200)
-        lru = FrontendEngine(FrontendParams()).run_loop(program, exact=True)
-        hashed = FrontendEngine(
-            FrontendParams(dsb_replacement="hashed")
-        ).run_loop(program, exact=True)
-        assert lru.uops_mite != hashed.uops_mite
-
-    def test_rejects_unknown_policy(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            FrontendParams(dsb_replacement="fifo")
 
 
 class TestUniformDelivery:

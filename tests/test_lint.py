@@ -5,8 +5,8 @@ Structure mirrors the framework:
 * fixtures — tiny synthetic ``src/repro/...`` trees seeded with one
   violation each, so every rule family is shown both *catching* its
   target and *staying quiet* on the fixed version;
-* framework — suppressions, baseline, severities, reporters, exit
-  codes;
+* framework — suppressions (the one way to tolerate a finding),
+  reporters, exit codes;
 * fidelity — the manifest check against the real tree, including an
   injected constant-drift (a manifest that disagrees with the code must
   fail, which is exactly how real drift in the other direction fails);
@@ -20,18 +20,8 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
-from repro.errors import ConfigurationError
-from repro.lint import (
-    Baseline,
-    LintConfig,
-    Severity,
-    all_rules,
-    default_config,
-    run_lint,
-)
+from repro.lint import all_rules, default_config, run_lint
 from repro.lint.manifest import CONSTANTS, DOCS, ConstantSpec, DocSpec
 from repro.lint.rules.concurrency import AsyncBlockingRule
 from repro.lint.rules.determinism import (
@@ -548,115 +538,7 @@ class TestSuppressions:
         assert active_rules(report) == ["det-unseeded-random"]
 
 
-class TestBaseline:
-    def _tree_with_violation(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/measure/base.py",
-            """
-            import time
-
-
-            def a():
-                return time.perf_counter()
-            """,
-        )
-
-    def test_baselined_violations_do_not_fail(self, tmp_path):
-        self._tree_with_violation(tmp_path)
-        report = lint_tree(tmp_path, [WallClockRule])
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.write(baseline_path, report.active)
-
-        baseline = Baseline.load(baseline_path)
-        rerun = lint_tree(tmp_path, [WallClockRule], baseline=baseline)
-        assert rerun.active == []
-        assert rerun.summary()["baselined"] == 1
-        assert rerun.exit_code() == 0
-
-    def test_new_violations_still_fail_with_a_baseline(self, tmp_path):
-        self._tree_with_violation(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.write(baseline_path, lint_tree(tmp_path, [WallClockRule]).active)
-        write_module(
-            tmp_path,
-            "src/repro/measure/fresh.py",
-            """
-            import os
-
-
-            def b():
-                return os.urandom(1)
-            """,
-        )
-        rerun = lint_tree(
-            tmp_path, [WallClockRule], baseline=Baseline.load(baseline_path)
-        )
-        assert len(rerun.active) == 1
-        assert rerun.active[0].path.endswith("fresh.py")
-        assert rerun.exit_code() == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert baseline.fingerprints == frozenset()
-
-    def test_corrupt_baseline_is_a_configuration_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            Baseline.load(bad)
-
-    def test_fingerprint_survives_line_moves(self, tmp_path):
-        self._tree_with_violation(tmp_path)
-        first = lint_tree(tmp_path, [WallClockRule]).active[0]
-        # Insert lines above the violation: same finding, new line number.
-        path = tmp_path / "src/repro/measure/base.py"
-        path.write_text("# a new leading comment\n\n" + path.read_text())
-        second = lint_tree(tmp_path, [WallClockRule]).active[0]
-        assert second.line != first.line
-        assert second.fingerprint == first.fingerprint
-
-
 class TestSeverityAndExitCodes:
-    def test_severity_override_demotes_to_warning(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/measure/warnonly.py",
-            """
-            import time
-
-
-            def a():
-                return time.perf_counter()
-            """,
-        )
-        config = LintConfig(
-            severity_overrides={"det-wall-clock": Severity.WARNING}
-        )
-        report = lint_tree(tmp_path, [WallClockRule], config=config)
-        assert report.summary()["warnings"] == 1
-        assert report.exit_code() == 0  # warnings don't fail...
-        strict = lint_tree(
-            tmp_path, [WallClockRule], config=config, strict=True
-        )
-        assert strict.exit_code() == 1  # ...unless --strict
-
-    def test_disabled_rule_is_skipped(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/measure/skip.py",
-            """
-            import time
-
-
-            def a():
-                return time.perf_counter()
-            """,
-        )
-        config = LintConfig(disabled_rules=("det-wall-clock",))
-        report = lint_tree(tmp_path, [WallClockRule], config=config)
-        assert report.active == []
-
     def test_syntax_error_fails_the_run(self, tmp_path):
         write_module(tmp_path, "src/repro/measure/broken.py", "def oops(:\n")
         report = lint_tree(tmp_path, [WallClockRule])
@@ -668,10 +550,9 @@ class TestSeverityAndExitCodes:
 # CLI and whole-repo acceptance
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_repo_lints_clean_with_empty_baseline(self, tmp_path, capsys, monkeypatch):
+    def test_repo_lints_clean(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        empty_baseline = tmp_path / "empty-baseline.json"  # does not exist
-        assert main(["lint", "--baseline", str(empty_baseline)]) == 0
+        assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
 
@@ -692,46 +573,28 @@ class TestCli:
             assert rule_cls.name in out
 
     def test_lint_failure_exit_code_through_cli(self, tmp_path, capsys, monkeypatch):
+        """Every finding is an error: one unsuppressed finding fails the
+        run, and its suppressed twin passes."""
         monkeypatch.chdir(REPO_ROOT)
-        write_module(
-            tmp_path,
-            "src/repro/measure/cli_bad.py",
-            """
+        source = """
             import time
 
 
             def a():
-                return time.perf_counter()
-            """,
-        )
-        assert main(["lint", str(tmp_path / "src/repro")]) == 1
-        assert "det-wall-clock" in capsys.readouterr().out
-
-    def test_write_baseline_roundtrip_through_cli(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        write_module(
-            tmp_path,
-            "src/repro/measure/cli_base.py",
+                return time.perf_counter(){comment}
             """
-            import os
-
-
-            def a():
-                return os.urandom(2)
-            """,
+        bad = write_module(
+            tmp_path / "bad", "src/repro/measure/cli_bad.py",
+            source.format(comment=""),
         )
-        fixture = str(tmp_path / "src/repro")
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", fixture, "--baseline", baseline,
-                     "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main(["lint", fixture, "--baseline", baseline]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_write_baseline_requires_baseline_path(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--write-baseline"]) == 1
-        assert "requires --baseline" in capsys.readouterr().err
+        twin = write_module(
+            tmp_path / "twin", "src/repro/measure/cli_bad.py",
+            source.format(comment="  # repro: lint-disable=det-wall-clock"),
+        )
+        assert main(["lint", str(bad)]) == 1
+        assert "error [det-wall-clock]" in capsys.readouterr().out
+        assert main(["lint", str(twin)]) == 0
+        assert "0 error(s), 1 suppressed" in capsys.readouterr().out
 
 
 class TestRepoIsClean:

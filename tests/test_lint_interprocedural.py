@@ -452,5 +452,5 @@ class TestChangedScoping:
         from repro.cli import main
 
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--changed", "--strict"]) == 0
+        assert main(["lint", "--changed"]) == 0
         assert "0 error(s)" in capsys.readouterr().out

@@ -124,7 +124,6 @@ class TestDsbInvariants:
             assert used == dsb._ways[index] <= dsb.params.dsb_ways
 
     @given(
-        st.sampled_from(["lru", "hashed"]),
         st.lists(
             st.tuples(
                 st.sampled_from(DSB_OPERATIONS),
@@ -141,10 +140,10 @@ class TestDsbInvariants:
         ),
     )
     @settings(max_examples=60)
-    def test_running_way_count_matches_sets(self, policy, operations):
+    def test_running_way_count_matches_sets(self, operations):
         """``_ways`` equals the ways resident in each set after every
         operation, and already during eviction callbacks."""
-        dsb = DecodedStreamBuffer(FrontendParams(dsb_replacement=policy))
+        dsb = DecodedStreamBuffer(FrontendParams())
 
         def check(*_evicted):
             for index, entry_set in enumerate(dsb._sets):

@@ -282,11 +282,10 @@ def _check(calls: list[tuple], ops: list[tuple], params=FrontendParams()) -> Non
 
 
 class TestReplayEqualsInterpretation:
-    @pytest.mark.parametrize("replacement", ["lru", "hashed"])
     @given(scenario=_scenarios())
     @settings(max_examples=200, deadline=None)
-    def test_random_sequences(self, replacement, scenario):
-        _check(*scenario, FrontendParams(dsb_replacement=replacement))
+    def test_random_sequences(self, scenario):
+        _check(*scenario)
 
     # Entry states random sequences rarely reach: each must not replay a
     # run recorded from a state that differs only in what is named.
