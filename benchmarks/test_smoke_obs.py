@@ -83,3 +83,9 @@ def test_smoke_obs_snapshot_covers_the_stack():
     assert serial_points["value"] >= len(GRID["d"])
     joined = by_identity[("cluster.workers_joined", ())]
     assert joined["value"] == 2
+
+    # The frontend engine ran loops, and its run memo replayed some of
+    # them.  A memo that silently stops matching leaves every paper table
+    # as it was; only this count shows it.
+    assert by_identity[("sim.points", ())]["value"] > 0
+    assert by_identity[("sim.replays", ())]["value"] > 0

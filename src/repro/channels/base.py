@@ -231,6 +231,8 @@ class CovertChannel(abc.ABC):
         # length is learned as the maximum wall clock seen (calibration
         # traffic establishes it before the message is sent).
         self._slot_cycles = 0.0
+        # The previous bit sent, for the edge-dependent slip rate.
+        self._prev_bit: int | None = None
 
     # ------------------------------------------------------------------
     # to be provided by concrete channels
@@ -323,7 +325,7 @@ class CovertChannel(abc.ABC):
         error-free while alternating and random patterns do not
         (Table II).
         """
-        previous = getattr(self, "_prev_bit", None)
+        previous = self._prev_bit
         self._prev_bit = m
         if previous is None or previous != m:
             return self.config.sync_fail_rate

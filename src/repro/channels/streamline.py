@@ -53,6 +53,8 @@ class RingBufferChannel(CovertChannel):
                 f"ring_sets must be in 2..{machine.spec.dsb_sets}, got {ring_sets}"
             )
         self.ring_sets = ring_sets
+        # The ring set the next single-bit slot uses.
+        self._slot_cursor = 0
         ways = machine.spec.dsb_ways
         layout = machine.layout(region_base=region_base)
         self._prime_programs = [
@@ -95,7 +97,7 @@ class RingBufferChannel(CovertChannel):
     def send_bit(self, m: int) -> BitSample:
         """Single-bit interface (used by calibration): one ring slot."""
         m = self._validate_bit(m)
-        ring_set = getattr(self, "_slot_cursor", 0)
+        ring_set = self._slot_cursor
         self._slot_cursor = (ring_set + 1) % self.ring_sets
         sender_cycles = 0.0
         if m:

@@ -870,7 +870,7 @@ def _cmd_submit(args) -> int:
 def _render_job(final, heading: str) -> int:
     """Print a submitted job's final event: its table under ``heading``
     and the service summary, or the failure on stderr (exit code 1)."""
-    from repro.service.client import render_rows
+    from repro.sweep import render_rows
 
     if final.kind != "job-done":
         print(f"error: {final.get('message')}", file=sys.stderr)
@@ -886,6 +886,7 @@ def _render_job(final, heading: str) -> int:
             final.get("parameters", []),
             final.get("metrics", []),
             final.get("rows", []),
+            precision=3,
         )
     )
     print(

@@ -19,16 +19,16 @@ Indexing (Section III-A2):
   Figure 2 *and* the cross-thread evictions that drive the MT
   eviction-based attack of Section IV-A.
 
-Replacement is LRU within a set.  Evictions are reported to registered
-listeners so the LSD can implement the inclusive-hierarchy flush
-(eviction from DSB flushes the LSD, Section III).
+Replacement is LRU within a set.  An insertion returns the lines it
+evicted, oldest first; the engine flushes the LSDs streaming them (the
+DSB is inclusive of the LSD, Section III).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.frontend.params import FrontendParams
@@ -37,9 +37,6 @@ __all__ = ["DecodedStreamBuffer", "DsbLine", "DsbStats"]
 
 #: A DSB line is identified by (hardware thread, window-aligned address).
 LineKey = tuple[int, int]
-
-#: Callback signature for eviction listeners: (thread, window_addr).
-EvictionListener = Callable[[int, int], None]
 
 #: Windows needing more than this many ways are never cached (stay MITE).
 MAX_WAYS_PER_WINDOW = 3
@@ -103,7 +100,6 @@ class DecodedStreamBuffer:
         # Running ways-in-use per set: every mutation of ``_sets`` keeps
         # ``_ways[i] == sum(line.ways for line in _sets[i].values())``.
         self._ways: list[int] = [0] * self.params.dsb_sets
-        self._listeners: list[EvictionListener] = []
         self.stats = DsbStats()
 
     # ------------------------------------------------------------------
@@ -137,17 +133,6 @@ class DecodedStreamBuffer:
         return ways if ways <= MAX_WAYS_PER_WINDOW else 0
 
     # ------------------------------------------------------------------
-    # listeners
-    # ------------------------------------------------------------------
-    def add_eviction_listener(self, listener: EvictionListener) -> None:
-        """Register a callback invoked as ``listener(thread, window_addr)``."""
-        self._listeners.append(listener)
-
-    def _notify_eviction(self, key: LineKey) -> None:
-        for listener in self._listeners:
-            listener(key[0], key[1])
-
-    # ------------------------------------------------------------------
     # cache operations
     # ------------------------------------------------------------------
     def lookup(self, thread: int, window_addr: int, smt_active: bool) -> bool:
@@ -174,7 +159,8 @@ class DecodedStreamBuffer:
     def insert(
         self, thread: int, window_addr: int, uops: int, smt_active: bool
     ) -> list[LineKey]:
-        """Insert a decoded window; returns the evicted line keys.
+        """Insert a decoded window; returns the evicted line keys, oldest
+        first.
 
         Uncacheable windows (needing more than 3 ways) are ignored and
         counted in ``stats.uncacheable_lookups``.
@@ -204,7 +190,6 @@ class DecodedStreamBuffer:
             used[index] -= entry_set.pop(victim_key).ways
             evicted.append(victim_key)
             self.stats.evictions += 1
-            self._notify_eviction(victim_key)
         entry_set[key] = DsbLine(uops=uops, ways=ways)
         used[index] += ways
         self.stats.insertions += 1

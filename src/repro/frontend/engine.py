@@ -39,9 +39,10 @@ extrapolates its own tail.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter, ge
+from operator import attrgetter, ge, sub
 from typing import Callable, NamedTuple
 
+from repro.caches.presets import l1i_cache
 from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import ExecutionError
 from repro.obs import get_registry
@@ -274,45 +275,26 @@ class _Prefix(NamedTuple):
     last: tuple
 
 
+#: What a loop run reads and leaves of the frontend
+#: (:meth:`FrontendEngine._state`): the contents of the touched DSB sets
+#: (LRU order), and per thread its LSD's ``enabled``, state, candidate,
+#: qualify streak and loop windows, then its pending penalty, pending
+#: flushes and last delivery path.
+_State = tuple[tuple[tuple[tuple[LineKey, DsbLine], ...], ...], tuple[tuple, ...]]
+
+
 class _RunEffect(NamedTuple):
     """Everything one recorded loop run (or simulated prefix) did, as
-    :meth:`FrontendEngine._replay` re-applies it.  Stats are deltas; the
-    rest is the state the run left."""
+    :meth:`FrontendEngine._replay` re-applies it."""
 
     #: Field values of each returned ``LoopReport``, or the ``_Prefix``.
     result: "tuple[tuple, ...] | _Prefix"
-    #: Contents (LRU order) and ways in use of each touched DSB set.
-    sets: tuple[tuple[tuple[LineKey, DsbLine], ...], ...]
-    ways: tuple[int, ...]
-    #: hits, misses, insertions, evictions, uncacheable lookups.
-    dsb_stats: tuple[int, ...]
-    #: Per LSD: (state, candidate, qualify streak, loop windows).
-    lsds: tuple[tuple, ...]
-    #: Per LSD: captures, flushes, streamed iterations.
-    lsd_stats: tuple[tuple[int, ...], ...]
-    #: ``_pending_penalty``, ``_pending_flushes``, ``_last_path``,
-    #: ``_mite_streak`` as items.
-    threads: tuple[tuple, tuple, tuple, tuple]
+    #: The frontend state the run left.
+    state: _State
+    #: What the run added to each stat counter (:meth:`FrontendEngine._counts`).
+    counts: tuple[int, ...]
     #: L1I fetch addresses, in issue order.
     fetches: tuple[int, ...]
-
-
-def _dsb_stats(dsb: DecodedStreamBuffer) -> tuple[int, ...]:
-    st = dsb.stats
-    return (st.hits, st.misses, st.insertions, st.evictions, st.uncacheable_lookups)
-
-
-def _lsd_state(lsd: LoopStreamDetector) -> tuple:
-    return (lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows)
-
-
-def _lsd_stats(lsd: LoopStreamDetector) -> tuple[int, ...]:
-    st = lsd.stats
-    return (st.captures, st.flushes, st.streamed_iterations)
-
-
-def _delta(after: tuple[int, ...], before: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([a - b for a, b in zip(after, before)])
 
 
 def _terms(prev: LoopReport | None, last: LoopReport) -> tuple[tuple, ...]:
@@ -387,6 +369,9 @@ class FrontendEngine:
     lsd_enabled:
         Whether the LSD exists/is enabled (microcode patch 2 and two of
         the Table I machines have it disabled).
+    l1i:
+        The L1 instruction cache MITE fetches go through; a new Table I
+        L1I (:func:`~repro.caches.presets.l1i_cache`) when omitted.
     """
 
     #: Iterations simulated before steady-state extrapolation may engage.
@@ -414,18 +399,15 @@ class FrontendEngine:
         #: L1 instruction cache; only MITE fetches touch it (DSB/LSD hits
         #: bypass the L1I entirely, which is why the frontend channels are
         #: invisible to instruction-cache monitors, Section III-B).
-        self.l1i = l1i
+        self.l1i = l1i or l1i_cache()
         self.dsb = DecodedStreamBuffer(self.params)
         self.mite = MiteDecoder(self.params)
         self.lsds = {
             thread: LoopStreamDetector(self.params, enabled=lsd_enabled)
             for thread in range(n_threads)
         }
-        self.dsb.add_eviction_listener(self._on_dsb_eviction)
         # Penalties charged to a thread's next iteration (LSD flush, ...).
         self._pending_penalty = {thread: 0.0 for thread in range(n_threads)}
-        # Consecutive MITE-delivered windows per thread (fill throttling).
-        self._mite_streak = {thread: 0 for thread in range(n_threads)}
         self._pending_flushes = {thread: 0 for thread in range(n_threads)}
         # Last delivery path per thread, for switch-penalty accounting.
         self._last_path: dict[int, DeliveryPath | None] = {
@@ -440,11 +422,9 @@ class FrontendEngine:
         # Per sweep head (programs, thread, smt_active): the sorted DSB
         # sets its programs' plans touch.
         self._sweep_sets: dict[tuple, tuple[int, ...]] = {}
-        # (registry, sim.points counter, sim.latency histogram) — rebuilt
+        # (registry, sim.points, sim.latency, sim.replays) — rebuilt
         # whenever the process registry is swapped (use_registry in tests).
-        self._sim_cache: tuple | None = None
-        # (registry, sim.replays counter), rebuilt the same way.
-        self._replays_cache: tuple | None = None
+        self._instruments_cache: tuple | None = None
         # Recorded loop runs, keyed on their arguments and the frontend
         # state they read (see _memo_run); at most RUN_MEMO_LIMIT.
         self._runs: dict[tuple, _RunEffect] = {}
@@ -546,13 +526,15 @@ class FrontendEngine:
     # ------------------------------------------------------------------
     # eviction plumbing (DSB -> LSD inclusivity)
     # ------------------------------------------------------------------
-    def _on_dsb_eviction(self, thread: int, window_addr: int) -> None:
-        if not self.params.lsd_inclusive:
-            return  # ablation: non-inclusive hierarchy, LSD keeps streaming
-        lsd = self.lsds.get(thread)
-        if lsd is not None and lsd.on_dsb_eviction(window_addr):
-            self._pending_penalty[thread] += self.params.lsd_flush_penalty
-            self._pending_flushes[thread] += 1
+    def _evicted(self, victims: list[LineKey]) -> int:
+        """Flush every LSD streaming a window the DSB just evicted (the
+        DSB is inclusive of the LSD); returns the number of victims."""
+        if self.params.lsd_inclusive:  # else the ablation: LSDs keep streaming
+            for thread, window_addr in victims:
+                if self.lsds[thread].on_dsb_eviction(window_addr):
+                    self._pending_penalty[thread] += self.params.lsd_flush_penalty
+                    self._pending_flushes[thread] += 1
+        return len(victims)
 
     def _notify_misaligned_touch(
         self, thread: int, window_addr: int, smt_active: bool
@@ -636,8 +618,7 @@ class FrontendEngine:
                         to_dsb += 1
                     path = DeliveryPath.DSB
                 else:
-                    if l1i is not None:
-                        l1i.access(access.window_addr)
+                    l1i.access(access.window_addr)
                     mite_cycles += access.decode_cycles
                     uops_mite += access.uops
                     windows_mite += 1
@@ -649,13 +630,14 @@ class FrontendEngine:
                         # Sustained MITE streaks stop filling the DSB, so
                         # far-over-capacity loops keep a stable resident
                         # prefix instead of thrashing it (Figure 3).
-                        evictions += len(insert_at(index, key, access.uops, ways))
+                        victims = insert_at(index, key, access.uops, ways)
+                        if victims:
+                            evictions += self._evicted(victims)
                 if access.spans_from_misaligned:
                     self._notify_misaligned_touch(thread, access.window_addr, smt_active)
             elif access.pure_lcp:
                 # LCP-only window: never cached, always legacy-decoded.
-                if l1i is not None:
-                    l1i.access(access.window_addr)
+                l1i.access(access.window_addr)
                 mite_cycles += access.decode_cycles
                 lcp_stalls += access.lcp_count
                 uops_mite += access.uops
@@ -674,14 +656,15 @@ class FrontendEngine:
                     if path is DeliveryPath.MITE:
                         to_dsb += 1
                 else:
-                    if l1i is not None:
-                        l1i.access(access.window_addr)
+                    l1i.access(access.window_addr)
                     mite_cycles += access.plain_decode_cycles
                     uops_mite += access.plain_uops
                     windows_mite += 1
                     if path in (DeliveryPath.DSB, DeliveryPath.LSD):
                         to_mite += 1
-                    evictions += len(insert_at(index, key, access.plain_uops, ways))
+                    victims = insert_at(index, key, access.plain_uops, ways)
+                    if victims:
+                        evictions += self._evicted(victims)
                 # The LCP part always issues from MITE.
                 uops_mite += access.lcp_uops
                 lcp_stalls += access.lcp_count
@@ -695,7 +678,6 @@ class FrontendEngine:
                 else:
                     path = DeliveryPath.MITE
         self._last_path[thread] = path
-        self._mite_streak[thread] = mite_streak
 
         base = (uops_dsb + uops_mite) / params.issue_width
         frontend = (
@@ -787,17 +769,18 @@ class FrontendEngine:
     # ------------------------------------------------------------------
     # loop execution
     # ------------------------------------------------------------------
-    def _sim_instruments(self, registry):
-        """``sim.points`` / ``sim.latency``, cached per registry."""
-        cache = self._sim_cache
+    def _instruments(self, registry) -> tuple:
+        """``(registry, sim.points, sim.latency, sim.replays)``, cached
+        per registry."""
+        cache = self._instruments_cache
         if cache is None or cache[0] is not registry:
-            cache = (
+            cache = self._instruments_cache = (
                 registry,
                 registry.counter("sim.points"),
                 registry.histogram("sim.latency", edges=SIM_LATENCY_EDGES),
+                registry.counter("sim.replays"),
             )
-            self._sim_cache = cache
-        return cache[1], cache[2]
+        return cache
 
     def run_loop(
         self,
@@ -824,7 +807,7 @@ class FrontendEngine:
             finish=lambda prefix: (self._finish(program, thread, smt_active, prefix),),
             prefix=None if exact else (plan, (program.iterations,)),
         )
-        points, latency = self._sim_instruments(registry)
+        _, points, latency, _ = self._instruments(registry)
         points.inc()
         latency.observe(registry.clock() - start)
         return report
@@ -863,7 +846,7 @@ class FrontendEngine:
             self._sweep_sets[head] = sets
         reports = self._memo_run(head, sets, run, runs=len(programs))
         if not interpreted:
-            points, latency = self._sim_instruments(registry)
+            _, points, latency, _ = self._instruments(registry)
             points.inc(len(programs))
             latency.observe(registry.clock() - start)
         return reports
@@ -1097,6 +1080,26 @@ class FrontendEngine:
     # ------------------------------------------------------------------
     # whole-run memo
     # ------------------------------------------------------------------
+    def _state(self, sets: tuple[int, ...]) -> _State:
+        """Everything a loop run touching DSB ``sets`` reads of the
+        frontend (see :data:`_State`): the run memo's key at entry, its
+        record at exit, and what a replay writes back."""
+        dsb_sets = self.dsb._sets
+        threads = [
+            (lsd.enabled, lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows,
+             self._pending_penalty[thread], self._pending_flushes[thread], self._last_path[thread])
+            for thread, lsd in self.lsds.items()
+        ]
+        return tuple([tuple(dsb_sets[i].items()) for i in sets]), tuple(threads)
+
+    def _stats(self) -> list:
+        """The stat records loop runs advance: the DSB's, then each LSD's."""
+        return [self.dsb.stats, *[lsd.stats for lsd in self.lsds.values()]]
+
+    def _counts(self) -> tuple[int, ...]:
+        """Every counter of :meth:`_stats`, flat, in order."""
+        return tuple([count for stats in self._stats() for count in vars(stats).values()])
+
     def _memo_run(
         self,
         head: tuple,
@@ -1114,12 +1117,10 @@ class FrontendEngine:
         runs.  A prefix head (below) is a plan, or starts with one, so no
         two kinds of head are ever equal.
         ``sets`` lists every DSB set the run can touch.  The run is
-        keyed on ``head`` plus everything of the frontend it reads: the
-        contents of those sets (keys, LRU order, uops and ways), every
-        LSD, the per-thread pending penalties and flushes, last paths and
-        MITE streaks.  Equal keys therefore mean equal runs, so a repeat
-        re-applies the recorded effect — set contents, stat deltas, LSD
-        and per-thread state, the L1I fetches in order — and returns
+        keyed on ``head`` plus :meth:`_state` of those sets, which is
+        everything of the frontend it reads.  Equal keys therefore mean
+        equal runs, so a repeat writes back the state the run left, adds
+        its stat deltas, re-issues its L1I fetches in order and returns
         fresh copies of the recorded reports.
 
         A loop driver passes ``finish``: ``run`` then only simulates the
@@ -1132,20 +1133,7 @@ class FrontendEngine:
         least those ``needs`` replays it and finishes live.  Other runs
         record whole.
         """
-        dsb = self.dsb
-        if len(dsb._listeners) != 1:
-            # A foreign eviction listener must see every call.
-            return run() if finish is None else finish(run())
-        dsb_sets = dsb._sets
-        lsds = self.lsds.values()
-        state = (
-            tuple([tuple(dsb_sets[i].items()) for i in sets]),
-            tuple([(lsd.enabled, _lsd_state(lsd)) for lsd in lsds]),
-            tuple(self._pending_penalty.values()),
-            tuple(self._pending_flushes.values()),
-            tuple(self._last_path.values()),
-            tuple(self._mite_streak.values()),
-        )
+        state = self._state(sets)
         memo = self._runs
         if prefix is not None:
             prefix_key = (prefix[0], state)
@@ -1159,77 +1147,47 @@ class FrontendEngine:
             self._replay(sets, effect, runs)
             return tuple([LoopReport(*values) for values in effect.result])
 
-        dsb_before = _dsb_stats(dsb)
-        lsd_before = [_lsd_stats(lsd) for lsd in lsds]
-        l1i = self.l1i
-        log = None if l1i is None else _FetchLog(l1i)
-        if log is not None:
-            self.l1i = log
+        counts = self._counts()
+        log = self.l1i = _FetchLog(self.l1i)
         try:
             result = run()
             whole = prefix is None or result.needs is None
             if whole and finish is not None:
                 result = finish(result)
         finally:
-            self.l1i = l1i
+            self.l1i = log.cache
         if len(memo) >= RUN_MEMO_LIMIT:
             del memo[next(iter(memo))]
         memo[key if whole else prefix_key] = _RunEffect(
-            result=tuple([_report_values(report) for report in result]) if whole else result,
-            sets=tuple([tuple(dsb_sets[i].items()) for i in sets]),
-            ways=tuple([dsb._ways[i] for i in sets]),
-            dsb_stats=_delta(_dsb_stats(dsb), dsb_before),
-            lsds=tuple([_lsd_state(lsd) for lsd in lsds]),
-            lsd_stats=tuple(
-                [_delta(_lsd_stats(lsd), before) for lsd, before in zip(lsds, lsd_before)]
-            ),
-            threads=(
-                tuple(self._pending_penalty.items()),
-                tuple(self._pending_flushes.items()),
-                tuple(self._last_path.items()),
-                tuple(self._mite_streak.items()),
-            ),
-            fetches=() if log is None else tuple(log.addrs),
+            tuple([_report_values(report) for report in result]) if whole else result,
+            self._state(sets),
+            tuple(map(sub, self._counts(), counts)),
+            tuple(log.addrs),
         )
         return result if whole else finish(result)
 
     def _replay(self, sets: tuple[int, ...], effect: _RunEffect, runs: int) -> None:
         """Re-apply a recorded run's effect (see :meth:`_memo_run`); it
         counts as ``runs`` loop runs in ``sim.replays``."""
+        contents, threads = effect.state
         dsb = self.dsb
-        dsb_sets = dsb._sets
-        ways = dsb._ways
-        for index, items, used in zip(sets, effect.sets, effect.ways):
-            entry_set = dsb_sets[index]
+        for index, items in zip(sets, contents):
+            entry_set = dsb._sets[index]
             entry_set.clear()
             entry_set.update(items)
-            ways[index] = used
-        st = dsb.stats
-        hits, misses, insertions, evictions, uncacheable = effect.dsb_stats
-        st.hits += hits
-        st.misses += misses
-        st.insertions += insertions
-        st.evictions += evictions
-        st.uncacheable_lookups += uncacheable
-        for lsd, state, stats in zip(self.lsds.values(), effect.lsds, effect.lsd_stats):
-            lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows = state
-            lsd.stats.captures += stats[0]
-            lsd.stats.flushes += stats[1]
-            lsd.stats.streamed_iterations += stats[2]
-        penalty, flushes, last_path, mite_streak = effect.threads
-        self._pending_penalty.update(penalty)
-        self._pending_flushes.update(flushes)
-        self._last_path.update(last_path)
-        self._mite_streak.update(mite_streak)
-        l1i = self.l1i
-        if l1i is not None:
-            for addr in effect.fetches:
-                l1i.access(addr)
-        registry = get_registry()
-        cache = self._replays_cache
-        if cache is None or cache[0] is not registry:
-            cache = self._replays_cache = (registry, registry.counter("sim.replays"))
-        cache[1].inc(runs)
+            dsb._ways[index] = sum([line.ways for _, line in items])
+        for (thread, lsd), values in zip(self.lsds.items(), threads):
+            (lsd.enabled, lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows,
+             self._pending_penalty[thread], self._pending_flushes[thread],
+             self._last_path[thread]) = values
+        deltas = iter(effect.counts)
+        for stats in self._stats():
+            counts = vars(stats)
+            for name in counts:
+                counts[name] += next(deltas)
+        for addr in effect.fetches:
+            self.l1i.access(addr)
+        self._instruments(get_registry())[3].inc(runs)
 
     @staticmethod
     def _is_steady(history: list[tuple]) -> bool:
@@ -1246,6 +1204,5 @@ class FrontendEngine:
         self.lsds[thread].flush()
         self.dsb.flush_thread(thread)
         self._last_path[thread] = None
-        self._mite_streak[thread] = 0
         self._pending_penalty[thread] = 0.0
         self._pending_flushes[thread] = 0

@@ -51,11 +51,6 @@ class LsdState(enum.Enum):
     STREAMING = "streaming"
 
 
-def loop_key(program: LoopProgram) -> LoopKey:
-    """Stable identity of a loop body for LSD tracking."""
-    return program.loop_key
-
-
 def misalignment_collides(program: LoopProgram, params: FrontendParams) -> bool:
     """Apply the reverse-engineered LSD misalignment-collision rule."""
     aligned: Counter[int] = Counter()
@@ -100,22 +95,12 @@ class LoopStreamDetector:
     # ------------------------------------------------------------------
     def structurally_qualifies(self, program: LoopProgram) -> bool:
         """Can this body ever stream from the LSD?"""
-        return self.enabled and self.body_qualifies(program)
-
-    def body_qualifies(self, program: LoopProgram) -> bool:
-        """The enabled-independent part of :meth:`structurally_qualifies`.
-
-        Pure in (program, params), so callers may cache it per program;
-        ``enabled`` must be re-read at use time because microcode
-        patches toggle it on a live core (``Machine.set_lsd_enabled``).
-        """
-        if program.uops_per_iteration > self.params.lsd_capacity:
-            return False
-        if program.lcp_instructions_per_iteration:
-            return False
-        if misalignment_collides(program, self.params):
-            return False
-        return True
+        return (
+            self.enabled
+            and program.uops_per_iteration <= self.params.lsd_capacity
+            and not program.lcp_instructions_per_iteration
+            and not misalignment_collides(program, self.params)
+        )
 
     # ------------------------------------------------------------------
     # dynamic protocol, driven by the engine once per loop iteration
@@ -124,7 +109,7 @@ class LoopStreamDetector:
         """True if this iteration's uops come straight from the LSD."""
         return (
             self.state is LsdState.STREAMING
-            and self._candidate == loop_key(program)
+            and self._candidate == program.loop_key
         )
 
     def observe_iteration(self, program: LoopProgram, all_from_dsb: bool) -> None:
@@ -134,7 +119,7 @@ class LoopStreamDetector:
         serviced by the DSB (or the LSD itself).  Enough consecutive such
         iterations of a structurally-qualified loop start streaming.
         """
-        key = loop_key(program)
+        key = program.loop_key
         if self.state is LsdState.STREAMING:
             if self._candidate == key:
                 self.stats.streamed_iterations += 1

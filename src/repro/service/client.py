@@ -52,7 +52,6 @@ __all__ = [
     "submit_and_stream",
     "watch_and_stream",
     "fetch_metrics",
-    "render_rows",
 ]
 
 
@@ -237,30 +236,6 @@ class ServiceClient:
             if not line:
                 return
             yield self._parse_frame(line)
-
-
-def render_rows(
-    parameters: list, metrics: list, rows: list[dict], precision: int = 3
-) -> str:
-    """ASCII table from a ``job-done`` event's rows payload (mirrors
-    :meth:`repro.sweep.SweepTable.render` so ``submit`` output matches a
-    local ``sweep`` run)."""
-    if not rows:
-        return "(empty sweep)"
-    headers = [str(p) for p in parameters] + [f"{m}_mean" for m in metrics]
-    widths = [max(len(h), 10) for h in headers]
-    lines = ["".join(h.ljust(w + 2) for h, w in zip(headers, widths))]
-    lines.append("-" * len(lines[0]))
-    for row in rows:
-        cells = []
-        for header, width in zip(headers, widths):
-            value = row.get(header)
-            text = (
-                f"{value:.{precision}f}" if isinstance(value, float) else str(value)
-            )
-            cells.append(text.ljust(width + 2))
-        lines.append("".join(cells))
-    return "\n".join(lines)
 
 
 def submit_and_stream(

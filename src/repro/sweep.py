@@ -49,6 +49,7 @@ __all__ = [
     "SweepTable",
     "ParameterSweep",
     "grid_point_count",
+    "render_rows",
 ]
 
 
@@ -155,25 +156,29 @@ class SweepTable:
         return [row[f"{metric}_mean"] for row in self.rows()]
 
     def render(self, precision: int = 2) -> str:
-        rows = self.rows()
-        if not rows:
-            return "(empty sweep)"
-        headers = list(self.parameter_names) + [
-            f"{metric}_mean" for metric in self.metric_names
-        ]
-        widths = [max(len(h), 10) for h in headers]
-        lines = ["".join(h.ljust(w + 2) for h, w in zip(headers, widths))]
-        lines.append("-" * len(lines[0]))
-        for row in rows:
-            cells = []
-            for header, width in zip(headers, widths):
-                value = row[header]
-                text = (
-                    f"{value:.{precision}f}" if isinstance(value, float) else str(value)
-                )
-                cells.append(text.ljust(width + 2))
-            lines.append("".join(cells))
-        return "\n".join(lines)
+        return render_rows(self.parameter_names, self.metric_names, self.rows(), precision)
+
+
+def render_rows(
+    parameters: Sequence[str], metrics: Sequence[str], rows: list[dict], precision: int = 2
+) -> str:
+    """ASCII table of sweep rows: the parameters, then each metric's
+    mean.  Renders :meth:`SweepTable.render` and, from a ``job-done``
+    event's payload, the tables ``submit`` prints."""
+    if not rows:
+        return "(empty sweep)"
+    headers = [str(p) for p in parameters] + [f"{m}_mean" for m in metrics]
+    widths = [max(len(h), 10) for h in headers]
+    lines = ["".join(h.ljust(w + 2) for h, w in zip(headers, widths))]
+    lines.append("-" * len(lines[0]))
+    for row in rows:
+        cells = []
+        for header, width in zip(headers, widths):
+            value = row.get(header)
+            text = f"{value:.{precision}f}" if isinstance(value, float) else str(value)
+            cells.append(text.ljust(width + 2))
+        lines.append("".join(cells))
+    return "\n".join(lines)
 
 
 class ParameterSweep:

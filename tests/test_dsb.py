@@ -90,12 +90,12 @@ class TestCacheBehaviour:
         evicted = dsb.insert(1, window(3, 100), 5, True)
         assert evicted and evicted[0][0] == 0  # victim belongs to thread 0
 
-    def test_eviction_listener(self, dsb):
-        events = []
-        dsb.add_eviction_listener(lambda t, w: events.append((t, w)))
-        for slot in range(9):
+    def test_insert_returns_victims_in_lru_order(self, dsb):
+        for slot in range(8):
             dsb.insert(0, window(3, slot), 5, False)
-        assert events == [(0, window(3, 0))]
+        dsb.lookup(0, window(3, 0), False)  # slot 0 becomes most recent
+        evicted = dsb.insert(0, window(3, 8), 18, False)  # needs 3 ways
+        assert evicted == [(0, window(3, slot)) for slot in (1, 2, 3)]
 
     def test_insert_existing_refreshes_without_eviction(self, dsb):
         dsb.insert(0, window(3), 5, False)

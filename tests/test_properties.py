@@ -142,15 +142,14 @@ class TestDsbInvariants:
     @settings(max_examples=60)
     def test_running_way_count_matches_sets(self, operations):
         """``_ways`` equals the ways resident in each set after every
-        operation, and already during eviction callbacks."""
+        operation."""
         dsb = DecodedStreamBuffer(FrontendParams())
 
-        def check(*_evicted):
+        def check():
             for index, entry_set in enumerate(dsb._sets):
                 used = sum(line.ways for line in entry_set.values())
                 assert dsb._ways[index] == used <= dsb.params.dsb_ways
 
-        dsb.add_eviction_listener(check)
         for name, thread, dsb_set, tag, uops, smt in operations:
             addr = 0x400000 + tag * 1024 + dsb_set * 32
             if name == "lookup":

@@ -248,7 +248,6 @@ def _state(machine: Machine) -> tuple:
         tuple((t, v.hex()) for t, v in engine._pending_penalty.items()),
         dict(engine._pending_flushes),
         dict(engine._last_path),
-        dict(engine._mite_streak),
         tuple(l1i.lru_stack(i) for i in range(l1i.sets)),
         dataclasses.astuple(l1i.stats),
     )
@@ -436,8 +435,9 @@ class TestReplayEqualsInterpretation:
         ops = [("run", 0, 1), ("run", 1, 1), ("flush_thread", 1), ("run", 1, 1)]
         _check(calls, ops, FrontendParams(smt_isolation=True))
 
-    def test_sibling_mite_streak(self):
-        """A run leaves the sibling thread's MITE streak as it found it."""
+    def test_sibling_thread_runs(self):
+        """Runs on thread 0 around a run on thread 1 that thrashes one
+        set on every iteration."""
         calls = [_loop(_aligned((5, 6), 3)), _loop(BODIES[3], thread=1)]
         _check(calls, [("run", 0, 2), ("run", 1, 1), ("run", 0, 1)])
 
@@ -558,6 +558,28 @@ class TestMemoBookkeeping:
         points = registry.counter("sim.points").value
         assert registry.counter("sim.replays").value / points >= 1.4
         assert len(interleaved) <= 8
+
+    def test_run_after_a_mite_streak_replays(self):
+        """How the previous run's windows were delivered is not part of
+        the key.  X and P are DSB-resident bodies in two sets; Y's ten
+        plain windows thrash a third set, so its last iteration ends in a
+        run of MITE deliveries.  P after Y enters the state P after P
+        entered, and replays that run's record."""
+        x, p, y = (
+            LoopProgram(body, 40)
+            for body in (_one_set(6, range(4)), _one_set(7, range(4)), _one_set(8, range(10, 20)))
+        )
+        registry = MetricsRegistry()
+        machine = Machine(GOLD_6226)
+        with use_registry(registry):
+            for program in (x, p, p):
+                machine.run_loop(program)
+            assert machine.run_loop(y).uops_dsb == 0  # every window from MITE
+            replays = registry.counter("sim.replays").value
+            records = len(machine.engine._runs)
+            machine.run_loop(p)
+        assert registry.counter("sim.replays").value == replays + 1
+        assert len(machine.engine._runs) == records
 
     def test_memo_is_bounded_per_engine(self, monkeypatch):
         monkeypatch.setattr(engine_module, "RUN_MEMO_LIMIT", 3)

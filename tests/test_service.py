@@ -740,14 +740,13 @@ class TestSocketProtocol:
 
             asyncio.run(body())
 
+        flags = ["--param", "d=2,4", "--bits", "8", "--channel", "eviction",
+                 "--variant", "fast"]
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         try:
             assert started.wait(timeout=10)
-            code = main(
-                ["submit", "--socket", str(sock), "--param", "d=2,4",
-                 "--bits", "8", "--channel", "eviction", "--variant", "fast"]
-            )
+            code = main(["submit", "--socket", str(sock), *flags])
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -755,7 +754,14 @@ class TestSocketProtocol:
         captured = capsys.readouterr()
         events = [json.loads(line) for line in captured.err.splitlines()]
         assert [e["event"] for e in events][-1] == "job-done"
-        assert "kbps_mean" in captured.out  # rendered table on stdout
+        # The heading and the table match a local run's; only the last
+        # line, each path's own summary, differs.
+        assert main(["sweep", "--no-cache", *flags]) == 0
+        local = capsys.readouterr().out.splitlines()
+        submitted = captured.out.splitlines()
+        assert len(submitted) == len(local) == 6  # heading, 2 + 2 table lines, summary
+        assert submitted[:-1] == local[:-1]
+        assert "kbps_mean" in submitted[1]
 
     def test_submit_and_stream_returns_terminal_event(self, tmp_path):
         sock = tmp_path / "svc.sock"
