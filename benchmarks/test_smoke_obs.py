@@ -89,3 +89,7 @@ def test_smoke_obs_snapshot_covers_the_stack():
     # as it was; only this count shows it.
     assert by_identity[("sim.points", ())]["value"] > 0
     assert by_identity[("sim.replays", ())]["value"] > 0
+    # Which simulator path the iterations took: interpreted one by one,
+    # or added by a tail after the frontend state repeated.
+    for mode in ("simulated", "extrapolated"):
+        assert by_identity[("sim.iterations", (("mode", mode),))]["value"] > 0

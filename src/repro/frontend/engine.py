@@ -19,27 +19,31 @@ Cost model per iteration (cycles)::
     cycles    = base + frontend * smt_factor + loop_iteration_overhead
               + pending LSD flush/capture penalties
 
-For long loops the engine detects a steady state (per-iteration report
-repeating with period 1 or 2 under one key, :func:`_steady_key`) and
-extrapolates the remaining iterations analytically, which lets the
-20-million-iteration experiments of Section III run in milliseconds
-without changing the modelled state machine behaviour.  Two hardware
-threads (:meth:`FrontendEngine.run_smt`) interleave in rounds, and the
-same key and the same period-1/2 tail serve the rounds.
+For long loops the engine takes the frontend state after every simulated
+iteration.  Since an iteration is a deterministic function of that state
+and the body, a repeated state proves a cycle of any period: the engine
+extrapolates the remaining iterations as whole and partial cycles and
+leaves the state the last of them leaves (:meth:`FrontendEngine._tail`).
+That lets the 20-million-iteration experiments of Section III run in
+milliseconds with the reports and exit state of an exact run.  Two
+hardware threads (:meth:`FrontendEngine.run_smt`) interleave in rounds,
+which still stop once the round reports repeat with period 1 or 2
+(:func:`_steady_key`) and repeat the last one or two rounds.
 
 Loop runs are memoized per engine (:meth:`FrontendEngine._memo_run`): a
 run that starts from frontend state already seen with the same
 arguments replays its recorded reports and state changes instead of
-being interpreted again.  A run that reached a steady state is recorded
-by its *simulated prefix* alone, under a head without the trip count,
-so the same body at another count replays the prefix and only
-extrapolates its own tail.
+being interpreted again.  A run whose state repeated is recorded by its
+*simulated prefix* alone, under a head without the trip count, so the
+same body at another count replays the prefix and only extrapolates its
+own tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter, ge, sub
+from itertools import repeat
+from operator import add, attrgetter, ge, mul, sub
 from typing import Callable, NamedTuple
 
 from repro.caches.presets import l1i_cache
@@ -208,6 +212,22 @@ _REPORT_FIELDS = tuple(f.name for f in fields(LoopReport))
 #: rebuilds it), and where ``iterations`` sits among them.
 _report_values = attrgetter(*_REPORT_FIELDS)
 _ITERATIONS = _REPORT_FIELDS.index("iterations")
+_SIMULATED = _REPORT_FIELDS.index("simulated_iterations")
+#: The field values of an empty report.
+_NO_REPORT = _report_values(LoopReport())
+
+
+def _step_terms(reports: tuple[LoopReport, ...]) -> tuple[tuple, ...]:
+    """What a tail repeats of one step, per thread: ``(index, value)``
+    for each report field the step sets, but ``simulated_iterations``,
+    since extrapolated steps are not simulated ones.  Fields left at 0
+    add nothing, so they are left out."""
+    return tuple([
+        tuple([(i, value) for i, value in enumerate(_report_values(report))
+               if value and i != _SIMULATED])
+        for report in reports
+    ])
+
 #: Where the float fields sit among a report's values.
 _FLOATS = tuple(i for i, f in enumerate(fields(LoopReport)) if f.type == "float")
 
@@ -258,29 +278,34 @@ class _FetchLog:
         return self.cache.access(addr)
 
 
-class _Prefix(NamedTuple):
-    """A loop driver's *simulated prefix*: the iterations (or SMT rounds)
-    it ran through :meth:`FrontendEngine.run_iteration` until the cost
-    repeated, and what its finish reads of them.  A finish only reads
-    it, so a memoized prefix stays as recorded."""
-
-    #: Whether the cost reached a period-1/2 steady state.
-    steady: bool
-    #: The least trip counts, one per thread, whose runs simulate this
-    #: same prefix; ``None`` when the prefix depends on the counts.
-    needs: tuple[int, ...] | None
-    #: Field values of the running totals, one per thread.
-    reports: tuple[tuple, ...]
-    #: What the finish extrapolates from; its shape is the driver's.
-    last: tuple
-
-
 #: What a loop run reads and leaves of the frontend
 #: (:meth:`FrontendEngine._state`): the contents of the touched DSB sets
 #: (LRU order), and per thread its LSD's ``enabled``, state, candidate,
 #: qualify streak and loop windows, then its pending penalty, pending
 #: flushes and last delivery path.
 _State = tuple[tuple[tuple[tuple[LineKey, DsbLine], ...], ...], tuple[tuple, ...]]
+
+#: One step of a state cycle (an iteration, or an SMT round): each
+#: thread's :func:`_step_terms`, and the frontend state the step left
+#: (``None`` where no tail reads it).
+_Step = tuple[tuple[tuple, ...], "_State | None"]
+
+
+class _Prefix(NamedTuple):
+    """A loop driver's *simulated prefix*: the iterations (or SMT rounds)
+    it ran through :meth:`FrontendEngine.run_iteration` until the
+    frontend state repeated, and what its finish reads of them.  A
+    finish only reads it, so a memoized prefix stays as recorded."""
+
+    #: The least trip counts, one per thread, whose runs simulate this
+    #: same prefix; ``None`` when the prefix depends on the counts.
+    needs: tuple[int, ...] | None
+    #: Field values of the running totals, one per thread.
+    reports: tuple[tuple, ...]
+    #: The steps since the latest visit of the state the prefix ended
+    #: in, which repeat from there on; ``None`` when no state repeated.
+    #: The SMT driver keeps its :func:`_round_terms` here instead.
+    cycle: tuple[_Step, ...] | None
 
 
 class _RunEffect(NamedTuple):
@@ -374,11 +399,14 @@ class FrontendEngine:
         L1I (:func:`~repro.caches.presets.l1i_cache`) when omitted.
     """
 
-    #: Iterations simulated before steady-state extrapolation may engage.
+    #: Iterations simulated before a repeated state counts as a cycle.
+    #: A repeat proves a cycle whenever it comes, so the warm-ups are not
+    #: needed for exactness; they stay because they decide where prefixes
+    #: end, and so the float summation order of extrapolated reports.
     MIN_WARMUP = 4
     #: Upper bound of explicitly simulated iterations per run_loop call.
     MAX_SIMULATED = 64
-    #: Interleave rounds simulated before SMT extrapolation may engage.
+    #: Interleave rounds simulated before a repeated state counts.
     MIN_WARMUP_ROUNDS = 6
     #: Upper bound of explicitly simulated rounds per run_smt call.
     MAX_SIMULATED_ROUNDS = 128
@@ -770,8 +798,9 @@ class FrontendEngine:
     # loop execution
     # ------------------------------------------------------------------
     def _instruments(self, registry) -> tuple:
-        """``(registry, sim.points, sim.latency, sim.replays)``, cached
-        per registry."""
+        """``(registry, sim.points, sim.latency, sim.replays,
+        sim.iterations{mode=simulated}, sim.iterations{mode=extrapolated})``,
+        cached per registry."""
         cache = self._instruments_cache
         if cache is None or cache[0] is not registry:
             cache = self._instruments_cache = (
@@ -779,6 +808,8 @@ class FrontendEngine:
                 registry.counter("sim.points"),
                 registry.histogram("sim.latency", edges=SIM_LATENCY_EDGES),
                 registry.counter("sim.replays"),
+                registry.counter("sim.iterations", mode="simulated"),
+                registry.counter("sim.iterations", mode="extrapolated"),
             )
         return cache
 
@@ -791,8 +822,8 @@ class FrontendEngine:
     ) -> LoopReport:
         """Execute all iterations of ``program`` on ``thread``.
 
-        ``exact=True`` disables steady-state extrapolation and simulates
-        every iteration (used by tests and short loops).  The run goes
+        ``exact=True`` disables extrapolation and simulates every
+        iteration (used by tests and short loops).  The run goes
         through the run memo (:meth:`_memo_run`), so a run from an entry
         state already seen replays instead of being interpreted.
         """
@@ -803,11 +834,13 @@ class FrontendEngine:
         (report,) = self._memo_run(
             (program, thread, smt_active, exact),
             plan.sets,
-            lambda: self._interpret(program, thread, smt_active, exact),
-            finish=lambda prefix: (self._finish(program, thread, smt_active, prefix),),
+            lambda: self._interpret(program, thread, smt_active, exact, plan.sets),
+            finish=lambda prefix: (
+                self._finish(program, thread, smt_active, plan.sets, prefix),
+            ),
             prefix=None if exact else (plan, (program.iterations,)),
         )
-        _, points, latency, _ = self._instruments(registry)
+        _, points, latency, *_ = self._instruments(registry)
         points.inc()
         latency.observe(registry.clock() - start)
         return report
@@ -846,70 +879,50 @@ class FrontendEngine:
             self._sweep_sets[head] = sets
         reports = self._memo_run(head, sets, run, runs=len(programs))
         if not interpreted:
-            _, points, latency, _ = self._instruments(registry)
+            _, points, latency, *_ = self._instruments(registry)
             points.inc(len(programs))
             latency.observe(registry.clock() - start)
         return reports
 
     def _interpret(
-        self, program: LoopProgram, thread: int, smt_active: bool, exact: bool
+        self, program: LoopProgram, thread: int, smt_active: bool, exact: bool, sets: tuple
     ) -> _Prefix:
-        """The iteration driver's *simulated prefix*: every iteration goes
-        through :meth:`run_iteration` until the per-iteration cost repeats
-        with period 1 or 2 (or the simulation limit).  Nothing here reads
-        the trip count but the limit, so a prefix that reached a steady
-        state after ``k`` iterations is the prefix of every count ``>= k``."""
-        report = LoopReport()
-        history: list[tuple] = []
-        iteration = 0
+        """The iteration driver's *simulated prefix*: iterations through
+        :meth:`run_iteration` until the state of ``sets`` repeats
+        (:meth:`_drive`) or the simulation limit.  Only the limit reads
+        the trip count, so a prefix that found its cycle after ``k``
+        iterations is the prefix of every count ``>= k``."""
         limit = program.iterations if exact else min(program.iterations, self.MAX_SIMULATED)
-        steady = False
-        prev = last = None
-        # Pre-capture DSB iterations look steady but are not: a loop the
-        # LSD could still lock onto must be simulated past the detection
-        # latency before extrapolation may engage.
-        min_warmup = self.MIN_WARMUP
-        if self.lsds[thread].structurally_qualifies(program):
-            min_warmup = max(min_warmup, self.params.lsd_detect_iterations + 2)
-        while iteration < limit:
-            prev, last = last, self.run_iteration(program, thread, smt_active)
-            report.merge(last)
-            history.append(_steady_key(last))
-            iteration += 1
-            if not exact and iteration >= min_warmup and self._is_steady(history):
-                steady = True
-                break
-        period_two = steady and history[-1] != history[-2]
-        return _Prefix(
-            steady,
-            (iteration,) if steady else None,
-            (_report_values(report),),
-            (_terms(prev if period_two else None, last), period_two),
+        (values,), cycle, _ = self._drive(
+            lambda: (self.run_iteration(program, thread, smt_active),),
+            (_NO_REPORT,),
+            sets,
+            limit,
+            None if exact else self.MIN_WARMUP,
         )
+        return _Prefix(None if cycle is None else (values[_ITERATIONS],), (values,), cycle)
 
     def _finish(
-        self, program: LoopProgram, thread: int, smt_active: bool, prefix: _Prefix
+        self, program: LoopProgram, thread: int, smt_active: bool, sets: tuple, prefix: _Prefix
     ) -> LoopReport:
         """The rest of a run after its simulated prefix, which is all that
-        depends on the trip count: the remaining iterations are
-        extrapolated analytically via :func:`_extend`, then the loop
-        exits."""
-        (values,) = prefix.reports
-        terms, period_two = prefix.last
+        depends on the trip count: the remaining iterations continue the
+        prefix's cycle (:meth:`_tail`), then the loop exits."""
+        reports, cycle = prefix.reports, prefix.cycle
         lsd = self.lsds[thread]
-        remaining = program.iterations - values[_ITERATIONS]
-        if remaining > 0 and not prefix.steady:
-            # Hit MAX_SIMULATED without period-1/2 convergence: run one
-            # more live iteration and repeat it for the tail.
-            last = self.run_iteration(program, thread, smt_active)
-            values = _report_values(LoopReport(*values).merge(last))
-            terms = _terms(None, last)
-            remaining -= 1
+        remaining = program.iterations - reports[0][_ITERATIONS]
+        if remaining > 0 and cycle is None:
+            # Hit MAX_SIMULATED with no state repeated: run one more live
+            # iteration and repeat it for the tail.
+            reports, _, last = self._drive(
+                lambda: (self.run_iteration(program, thread, smt_active),), reports
+            )
+            cycle, remaining = ((_step_terms(last), None),), remaining - 1
         if remaining > 0:
-            values = _extend(values, terms, remaining, period_two)
             if lsd.is_streaming(program):
                 lsd.stats.streamed_iterations += remaining
-        report = LoopReport(*values)
+            reports = self._tail(sets, reports, cycle, remaining)
+        report = LoopReport(*reports[0])
         # Loop exit: the terminal backward branch mispredicts and any LSD
         # stream for this loop ends (no flush penalty is charged to the
         # *next* loop; the exit cost covers it).
@@ -918,6 +931,81 @@ class FrontendEngine:
         lsd.flush()
         self._last_path[thread] = None
         return report
+
+    def _drive(
+        self,
+        step: Callable[[], tuple[LoopReport, ...]],
+        reports: tuple[tuple, ...],
+        sets: tuple[int, ...] = (),
+        limit: int = 1,
+        warmup: int | None = None,
+    ) -> tuple[tuple[tuple, ...], tuple[_Step, ...] | None, tuple[LoopReport, ...]]:
+        """Simulate up to ``limit`` steps of a loop driver (iterations or
+        SMT rounds) after ``reports``, each thread's field values so far:
+        ``step`` runs one through :meth:`run_iteration` and returns each
+        thread's report.
+
+        With a ``warmup``, the frontend state of ``sets`` (:meth:`_state`)
+        is taken after every step.  A step is a deterministic function of
+        that state, so once a state repeats, the steps since its latest
+        visit repeat for as long as the loop runs: a cycle of any period.
+        A repeat counts from the ``warmup``-th step on.  Returns the new
+        totals, the cycle (``None`` when ``limit`` came first) and the
+        last step's reports.
+        """
+        totals = [LoopReport(*values) for values in reports]
+        seen: dict[_State, int] = {}
+        trail: list[tuple[tuple[LoopReport, ...], _State]] = []
+        cycle = None
+        steps = 0
+        while steps < limit:
+            last = step()
+            for total, report in zip(totals, last):
+                total.merge(report)
+            steps += 1
+            if warmup is None:
+                continue
+            state = self._state(sets)
+            trail.append((last, state))
+            latest = seen.setdefault(state, steps)
+            if latest != steps:
+                if steps >= warmup:
+                    cycle = tuple([(_step_terms(run), after) for run, after in trail[latest:]])
+                    break
+                seen[state] = steps
+        totals = tuple([_report_values(total) for total in totals])
+        self._instruments(get_registry())[4].inc(
+            sum([values[_ITERATIONS] for values in totals])
+            - sum([values[_ITERATIONS] for values in reports])
+        )
+        return totals, cycle, last
+
+    def _tail(
+        self, sets: tuple, reports: tuple[tuple, ...], cycle: tuple[_Step, ...], remaining: int
+    ) -> tuple[tuple, ...]:
+        """``reports`` (each thread's field values) plus ``remaining``
+        extrapolated steps that continue ``cycle``: ``remaining // p``
+        whole cycles of period ``p``, then its first ``remaining % p``
+        steps.  Each step of the cycle adds its values times its count,
+        so integer counters scale exactly; period 1 adds ``value *
+        remaining``.  The loop ends where the last of those steps left
+        it, so a partial cycle writes back the state recorded after its
+        last step."""
+        whole, part = divmod(remaining, len(cycle))
+        extended = [list(values) for values in reports]
+        # Steps of count 0 add nothing.
+        for index, (step, _) in enumerate(cycle if whole else cycle[:part]):
+            count = whole + 1 if index < part else whole
+            for values, terms in zip(extended, step):
+                for i, value in terms:
+                    values[i] += value * count
+        if part:
+            self._restore(sets, cycle[part - 1][1])
+        self._instruments(get_registry())[5].inc(
+            sum([values[_ITERATIONS] for values in extended])
+            - sum([values[_ITERATIONS] for values in reports])
+        )
+        return tuple(map(tuple, extended))
 
     # ------------------------------------------------------------------
     # two hardware threads
@@ -1007,7 +1095,6 @@ class FrontendEngine:
         period_two = steady and history[-1] != history[-2]
         full = steady and primary_report.iterations == rounds * ratio
         return _Prefix(
-            steady,
             (rounds * ratio, rounds + 1) if full else None,
             (_report_values(primary_report), _report_values(secondary_report)),
             _round_terms(prev if period_two else None, last, period_two) if steady else None,
@@ -1026,10 +1113,10 @@ class FrontendEngine:
         leftover iterations, charge both loop exits.  ``prefix`` is only
         read."""
         primary_values, secondary_values = prefix.reports
-        repeats = prefix.last
+        repeats = prefix.cycle
         remaining = secondary.iterations - secondary_values[_ITERATIONS]
         primary_left = primary.iterations - primary_values[_ITERATIONS]
-        if remaining > 0 and not prefix.steady:
+        if remaining > 0 and prefix.cycle is None:
             # Hit MAX_SIMULATED_ROUNDS without period-1/2 convergence: run
             # one more live round and repeat it for the rest.
             last = self._round(primary, secondary, min(ratio, primary_left))
@@ -1169,7 +1256,19 @@ class FrontendEngine:
     def _replay(self, sets: tuple[int, ...], effect: _RunEffect, runs: int) -> None:
         """Re-apply a recorded run's effect (see :meth:`_memo_run`); it
         counts as ``runs`` loop runs in ``sim.replays``."""
-        contents, threads = effect.state
+        self._restore(sets, effect.state)
+        deltas = iter(effect.counts)
+        for stats in self._stats():
+            counts = vars(stats)
+            for name in counts:
+                counts[name] += next(deltas)
+        for addr in effect.fetches:
+            self.l1i.access(addr)
+        self._instruments(get_registry())[3].inc(runs)
+
+    def _restore(self, sets: tuple[int, ...], state: _State) -> None:
+        """Write back a frontend state :meth:`_state` took of ``sets``."""
+        contents, threads = state
         dsb = self.dsb
         for index, items in zip(sets, contents):
             entry_set = dsb._sets[index]
@@ -1180,14 +1279,6 @@ class FrontendEngine:
             (lsd.enabled, lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows,
              self._pending_penalty[thread], self._pending_flushes[thread],
              self._last_path[thread]) = values
-        deltas = iter(effect.counts)
-        for stats in self._stats():
-            counts = vars(stats)
-            for name in counts:
-                counts[name] += next(deltas)
-        for addr in effect.fetches:
-            self.l1i.access(addr)
-        self._instruments(get_registry())[3].inc(runs)
 
     @staticmethod
     def _is_steady(history: list[tuple]) -> bool:
