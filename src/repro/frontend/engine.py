@@ -27,8 +27,7 @@ leaves the state the last of them leaves (:meth:`FrontendEngine._tail`).
 That lets the 20-million-iteration experiments of Section III run in
 milliseconds with the reports and exit state of an exact run.  Two
 hardware threads (:meth:`FrontendEngine.run_smt`) interleave in rounds,
-which still stop once the round reports repeat with period 1 or 2
-(:func:`_steady_key`) and repeat the last one or two rounds.
+and the same cycle rule and tail serve the rounds.
 
 Loop runs are memoized per engine (:meth:`FrontendEngine._memo_run`): a
 run that starts from frontend state already seen with the same
@@ -41,7 +40,7 @@ own tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import add, attrgetter, ge, mul, sub
 from typing import Callable, NamedTuple
@@ -217,7 +216,7 @@ _SIMULATED = _REPORT_FIELDS.index("simulated_iterations")
 _NO_REPORT = _report_values(LoopReport())
 
 
-def _step_terms(reports: tuple[LoopReport, ...]) -> tuple[tuple, ...]:
+def _step_fields(reports: tuple[LoopReport, ...]) -> tuple[tuple, ...]:
     """What a tail repeats of one step, per thread: ``(index, value)``
     for each report field the step sets, but ``simulated_iterations``,
     since extrapolated steps are not simulated ones.  Fields left at 0
@@ -227,26 +226,6 @@ def _step_terms(reports: tuple[LoopReport, ...]) -> tuple[tuple, ...]:
                if value and i != _SIMULATED])
         for report in reports
     ])
-
-#: Where the float fields sit among a report's values.
-_FLOATS = tuple(i for i, f in enumerate(fields(LoopReport)) if f.type == "float")
-
-
-def _steady_key(report: LoopReport) -> tuple:
-    """Equality key for steady-state detection, of one simulated
-    iteration or one SMT round.
-
-    Every report field participates: two iterations only count as "the
-    same" when the full delivery profile repeats.  A key over a subset
-    (cycles alone, or a few uop counts) let iterations with differing
-    switch/flush/eviction counters compare equal, so extrapolation
-    scaled the wrong per-iteration deltas.  Floats are rounded to 9
-    decimals to absorb representation jitter only.
-    """
-    values = list(_report_values(report))
-    for i in _FLOATS:
-        values[i] = round(values[i], 9)
-    return tuple(values)
 
 
 @dataclass
@@ -286,7 +265,7 @@ class _FetchLog:
 _State = tuple[tuple[tuple[tuple[LineKey, DsbLine], ...], ...], tuple[tuple, ...]]
 
 #: One step of a state cycle (an iteration, or an SMT round): each
-#: thread's :func:`_step_terms`, and the frontend state the step left
+#: thread's :func:`_step_fields`, and the frontend state the step left
 #: (``None`` where no tail reads it).
 _Step = tuple[tuple[tuple, ...], "_State | None"]
 
@@ -304,7 +283,6 @@ class _Prefix(NamedTuple):
     reports: tuple[tuple, ...]
     #: The steps since the latest visit of the state the prefix ended
     #: in, which repeat from there on; ``None`` when no state repeated.
-    #: The SMT driver keeps its :func:`_round_terms` here instead.
     cycle: tuple[_Step, ...] | None
 
 
@@ -320,63 +298,6 @@ class _RunEffect(NamedTuple):
     counts: tuple[int, ...]
     #: L1I fetch addresses, in issue order.
     fetches: tuple[int, ...]
-
-
-def _terms(prev: LoopReport | None, last: LoopReport) -> tuple[tuple, ...]:
-    """What a tail repeats, from the last two simulated iterations
-    (``prev`` only in a period-2 steady state): ``(index, prev value,
-    last value)`` for every report field either one sets, with
-    ``simulated_iterations`` 0, since extrapolated iterations are not
-    simulated ones.  Fields both leave at 0 add nothing, so they are
-    left out."""
-    last_values = _report_values(replace(last, simulated_iterations=0))
-    if prev is None:
-        prev_values = (0,) * len(last_values)
-    else:
-        prev_values = _report_values(replace(prev, simulated_iterations=0))
-    return tuple(
-        (i, p, q) for i, (p, q) in enumerate(zip(prev_values, last_values)) if p or q
-    )
-
-
-def _extend(values: tuple, terms: tuple, remaining: int, period_two: bool) -> list:
-    """Report field ``values`` plus ``remaining`` unsimulated iterations
-    that repeat the :func:`_terms` of the last two simulated ones.
-
-    Period-1 steady states repeat the last iteration.  Period-2 steady
-    states alternate the two; the last *simulated* iteration already
-    paid ``last``, so the continuation is ``prev, last, prev, ...`` —
-    ``ceil(remaining / 2)`` copies of ``prev`` and ``remaining // 2`` of
-    ``last``.  Both factors are integers, so integer counters scale
-    exactly and the extrapolated totals conserve
-    (``total_uops == sum of per-iteration uops``).
-    """
-    values = list(values)
-    if period_two:
-        odd, even = (remaining + 1) // 2, remaining // 2
-        for i, p, q in terms:
-            values[i] += p * odd + q * even
-    else:
-        for i, _, q in terms:
-            values[i] += q * remaining
-    return values
-
-
-def _round_terms(
-    prev: tuple[LoopReport, LoopReport] | None,
-    last: tuple[LoopReport, LoopReport],
-    period_two: bool,
-) -> tuple:
-    """What an SMT finish extrapolates from the last simulated round
-    (and ``prev``, the one before it, in a period-2 steady state): the
-    primary's :func:`_terms`, its burst, the secondary's terms, and
-    whether the tail alternates."""
-    return (
-        _terms(None if prev is None else prev[0], last[0]),
-        last[0].iterations,
-        _terms(None if prev is None else prev[1], last[1]),
-        period_two,
-    )
 
 
 class FrontendEngine:
@@ -917,7 +838,7 @@ class FrontendEngine:
             reports, _, last = self._drive(
                 lambda: (self.run_iteration(program, thread, smt_active),), reports
             )
-            cycle, remaining = ((_step_terms(last), None),), remaining - 1
+            cycle, remaining = ((_step_fields(last), None),), remaining - 1
         if remaining > 0:
             if lsd.is_streaming(program):
                 lsd.stats.streamed_iterations += remaining
@@ -970,7 +891,7 @@ class FrontendEngine:
             latest = seen.setdefault(state, steps)
             if latest != steps:
                 if steps >= warmup:
-                    cycle = tuple([(_step_terms(run), after) for run, after in trail[latest:]])
+                    cycle = tuple([(_step_fields(run), after) for run, after in trail[latest:]])
                     break
                 seen[state] = steps
         totals = tuple([_report_values(total) for total in totals])
@@ -996,8 +917,8 @@ class FrontendEngine:
         # Steps of count 0 add nothing.
         for index, (step, _) in enumerate(cycle if whole else cycle[:part]):
             count = whole + 1 if index < part else whole
-            for values, terms in zip(extended, step):
-                for i, value in terms:
+            for values, step_fields in zip(extended, step):
+                for i, value in step_fields:
                     values[i] += value * count
         if part:
             self._restore(sets, cycle[part - 1][1])
@@ -1019,28 +940,35 @@ class FrontendEngine:
         Iterations interleave in *rounds* of ``ratio`` primary iterations
         and one secondary iteration, so both loops finish at roughly the
         same time, like two free-running threads.  Both threads run in
-        SMT mode (folded DSB index, shared decode bandwidth) for the
-        whole overlap; the primary's leftover iterations then drain
+        SMT mode (folded DSB index, shared decode bandwidth) while both
+        have iterations left.  The *full* rounds, with bursts of
+        ``ratio``, come first; then the one short burst, if the primary
+        runs out first; then :meth:`run_loop` drains the secondary's
+        leftover iterations in SMT mode, or the primary's
         single-threaded, where its DSB index mapping reverts: the
         repartitioning the paper's Figure 2 exposes.
 
-        Like :meth:`run_loop`, the run is a simulated prefix
-        (:meth:`_interleave`) and a finish (:meth:`_smt_finish`) through
-        the run memo.  The prefix head names both bodies and the ratio
-        but not the counts, so the MT channels' slipped bits, which run
-        the same two loops at new counts, replay it and finish live.
+        Like :meth:`run_loop`, the run is a simulated prefix of full
+        rounds (:meth:`_interleave`) and a finish (:meth:`_smt_finish`)
+        through the run memo.  The prefix head names both bodies and the
+        ratio but not the counts, so the MT channels' slipped bits, which
+        run the same two loops at new counts, replay it and finish live.
         """
         # Both threads' SMT plans, plus the primary's single-thread plan
         # for the drain.
         plans = (self._plan(primary, 0, True), self._plan(secondary, 1, True))
-        sets = {*plans[0].sets, *plans[1].sets, *self._plan(primary, 0, False).sets}
+        round_sets = tuple(sorted({*plans[0].sets, *plans[1].sets}))
+        sets = tuple(sorted({*round_sets, *self._plan(primary, 0, False).sets}))
         ratio = max(1, round(primary.iterations / secondary.iterations))
+        full = min(secondary.iterations, primary.iterations // ratio)
         # The SMT plans name both bodies.
         reports = self._memo_run(
             (primary, secondary, exact),
-            tuple(sorted(sets)),
-            lambda: self._interleave(primary, secondary, ratio, exact),
-            finish=lambda prefix: self._smt_finish(primary, secondary, ratio, exact, prefix),
+            sets,
+            lambda: self._interleave(primary, secondary, ratio, full, exact, round_sets),
+            finish=lambda prefix: self._smt_finish(
+                primary, secondary, ratio, full, exact, round_sets, prefix
+            ),
             prefix=None if exact else ((*plans, ratio), (primary.iterations, secondary.iterations)),
         )
         return SmtRunResult(*reports)
@@ -1056,113 +984,80 @@ class FrontendEngine:
         return round_primary, self.run_iteration(secondary, 1, True)
 
     def _interleave(
-        self, primary: LoopProgram, secondary: LoopProgram, ratio: int, exact: bool
+        self,
+        primary: LoopProgram,
+        secondary: LoopProgram,
+        ratio: int,
+        full: int,
+        exact: bool,
+        sets: tuple,
     ) -> _Prefix:
-        """The SMT driver's simulated prefix: interleave rounds until both
-        threads' round reports repeat with period 1 or 2 (or the
-        simulation limit), keyed as :meth:`_interpret` keys iterations.
-
-        Trip counts enter only through the limit and the bursts, so a
-        prefix that reached a steady state after ``r`` full-burst rounds
-        is the prefix of every run with the same bodies and ratio, at
-        least ``r * ratio`` primary and more than ``r`` secondary
-        iterations.
-        """
-        total_rounds = secondary.iterations
-        primary_left = primary.iterations
-        primary_report = LoopReport()
-        secondary_report = LoopReport()
-        history: list[tuple] = []
-        rounds = 0
-        limit = total_rounds if exact else min(total_rounds, self.MAX_SIMULATED_ROUNDS)
-        steady = False
-        prev = last = None
-        while rounds < limit:
-            prev, last = last, self._round(primary, secondary, min(ratio, primary_left))
-            primary_left -= last[0].iterations
-            primary_report.merge(last[0])
-            secondary_report.merge(last[1])
-            rounds += 1
-            history.append((_steady_key(last[0]), _steady_key(last[1])))
-            if (
-                not exact
-                and rounds >= self.MIN_WARMUP_ROUNDS
-                and self._is_steady(history)
-                and rounds < total_rounds
-            ):
-                steady = True
-                break
-        period_two = steady and history[-1] != history[-2]
-        full = steady and primary_report.iterations == rounds * ratio
-        return _Prefix(
-            (rounds * ratio, rounds + 1) if full else None,
-            (_report_values(primary_report), _report_values(secondary_report)),
-            _round_terms(prev if period_two else None, last, period_two) if steady else None,
+        """The SMT driver's simulated prefix: up to ``full`` full-burst
+        rounds, until the state of ``sets`` repeats (:meth:`_drive`) or
+        the simulation limit.  A prefix that found its cycle after ``r``
+        rounds is the prefix of every run with the same bodies and ratio
+        and at least ``r * ratio`` primary and ``r`` secondary iterations."""
+        limit = full if exact else min(full, self.MAX_SIMULATED_ROUNDS)
+        reports, cycle, _ = self._drive(
+            lambda: self._round(primary, secondary, ratio),
+            (_NO_REPORT, _NO_REPORT),
+            sets,
+            limit,
+            None if exact else self.MIN_WARMUP_ROUNDS,
         )
+        rounds = reports[1][_ITERATIONS]
+        return _Prefix(None if cycle is None else (rounds * ratio, rounds), reports, cycle)
 
     def _smt_finish(
         self,
         primary: LoopProgram,
         secondary: LoopProgram,
         ratio: int,
+        full: int,
         exact: bool,
+        sets: tuple,
         prefix: _Prefix,
     ) -> tuple[LoopReport, LoopReport]:
-        """The rest of an SMT run after its simulated prefix: extrapolate
-        the remaining rounds via :func:`_extend`, drain the primary's
-        leftover iterations, charge both loop exits.  ``prefix`` is only
-        read."""
-        primary_values, secondary_values = prefix.reports
-        repeats = prefix.cycle
-        remaining = secondary.iterations - secondary_values[_ITERATIONS]
-        primary_left = primary.iterations - primary_values[_ITERATIONS]
-        if remaining > 0 and prefix.cycle is None:
-            # Hit MAX_SIMULATED_ROUNDS without period-1/2 convergence: run
-            # one more live round and repeat it for the rest.
-            last = self._round(primary, secondary, min(ratio, primary_left))
-            primary_left -= last[0].iterations
-            primary_values = _report_values(LoopReport(*primary_values).merge(last[0]))
-            secondary_values = _report_values(LoopReport(*secondary_values).merge(last[1]))
-            repeats = _round_terms(None, last, False)
-            remaining -= 1
+        """The rest of an SMT run after its simulated prefix: the rest of
+        the ``full`` rounds continue the prefix's cycle (:meth:`_tail`),
+        the short burst runs live, :meth:`run_loop` drains what is left,
+        and both loops exit.  ``prefix`` is only read."""
+        reports, cycle = prefix.reports, prefix.cycle
+        remaining = full - reports[1][_ITERATIONS]
+        if remaining > 0 and cycle is None:
+            # Hit MAX_SIMULATED_ROUNDS with no state repeated: run one more
+            # live round and repeat it for the rest.
+            reports, _, last = self._drive(
+                lambda: self._round(primary, secondary, ratio), reports
+            )
+            cycle, remaining = ((_step_fields(last), None),), remaining - 1
         if remaining > 0:
-            primary_terms, burst, secondary_terms, period_two = repeats
-            secondary_values = _extend(secondary_values, secondary_terms, remaining, period_two)
-            # The primary side must never extrapolate past its own
-            # iteration budget (the last simulated round's burst may
-            # exceed what remains when the interleave ratio rounds).  A
-            # period-2 tail's two rounds have equal bursts: a short burst
-            # only ever comes once, followed by empty ones.
-            if burst > 0 and primary_left > 0:
-                full_rounds = min(remaining, primary_left // burst)
-                if full_rounds > 0:
-                    primary_values = _extend(
-                        primary_values, primary_terms, full_rounds, period_two
-                    )
-                    primary_left -= full_rounds * burst
-        primary_report = LoopReport(*primary_values)
-        secondary_report = LoopReport(*secondary_values)
-
-        # Drain any leftover primary iterations single-threaded (the
-        # sender went idle; DSB indexing reverts to all sets).
-        primary_drained = False
-        if primary_left > 0:
+            reports = self._tail(sets, reports, cycle, remaining)
+        primary_left = primary.iterations - full * ratio
+        secondary_left = secondary.iterations - full
+        if primary_left and secondary_left:
+            reports, _, _ = self._drive(
+                lambda: self._round(primary, secondary, primary_left), reports
+            )
+            primary_left, secondary_left = 0, secondary_left - 1
+        done = [LoopReport(*values) for values in reports]
+        # The drain: run_loop charges its own loop exit.
+        drained = None
+        if secondary_left:
+            drain = secondary.with_iterations(secondary_left)
+            done[1].merge(self.run_loop(drain, thread=1, smt_active=True, exact=exact))
+            drained = 1
+        elif primary_left:
             drain = primary.with_iterations(primary_left)
-            primary_report.merge(self.run_loop(drain, thread=0, smt_active=False, exact=exact))
-            primary_drained = True  # run_loop already charged the loop exit
-
-        # Loop exits for both threads (unless already charged by a drain).
+            done[0].merge(self.run_loop(drain, thread=0, smt_active=False, exact=exact))
+            drained = 0
         exit_cost = self.params.loop_exit_mispredict
-        targets = [(secondary_report, 1)]
-        if not primary_drained:
-            targets.append((primary_report, 0))
-        for report, thread in targets:
-            report.cycles += exit_cost
-            report.energy_nj += exit_cost * self.energy.cycle_energy
-            self.lsds[thread].flush()
-        if primary_drained:
-            self.lsds[0].flush()
-        return primary_report, secondary_report
+        for thread, report in enumerate(done):
+            if thread != drained:
+                report.cycles += exit_cost
+                report.energy_nj += exit_cost * self.energy.cycle_energy
+                self.lsds[thread].flush()
+        return done[0], done[1]
 
     # ------------------------------------------------------------------
     # whole-run memo
@@ -1279,16 +1174,6 @@ class FrontendEngine:
             (lsd.enabled, lsd.state, lsd._candidate, lsd._qualify_streak, lsd._loop_windows,
              self._pending_penalty[thread], self._pending_flushes[thread],
              self._last_path[thread]) = values
-
-    @staticmethod
-    def _is_steady(history: list[tuple]) -> bool:
-        """Detect steady-state keys (of iterations or rounds) repeating
-        with period 1 or 2."""
-        if len(history) >= 2 and history[-1] == history[-2]:
-            return True
-        if len(history) >= 4 and history[-1] == history[-3] and history[-2] == history[-4]:
-            return True
-        return False
 
     def reset_thread(self, thread: int) -> None:
         """Forget a thread's frontend state (context switch / teardown)."""

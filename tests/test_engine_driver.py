@@ -23,7 +23,7 @@ from repro.frontend.engine import (
     FrontendEngine,
     LoopReport,
     _report_values,
-    _step_terms,
+    _step_fields,
 )
 from repro.isa.blocks import standard_mix_block
 from repro.isa.layout import BlockChainLayout
@@ -67,7 +67,7 @@ def extrapolate_tail(steps, remaining):
     a cycle of the single-iteration reports ``steps``, on its own."""
     engine = FrontendEngine()
     state = engine._state(())
-    cycle = tuple((_step_terms((step,)), state) for step in steps)
+    cycle = tuple((_step_fields((step,)), state) for step in steps)
     (values,) = engine._tail((), (_report_values(LoopReport()),), cycle, remaining)
     return LoopReport(*values)
 

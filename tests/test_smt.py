@@ -96,11 +96,16 @@ class TestSmtExecutor:
     def test_rounds_past_the_simulation_limit_are_counted(
         self, monkeypatch, primary_iterations
     ):
-        """With no steady state the interleave stops simulating after
+        """With no cycle found the interleave stops simulating after
         ``MAX_SIMULATED_ROUNDS`` rounds, runs one more live round and
-        repeats it for the rest: every iteration of both threads is
-        counted, and the primary never runs past its own budget."""
-        monkeypatch.setattr(FrontendEngine, "_is_steady", staticmethod(lambda history: False))
+        repeats it for the rest of the full rounds: every iteration of
+        both threads is counted, and the primary never runs past its own
+        budget.  A warm-up longer than the limit finds no cycle.  At
+        2995/300 (ratio 10) only 299 rounds are full: the 300th has a
+        5-iteration burst and runs live, one more simulated round."""
+        monkeypatch.setattr(
+            FrontendEngine, "MIN_WARMUP_ROUNDS", FrontendEngine.MAX_SIMULATED_ROUNDS + 1
+        )
         machine = Machine(GOLD_6226, seed=2)
         layout = machine.layout()
         primary = LoopProgram(layout.chain(3, 6), primary_iterations)
@@ -109,7 +114,11 @@ class TestSmtExecutor:
         assert result.primary.iterations == primary_iterations
         assert result.secondary.iterations == 300
         assert result.secondary.total_uops == 300 * secondary.uops_per_iteration
-        assert result.secondary.simulated_iterations == FrontendEngine.MAX_SIMULATED_ROUNDS + 1
+        short_rounds = 1 if primary_iterations < 3000 else 0
+        assert (
+            result.secondary.simulated_iterations
+            == FrontendEngine.MAX_SIMULATED_ROUNDS + 1 + short_rounds
+        )
 
     def test_smt_slows_down_receiver(self):
         """Concurrent sibling activity inflates frontend delivery cost."""
@@ -152,23 +161,33 @@ class TestSmtExecutor:
         assert result.primary.uops_mite < 1000
 
 
-#: SMT pair shapes (primary/secondary trip counts) whose interleave
-#: bursts stay full to the end, so nothing is left to drain.
-FULL_BURST_SHAPES = ((40, 40), (400, 40), (80, 40), (1000, 100), (400, 400), (6000, 300))
+#: SMT pair shapes (primary/secondary trip counts).  In the first five
+#: every interleave burst is full; 990/100 and 5000/300 leave the
+#: secondary rounds after the primary has run out (ratio 10 and 17), and
+#: 7/40 leaves 33 of them (ratio 1).
+SMT_SHAPES = (
+    (40, 40), (400, 40), (80, 40), (1000, 100), (400, 400),
+    (990, 100), (7, 40), (5000, 300),
+)
 
 
-@pytest.mark.parametrize("shape", FULL_BURST_SHAPES, ids=lambda s: f"{s[0]}/{s[1]}")
+@pytest.mark.parametrize("shape", SMT_SHAPES, ids=lambda s: f"{s[0]}/{s[1]}")
 def test_extrapolated_smt_equals_exact(shape):
-    """Extrapolating the rounds after a steady state gives the exact
-    run's reports, for every pair of the run-memo bodies under LRU.
+    """Extrapolating the rounds after a repeated frontend state gives
+    the exact run's reports, and leaves the exact run's frontend state
+    in every DSB set, for every pair of the run-memo bodies under LRU.
 
-    Regression: rounds keyed on their cycles alone, repeating only the
+    Regressions: rounds keyed on their cycles alone, repeating only the
     last round, let ``BODIES[4]`` (window-spanning blocks, the
     Section IV-B mechanism) on both threads settle on a round that
     alternates with its neighbour: 96 secondary LSD flushes against 49
-    at 1000/100."""
+    at 1000/100.  Rounds keyed on their reports drained a primary that
+    ran out before the secondary single-threaded, where the exact run
+    stays in SMT mode: 75 of the pairs at 990/100, 7/40 and 5000/300
+    differed."""
     primary_iterations, secondary_iterations = shape
     extrapolated, exact = Machine(GOLD_6226), Machine(GOLD_6226)
+    every_set = tuple(range(extrapolated.engine.params.dsb_sets))
     for primary_body in BODIES:
         for secondary_body in BODIES:
             primary = LoopProgram(primary_body, primary_iterations)
@@ -189,3 +208,4 @@ def test_extrapolated_smt_equals_exact(shape):
                         ), (pair, name)
                     else:
                         assert getattr(ours, name) == getattr(theirs, name), (pair, name)
+            assert extrapolated.engine._state(every_set) == exact.engine._state(every_set), pair
