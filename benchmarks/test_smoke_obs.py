@@ -93,3 +93,6 @@ def test_smoke_obs_snapshot_covers_the_stack():
     # or added by a tail after the frontend state repeated.
     for mode in ("simulated", "extrapolated"):
         assert by_identity[("sim.iterations", (("mode", mode),))]["value"] > 0
+    # How replays applied their L1I fetches: the all-resident fast path
+    # must carry some, or every replay re-issues its fetches one by one.
+    assert by_identity[("sim.l1i_replays", (("path", "resident"),))]["value"] > 0

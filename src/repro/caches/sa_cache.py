@@ -126,6 +126,32 @@ class SetAssociativeCache:
         entry_set[line] = None
         return False
 
+    def hit_resident(self, addrs, n: int) -> bool:
+        """Apply ``n`` accesses that touch only the lines of ``addrs``,
+        distinct addresses in order of their last access, if all those
+        lines are resident; otherwise change nothing and return False.
+
+        Accesses to resident lines all hit and evict nothing, so their
+        net effect is ``n`` hits and each line moved to MRU in order of
+        its last access.  Two addresses in one line move it twice, and
+        the later move, that of its last access, is the one that counts.
+        """
+        if self._backlog:
+            self._settle()
+        data, sets, line_bytes = self._data, self.sets, self.line_bytes
+        resident = []
+        for addr in addrs:
+            line_number = addr // line_bytes
+            entry_set = data[line_number % sets]
+            line = line_number * line_bytes
+            if line not in entry_set:
+                return False
+            resident.append((entry_set, line))
+        for entry_set, line in resident:
+            entry_set.move_to_end(line)
+        self.stats.hits += n
+        return True
+
     def access_many(self, addrs) -> np.ndarray:
         """Access every address of ``addrs`` in order; per-address hits.
 

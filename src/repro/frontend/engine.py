@@ -35,15 +35,21 @@ arguments replays its recorded reports and state changes instead of
 being interpreted again.  A run whose state repeated is recorded by its
 *simulated prefix* alone, under a head without the trip count, so the
 same body at another count replays the prefix and only extrapolates its
-own tail.
+own tail; that run then records itself whole, so its next repeat is a
+replay alone.  A replay costs what the run changed: the DSB sets it
+changed, its nonzero stat deltas, and its L1I fetches, in one step when
+all of their lines are resident.
+
+A body's window split and DSB plans depend only on the body and the
+params, so one process-wide table keeps them for every engine
+(:meth:`FrontendEngine._window_entry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import add, attrgetter, ge, mul, sub
-from typing import Callable, NamedTuple
+from operator import attrgetter, ge
+from typing import Callable, Iterable, NamedTuple
 
 from repro.caches.presets import l1i_cache
 from repro.caches.sa_cache import SetAssociativeCache
@@ -69,6 +75,23 @@ SIM_LATENCY_EDGES: tuple[float, ...] = (
 
 #: Most recorded loop runs one engine keeps; the oldest is dropped first.
 RUN_MEMO_LIMIT = 512
+#: Most loop bodies the process-wide body table keeps; the oldest is
+#: dropped first.
+BODY_TABLE_LIMIT = 128
+
+
+def _put(table: dict, key: object, value: object, limit: int) -> None:
+    """Store ``value`` in the bounded FIFO ``table``, first dropping its
+    oldest entries until it holds fewer than ``limit``.  Another thread
+    may change the table between the look and the drop; then it looks
+    again.  Two threads that both make room and store can leave one
+    entry too many each, until the next store drops it."""
+    while len(table) >= limit:
+        try:
+            del table[next(iter(table))]
+        except (KeyError, RuntimeError, StopIteration):
+            pass
+    table[key] = value
 
 
 @dataclass(frozen=True)
@@ -128,9 +151,9 @@ class _Plan:
     """A DSB plan: the steps of one loop body on one thread in one mode,
     and the sorted, distinct set indices they touch.
 
-    The engine builds one plan per (body, thread, smt_active) and keeps
-    it, so plans compare (and hash) by identity: a plan names its body,
-    thread and mode in a run-memo head without hashing the body.
+    Engines with equal params share one plan per (body, thread,
+    smt_active), so plans compare (and hash) by identity: a plan names
+    its body, thread and mode in a run-memo head without hashing the body.
     """
 
     __slots__ = ("steps", "sets")
@@ -142,6 +165,12 @@ class _Plan:
 
 #: A loop body's window accesses and its plans per (thread, smt_active).
 _BodyEntry = tuple[tuple[WindowAccess, ...], dict[tuple[int, bool], _Plan]]
+
+#: Every engine's body entries, per ``(params, body)``: both depend on
+#: nothing else, and each ``Machine`` builds its programs anew, so this
+#: saves each new engine its splits and plans (see
+#: :meth:`FrontendEngine._window_entry`).  At most ``BODY_TABLE_LIMIT``.
+_BODIES: dict[tuple[FrontendParams, tuple[MixBlock, ...]], _BodyEntry] = {}
 
 
 @dataclass
@@ -292,12 +321,18 @@ class _RunEffect(NamedTuple):
 
     #: Field values of each returned ``LoopReport``, or the ``_Prefix``.
     result: "tuple[tuple, ...] | _Prefix"
-    #: The frontend state the run left.
-    state: _State
-    #: What the run added to each stat counter (:meth:`FrontendEngine._counts`).
-    counts: tuple[int, ...]
+    #: The DSB sets the run changed, as ``(index, contents)`` pairs in
+    #: LRU order; a replay starts from the recorded entry state, so the
+    #: other sets already hold what the run left.
+    sets: tuple[tuple[int, tuple[tuple[LineKey, DsbLine], ...]], ...]
+    #: The per-thread half of the frontend state the run left (:data:`_State`).
+    threads: tuple[tuple, ...]
+    #: ``(stats, name, delta)`` for each stat counter the run changed.
+    counts: tuple[tuple[object, str, int], ...]
     #: L1I fetch addresses, in issue order.
     fetches: tuple[int, ...]
+    #: The distinct fetch addresses, in order of their last fetch.
+    last_fetches: tuple[int, ...]
 
 
 class FrontendEngine:
@@ -392,9 +427,18 @@ class FrontendEngine:
         return self._window_entry(program.body)[0]
 
     def _window_entry(self, body: tuple[MixBlock, ...]) -> _BodyEntry:
+        """The body's entry: its window accesses and plans.  It comes from
+        the process-wide table (:data:`_BODIES`), shared by every engine
+        with equal params, and is kept in this engine's own table too, so
+        the engine compares an equal body that is not the same object
+        with the shared table's block by block at most once."""
         entry = self._window_cache.get(body)
         if entry is None:
-            entry = (self._split_windows(body), {})
+            key = (self.params, body)
+            entry = _BODIES.get(key)
+            if entry is None:
+                entry = (self._split_windows(body), {})
+                _put(_BODIES, key, entry, BODY_TABLE_LIMIT)
             self._window_cache[body] = entry
         return entry
 
@@ -443,10 +487,11 @@ class FrontendEngine:
         key and way count on ``thread`` under ``smt_active``, plus the
         sorted set indices those steps touch.
 
-        Everything here is static in (body, thread, mode), so it is built
-        once per body and mode and kept with the body's window accesses.
-        It is looked up by program first, so programs that share a body
-        (different trip counts) get the identical plan.
+        Everything here is static in (params, body, thread, mode), so it
+        is built once per body and mode and kept with the body's window
+        accesses, for every engine with equal params.  It is looked up by
+        program first, in a table of this engine's, so programs that
+        share a body (different trip counts) get the identical plan.
         """
         key = (program, thread, smt_active)
         plan = self._program_plans.get(key)
@@ -467,8 +512,9 @@ class FrontendEngine:
             )
             # Pure-LCP windows never reach the DSB, so their sets stay out.
             touched = {index for access, index, _, _ in steps if not access.pure_lcp}
-            plan = _Plan(steps, tuple(sorted(touched)))
-            plans[(thread, smt_active)] = plan
+            # The first plan stored wins a race between threads, so each
+            # body keeps one plan per mode.
+            plan = plans.setdefault((thread, smt_active), _Plan(steps, tuple(sorted(touched))))
         self._program_plans[key] = plan
         return plan
 
@@ -720,7 +766,8 @@ class FrontendEngine:
     # ------------------------------------------------------------------
     def _instruments(self, registry) -> tuple:
         """``(registry, sim.points, sim.latency, sim.replays,
-        sim.iterations{mode=simulated}, sim.iterations{mode=extrapolated})``,
+        sim.iterations{mode=simulated}, sim.iterations{mode=extrapolated},
+        sim.l1i_replays{path=resident}, sim.l1i_replays{path=fetched})``,
         cached per registry."""
         cache = self._instruments_cache
         if cache is None or cache[0] is not registry:
@@ -731,6 +778,8 @@ class FrontendEngine:
                 registry.counter("sim.replays"),
                 registry.counter("sim.iterations", mode="simulated"),
                 registry.counter("sim.iterations", mode="extrapolated"),
+                registry.counter("sim.l1i_replays", path="resident"),
+                registry.counter("sim.l1i_replays", path="fetched"),
             )
         return cache
 
@@ -921,7 +970,8 @@ class FrontendEngine:
                 for i, value in step_fields:
                     values[i] += value * count
         if part:
-            self._restore(sets, cycle[part - 1][1])
+            contents, threads = cycle[part - 1][1]
+            self._restore(zip(sets, contents), threads)
         self._instruments(get_registry())[5].inc(
             sum([values[_ITERATIONS] for values in extended])
             - sum([values[_ITERATIONS] for values in reports])
@@ -1101,71 +1151,96 @@ class FrontendEngine:
         ``sets`` lists every DSB set the run can touch.  The run is
         keyed on ``head`` plus :meth:`_state` of those sets, which is
         everything of the frontend it reads.  Equal keys therefore mean
-        equal runs, so a repeat writes back the state the run left, adds
-        its stat deltas, re-issues its L1I fetches in order and returns
-        fresh copies of the recorded reports.
+        equal runs, so a repeat replays the run's effect
+        (:meth:`_replay`) and returns fresh copies of the recorded
+        reports.
 
         A loop driver passes ``finish``: ``run`` then only simulates the
         prefix and returns a :class:`_Prefix`, and ``finish`` turns it
         into the reports.  With ``prefix`` — a head without trip counts
         (``plan`` for one thread, ``(primary plan, secondary plan,
         ratio)`` for an SMT pair) and the run's counts, one per thread —
-        a run whose prefix has ``needs`` records only the prefix, under
-        that head, and any run from the same state whose counts are at
-        least those ``needs`` replays it and finishes live.  Other runs
+        an interpreted run whose prefix has ``needs`` records only the
+        prefix, under that head.  A run from the same state that has no
+        whole record of its own, and whose counts are at least those
+        ``needs``, replays the prefix, finishes live and records itself
+        whole, so its next repeat skips the finish too.  Other runs
         record whole.
         """
         state = self._state(sets)
         memo = self._runs
-        if prefix is not None:
-            prefix_key = (prefix[0], state)
-            effect = memo.get(prefix_key)
-            if effect is not None and all(map(ge, prefix[1], effect.result.needs)):
-                self._replay(sets, effect, runs)
-                return finish(effect.result)
         key = (head, state)
         effect = memo.get(key)
         if effect is not None:
-            self._replay(sets, effect, runs)
+            self._replay(effect, runs)
             return tuple([LoopReport(*values) for values in effect.result])
+        recorded = None
+        if prefix is not None:
+            prefix_key = (prefix[0], state)
+            recorded = memo.get(prefix_key)
+            if recorded is not None and not all(map(ge, prefix[1], recorded.result.needs)):
+                recorded = None
 
         counts = self._counts()
         log = self.l1i = _FetchLog(self.l1i)
         try:
-            result = run()
-            whole = prefix is None or result.needs is None
+            if recorded is not None:
+                self._replay(recorded, runs)
+                result = recorded.result
+            else:
+                result = run()
+            whole = recorded is not None or prefix is None or result.needs is None
             if whole and finish is not None:
                 result = finish(result)
         finally:
             self.l1i = log.cache
-        if len(memo) >= RUN_MEMO_LIMIT:
-            del memo[next(iter(memo))]
-        memo[key if whole else prefix_key] = _RunEffect(
+        after = self._state(sets)
+        before = iter(counts)
+        _put(memo, key if whole else prefix_key, _RunEffect(
             tuple([_report_values(report) for report in result]) if whole else result,
-            self._state(sets),
-            tuple(map(sub, self._counts(), counts)),
+            tuple([(index, contents)
+                   for index, old, contents in zip(sets, state[0], after[0]) if contents != old]),
+            after[1],
+            tuple([(stats, name, delta) for stats in self._stats()
+                   for name, count in vars(stats).items() if (delta := count - next(before))]),
             tuple(log.addrs),
-        )
+            tuple(dict.fromkeys(reversed(log.addrs)))[::-1],
+        ), RUN_MEMO_LIMIT)
         return result if whole else finish(result)
 
-    def _replay(self, sets: tuple[int, ...], effect: _RunEffect, runs: int) -> None:
-        """Re-apply a recorded run's effect (see :meth:`_memo_run`); it
-        counts as ``runs`` loop runs in ``sim.replays``."""
-        self._restore(sets, effect.state)
-        deltas = iter(effect.counts)
-        for stats in self._stats():
-            counts = vars(stats)
-            for name in counts:
-                counts[name] += next(deltas)
-        for addr in effect.fetches:
-            self.l1i.access(addr)
-        self._instruments(get_registry())[3].inc(runs)
+    def _replay(self, effect: _RunEffect, runs: int) -> None:
+        """Re-apply a recorded run's effect from the entry state it was
+        recorded in: write back the DSB sets it changed and the thread
+        state it left, add its nonzero stat deltas, and replay its L1I
+        fetches.  When every fetched line is resident they all hit, so
+        the L1I takes them in one step (``hit_resident``); otherwise they
+        are re-issued one by one.  Either way every enclosing
+        :class:`_FetchLog` sees each address.  The replay counts as
+        ``runs`` loop runs in ``sim.replays``, and as one
+        ``sim.l1i_replays`` on the path its fetches took."""
+        self._restore(effect.sets, effect.threads)
+        for stats, name, delta in effect.counts:
+            setattr(stats, name, getattr(stats, name) + delta)
+        instruments = self._instruments(get_registry())
+        fetches = effect.fetches
+        if fetches:
+            l1i = self.l1i
+            while isinstance(l1i, _FetchLog):
+                l1i.addrs.extend(fetches)
+                l1i = l1i.cache
+            if l1i.hit_resident(effect.last_fetches, len(fetches)):
+                instruments[6].inc()
+            else:
+                for addr in fetches:
+                    l1i.access(addr)
+                instruments[7].inc()
+        instruments[3].inc(runs)
 
-    def _restore(self, sets: tuple[int, ...], state: _State) -> None:
-        """Write back a frontend state :meth:`_state` took of ``sets``."""
-        contents, threads = state
+    def _restore(self, sets: Iterable[tuple[int, tuple]], threads: tuple[tuple, ...]) -> None:
+        """Write back DSB set contents, as ``(index, contents)`` pairs,
+        and the per-thread state :meth:`_state` took."""
         dsb = self.dsb
-        for index, items in zip(sets, contents):
+        for index, items in sets:
             entry_set = dsb._sets[index]
             entry_set.clear()
             entry_set.update(items)

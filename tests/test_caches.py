@@ -443,3 +443,40 @@ class TestDeferredMoves:
             assert cache.access_many(addrs).all()
             assert sum(map(len, cache._backlog)) == cache._backlog_size <= limit
         assert cache.stats == CacheStats(hits=6_500_000, misses=96)
+
+
+class TestHitResident:
+    """``hit_resident`` stands for an access loop over lines that are all
+    resident, and changes nothing when one is not."""
+
+    @settings(max_examples=200)
+    @given(
+        geometry=st.tuples(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.sampled_from([1, 16])),
+        data=st.data(),
+    )
+    def test_equals_an_access_loop_or_changes_nothing(self, geometry, data):
+        stepped, looped = _cache(geometry), _cache(geometry)
+        _warm(data, stepped, looped)
+        line_bytes = geometry[2]
+        resident = [
+            line + offset
+            for index in range(looped.sets)
+            for line in looped.lru_stack(index)
+            for offset in (0, line_bytes - 1)
+        ]
+        if resident and data.draw(st.booleans(), label="deferred batch"):
+            # A backlog of all-hit moves must be applied first.
+            batch = data.draw(st.lists(st.sampled_from(resident), min_size=1), label="batch")
+            stepped.access_many(batch)
+            looped.access_many(batch)
+        if resident and data.draw(st.booleans(), label="resident only"):
+            addrs = data.draw(st.lists(st.sampled_from(resident), min_size=1, max_size=40))
+        else:
+            addrs = data.draw(_streams(geometry), label="addrs")
+        last = tuple(dict.fromkeys(reversed(addrs)))[::-1]
+        all_resident = all(looped.probe(addr) for addr in addrs)
+        assert stepped.hit_resident(last, len(addrs)) == all_resident
+        if all_resident:
+            for addr in addrs:
+                assert looped.access(addr)
+        _assert_same_state(stepped, looped)

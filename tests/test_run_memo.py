@@ -12,6 +12,8 @@ bit.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,7 @@ def _scenarios(draw) -> tuple[list[tuple], list[tuple]]:
         st.tuples(st.just("iterate"), call),
         st.tuples(st.just("invalidate"), st.integers(0, 1), st.sampled_from(windows)),
         st.tuples(st.just("flush_thread"), st.integers(0, 1)),
+        st.tuples(st.just("flush_l1i"), st.sampled_from(windows)),
         st.tuples(st.just("set_lsd_enabled"), st.booleans()),
         st.tuples(st.just("reset")),
     )
@@ -210,6 +213,10 @@ def _change(machine: Machine, calls: list[tuple], op: tuple) -> None:
         engine.dsb.invalidate(op[1], op[2])
     elif kind == "flush_thread":
         engine.dsb.flush_thread(op[1])
+    elif kind == "flush_l1i":
+        # The memo does not key on the L1I: a replay must re-fetch a line
+        # its run fetched that is no longer resident.
+        machine.l1i.flush_line(op[1])
     elif kind == "set_lsd_enabled":
         machine.set_lsd_enabled(op[1])
     else:
@@ -435,6 +442,56 @@ class TestReplayEqualsInterpretation:
         ops = [("run", 0, 1), ("run", 1, 1), ("flush_thread", 1), ("run", 1, 1)]
         _check(calls, ops, FrontendParams(smt_isolation=True))
 
+    def test_l1i_line_flushed_between_record_and_replay(self):
+        """Every window of the ten-block body is fetched through MITE.
+        Flushing one of its lines from the L1I leaves the DSB state, and
+        so the memo key, as it was, so the repeat replays, but it must
+        re-issue its fetches one by one; the flushed line misses again."""
+        body = BODIES[3]
+        registry = MetricsRegistry()
+        calls = [_loop(body, 10), _loop(body, 40)]
+        ops = [("run", 0, 2), ("flush_l1i", body[4].windows[0]), ("run", 0, 1)]
+        ops += [("run", 1, 1), ("flush_l1i", body[0].windows[0]), ("run", 1, 2)]
+        with use_registry(registry):
+            _check(calls, ops)
+        assert registry.counter("sim.l1i_replays", path="fetched").value >= 2
+        assert registry.counter("sim.l1i_replays", path="resident").value >= 1
+
+    def test_l1i_lines_move_in_order_of_last_fetch(self):
+        """A pure-LCP window is fetched on every iteration; the plain
+        block 4 KiB above it, in the same L1I set, only on the first,
+        while it misses the DSB.  So the LCP window's line was fetched
+        last and ends the run at MRU, although it was fetched first.  A
+        DSB flush restores the entry state but not the L1I, so the
+        repeat replays with every fetched line resident."""
+        lcp = lcp_block(LAYOUT.block_address(2, 0), lcp_sets=16, mixed=False)
+        program = LoopProgram((lcp,), 1)
+        pure = next(a.window_addr for a in FrontendEngine().window_accesses(program) if a.pure_lcp)
+        calls = [_loop((lcp, standard_mix_block(pure + 4096)), 10)]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            _check(calls, [("run", 0, 1), ("flush_thread", 0), ("run", 0, 1)])
+        assert registry.counter("sim.l1i_replays", path="resident").value == 1
+
+    def test_smt_drain_prefix_then_whole(self):
+        """2001 primary iterations against 40 secondary ones interleave
+        at ratio 50 and leave a one-iteration single-thread drain.  From
+        the entry state of a 4000/80 pair at the same ratio, the first
+        such run replays that pair's prefix and finishes live, draining
+        through ``run_loop``; the second replays whole, drain included."""
+        primary, secondary = BODIES[0], BODIES[1]
+        calls = [
+            _smt(LoopProgram(primary, 4_000), LoopProgram(secondary, 80)),
+            _smt(LoopProgram(primary, 2_001), LoopProgram(secondary, 40)),
+        ]
+        ops = [("run", 0, 1), ("reset",), ("run", 1, 1), ("reset",), ("run", 1, 1)]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            _check(calls, ops)
+        # One prefix replay, one whole replay; a second prefix replay
+        # would replay the drain's record too.
+        assert registry.counter("sim.replays").value == 2
+
     def test_sibling_thread_runs(self):
         """Runs on thread 0 around a run on thread 1 that thrashes one
         set on every iteration."""
@@ -535,8 +592,8 @@ class TestMemoBookkeeping:
         counts, which replay a recorded simulated prefix and finish live.
         One seeded 64-bit transmit of alternating bits (slips happen at
         bit edges) interprets 5 of its 53 SMT runs (a memo keyed on the
-        trip counts interprets 23) and replays 114 loop runs against 73
-        ``sim.points`` (69 against 71)."""
+        trip counts interprets 23), finishes 24 of them live (the others
+        replay whole) and replays 102 loop runs against 60 ``sim.points``."""
         registry = MetricsRegistry()
         interleaved, secondaries = [], set()
         interleave, run_smt = FrontendEngine._interleave, FrontendEngine.run_smt
@@ -564,22 +621,31 @@ class TestMemoBookkeeping:
         the key.  X and P are DSB-resident bodies in two sets; Y's ten
         plain windows thrash a third set, so its last iteration ends in a
         run of MITE deliveries.  P after Y enters the state P after P
-        entered, and replays that run's record."""
+        entered, and replays that run's record: the first time its
+        prefix, after which it may record itself whole; the second time
+        that whole record, which extrapolates nothing and adds no record."""
         x, p, y = (
             LoopProgram(body, 40)
             for body in (_one_set(6, range(4)), _one_set(7, range(4)), _one_set(8, range(10, 20)))
         )
         registry = MetricsRegistry()
         machine = Machine(GOLD_6226)
+        extrapolated = registry.counter("sim.iterations", mode="extrapolated")
+        added, tails = [], []
         with use_registry(registry):
             for program in (x, p, p):
                 machine.run_loop(program)
-            assert machine.run_loop(y).uops_dsb == 0  # every window from MITE
-            replays = registry.counter("sim.replays").value
-            records = len(machine.engine._runs)
-            machine.run_loop(p)
-        assert registry.counter("sim.replays").value == replays + 1
-        assert len(machine.engine._runs) == records
+            for _ in range(2):
+                assert machine.run_loop(y).uops_dsb == 0  # every window from MITE
+                replays = registry.counter("sim.replays").value
+                records = len(machine.engine._runs)
+                before = extrapolated.value
+                machine.run_loop(p)
+                assert registry.counter("sim.replays").value == replays + 1
+                added.append(len(machine.engine._runs) - records)
+                tails.append(extrapolated.value - before)
+        assert added[0] <= 1 and tails[0] > 0
+        assert added[1] == 0 and tails[1] == 0
 
     def test_memo_is_bounded_per_engine(self, monkeypatch):
         monkeypatch.setattr(engine_module, "RUN_MEMO_LIMIT", 3)
@@ -589,10 +655,66 @@ class TestMemoBookkeeping:
             assert len(machine.engine._runs) <= 3
         assert not Machine(GOLD_6226).engine._runs
 
+    def test_body_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "BODY_TABLE_LIMIT", 3)
+        monkeypatch.setattr(engine_module, "_BODIES", {})
+        for body in BODIES:
+            Machine(GOLD_6226).run_loop(LoopProgram(body, 3))
+            assert 1 <= len(engine_module._BODIES) <= 3
+
+    @pytest.mark.parametrize("drops", [1, 2])
+    def test_full_table_drop_survives_a_race(self, drops):
+        """Another thread may drop the oldest entry, or every entry,
+        between the size check and the drop."""
+
+        class Raced(dict):
+            def __iter__(self):
+                # The keys as they were when the other thread dropped its.
+                keys = list(dict.__iter__(self))
+                for key in keys[:drops]:
+                    dict.__delitem__(self, key)
+                return iter(keys)
+
+        table = Raced(first=1, second=2)
+        engine_module._put(table, "new", 3, 2)
+        assert list(dict.items(table)) == [("second", 2), ("new", 3)][drops - 1:]
+
+    def test_threads_filling_the_body_table(self, monkeypatch):
+        """Four threads build machines and run every body at once, with
+        thread switches as often as the interpreter allows: no drop
+        raises, and the table ends at most one entry per extra thread
+        over its limit."""
+        monkeypatch.setattr(engine_module, "BODY_TABLE_LIMIT", 3)
+        monkeypatch.setattr(engine_module, "_BODIES", {})
+        errors = []
+
+        def fill(offset):
+            try:
+                for i in range(2 * len(BODIES)):
+                    body = BODIES[(i + offset) % len(BODIES)]
+                    Machine(GOLD_6226).run_loop(LoopProgram(body, 3))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=fill, args=(offset,)) for offset in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(engine_module._BODIES) <= 3 + len(threads) - 1
+
 
 class TestPlanTables:
-    """Each engine keeps its plans per program and each sweep's sets per
-    head; both tables must hand out what the per-body plans say."""
+    """Engines with equal params share each body's plans; each engine
+    keeps its own plans per program and each sweep's sets per head, and
+    both tables must hand out what the per-body plans say."""
 
     def test_programs_sharing_a_body_get_the_identical_plan(self):
         engine = Machine(GOLD_6226).engine
@@ -615,12 +737,18 @@ class TestPlanTables:
         assert engine._sweep_sets == {(programs, thread, smt_active): tuple(sorted(union))}
 
     def test_tables_are_per_engine(self):
+        """The per-program and per-sweep tables are each engine's own;
+        the plans in them are shared by engines with equal params."""
         first, second = Machine(GOLD_6226), Machine(GOLD_6226)
         programs = (LoopProgram(BODIES[0], 3), LoopProgram(BODIES[1], 3))
         first.run_loops(programs)
         ours, theirs = first.engine, second.engine
         assert ours._program_plans and ours._sweep_sets
         assert not theirs._program_plans and not theirs._sweep_sets
-        second.run_loops(programs)
+        # Built anew by the second machine: equal programs, new objects.
+        again = tuple(LoopProgram(p.body, p.iterations) for p in programs)
+        second.run_loops(again)
         assert theirs._sweep_sets == ours._sweep_sets
-        assert theirs._plan(programs[0], 0, False) is not ours._plan(programs[0], 0, False)
+        assert theirs._plan(again[0], 0, False) is ours._plan(programs[0], 0, False)
+        isolated = Machine(GOLD_6226, params=FrontendParams(smt_isolation=True)).engine
+        assert isolated._plan(programs[0], 0, False) is not ours._plan(programs[0], 0, False)
