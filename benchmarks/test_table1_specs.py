@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from _harness import format_table, run_and_report
 
+from repro.caches.presets import L1I_LINE_BYTES, L1I_SETS, L1I_WAYS
+from repro.frontend.lsd import LSD_CAPACITY
+from repro.isa.blocks import DSB_SETS, DSB_WAYS, WINDOW_BYTES
 from repro.machine.specs import ALL_SPECS
 
 
@@ -19,7 +22,7 @@ def experiment():
             spec.cores,
             spec.threads,
             f"{spec.frequency_ghz} GHz",
-            spec.lsd_entries if spec.lsd_enabled else "disabled",
+            LSD_CAPACITY if spec.lsd_enabled else "disabled",
             "yes" if spec.smt else "no",
             "yes" if spec.sgx else "no",
         )
@@ -33,8 +36,10 @@ def experiment():
         )
     )
     print()
-    print("All machines: DSB 8-way, 32-byte window, 32 sets; "
-          "L1 32KB 8-way 64B lines, 64 sets.")
+    l1_kb = L1I_SETS * L1I_WAYS * L1I_LINE_BYTES // 1024
+    print(f"All machines: DSB {DSB_WAYS}-way, {WINDOW_BYTES}-byte window, "
+          f"{DSB_SETS} sets; L1 {l1_kb}KB {L1I_WAYS}-way {L1I_LINE_BYTES}B "
+          f"lines, {L1I_SETS} sets.")
     return ALL_SPECS
 
 

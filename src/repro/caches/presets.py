@@ -10,10 +10,17 @@ from repro.caches.sa_cache import SetAssociativeCache
 
 __all__ = ["l1i_cache", "l1d_cache", "l2_cache", "llc_cache"]
 
+#: L1I geometry (SDM): 64 sets x 8 ways x 64 B lines.
+L1I_SETS = 64
+L1I_WAYS = 8
+L1I_LINE_BYTES = 64
+
 
 def l1i_cache() -> SetAssociativeCache:
     """L1 instruction cache: 32 KB, 8-way, 64 B lines (Table I)."""
-    return SetAssociativeCache(sets=64, ways=8, line_bytes=64, name="L1I")
+    return SetAssociativeCache(
+        sets=L1I_SETS, ways=L1I_WAYS, line_bytes=L1I_LINE_BYTES, name="L1I"
+    )
 
 
 def l1d_cache() -> SetAssociativeCache:

@@ -21,18 +21,17 @@ from __future__ import annotations
 
 from repro.channels.base import ChannelConfig, MtChannel, NonMtChannel
 from repro.errors import ChannelError
-from repro.isa.blocks import MixBlock
+from repro.isa.blocks import DSB_WAYS, MixBlock
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
 __all__ = ["MtEvictionChannel", "NonMtEvictionChannel"]
 
 
-def _check_d(machine: Machine, config: ChannelConfig) -> None:
-    ways = machine.spec.dsb_ways
-    if not 1 <= config.d <= ways:
+def _check_d(config: ChannelConfig) -> None:
+    if not 1 <= config.d <= DSB_WAYS:
         raise ChannelError(
-            f"d must be in 1..{ways} for eviction channels, got {config.d}"
+            f"d must be in 1..{DSB_WAYS} for eviction channels, got {config.d}"
         )
 
 
@@ -50,18 +49,17 @@ class NonMtEvictionChannel(NonMtChannel):
         self.variant = variant
         self.name = f"non-mt-{variant}-eviction"
         super().__init__(machine, config)
-        _check_d(machine, self.config)
-        ways = machine.spec.dsb_ways
+        _check_d(self.config)
         layout = machine.layout()
         d = self.config.d
         # Blocks 0..N map to the target set: the receiver's d plus the
         # sender's N+1-d overflow the set's N ways exactly by one.
-        all_blocks = layout.chain(self.config.target_set, ways + 1, label="evict.x")
+        all_blocks = layout.chain(self.config.target_set, DSB_WAYS + 1, label="evict.x")
         self._probe_blocks: list[MixBlock] = all_blocks[:d]
         self._encode_blocks: list[MixBlock] = all_blocks[d:]
         self._decoy_blocks: list[MixBlock] = layout.chain(
             self.config.decoy_set,
-            ways + 1 - d,
+            DSB_WAYS + 1 - d,
             first_slot=d,
             label="evict.y",
         )
@@ -90,11 +88,9 @@ class MtEvictionChannel(MtChannel):
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
         super().__init__(machine, config)
-        _check_d(machine, self.config)
+        _check_d(self.config)
         layout = machine.layout()
         cfg = self.config
-        all_blocks = layout.chain(
-            cfg.target_set, machine.spec.dsb_ways + 1, label="mt-evict.x"
-        )
+        all_blocks = layout.chain(cfg.target_set, DSB_WAYS + 1, label="mt-evict.x")
         self._receiver = LoopProgram(all_blocks[: cfg.d], cfg.p, "mt-evict.recv")
         self._sender = LoopProgram(all_blocks[cfg.d :], cfg.q, "mt-evict.send")

@@ -21,22 +21,21 @@ from __future__ import annotations
 from repro.channels.base import ChannelConfig, MtChannel, NonMtChannel
 from repro.channels.eviction import MtEvictionChannel
 from repro.errors import ChannelError
-from repro.isa.blocks import MixBlock
+from repro.isa.blocks import DSB_WAYS, MixBlock
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
 __all__ = ["MtMisalignmentChannel", "NonMtMisalignmentChannel"]
 
 
-def _check_misalign_params(machine: Machine, config: ChannelConfig) -> None:
-    ways = machine.spec.dsb_ways
+def _check_misalign_params(config: ChannelConfig) -> None:
     if not 1 <= config.d < config.M:
         raise ChannelError(
             f"misalignment channels need 1 <= d < M (got d={config.d}, M={config.M})"
         )
-    if config.M > ways:
+    if config.M > DSB_WAYS:
         raise ChannelError(
-            f"misalignment channels need M <= N={ways} so no evictions occur "
+            f"misalignment channels need M <= N={DSB_WAYS} so no evictions occur "
             f"(got M={config.M})"
         )
 
@@ -58,7 +57,7 @@ class NonMtMisalignmentChannel(NonMtChannel):
         self.variant = variant
         self.name = f"non-mt-{variant}-misalignment"
         super().__init__(machine, config)
-        _check_misalign_params(machine, self.config)
+        _check_misalign_params(self.config)
         layout = machine.layout()
         d, M = self.config.d, self.config.M
         target = self.config.target_set
@@ -92,7 +91,7 @@ class MtMisalignmentChannel(MtChannel):
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
         super().__init__(machine, config)
-        _check_misalign_params(machine, self.config)
+        _check_misalign_params(self.config)
         layout = machine.layout()
         cfg = self.config
         self._receiver = LoopProgram(

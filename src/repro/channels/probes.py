@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import ChannelError
 from repro.frontend.paths import DeliveryPath
+from repro.isa.blocks import DSB_SETS, DSB_WAYS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
@@ -43,7 +44,7 @@ class PathProbe:
     @classmethod
     def dsb(cls, machine: Machine, iterations: int = 10, target_set: int = 3) -> "PathProbe":
         layout = machine.layout()
-        other = (target_set + 11) % machine.spec.dsb_sets
+        other = (target_set + 11) % DSB_SETS
         blocks = layout.chain(target_set, 7, label="probe.dsb.a") + layout.chain(
             other, 7, first_slot=50, label="probe.dsb.b"
         )
@@ -52,8 +53,7 @@ class PathProbe:
     @classmethod
     def mite(cls, machine: Machine, iterations: int = 10, target_set: int = 3) -> "PathProbe":
         layout = machine.layout()
-        ways = machine.spec.dsb_ways
-        blocks = layout.chain(target_set, ways + 1, label="probe.mite")
+        blocks = layout.chain(target_set, DSB_WAYS + 1, label="probe.mite")
         return cls(DeliveryPath.MITE, LoopProgram(blocks, iterations, "mite-probe"))
 
     @classmethod

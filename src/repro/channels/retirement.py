@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from repro.channels.base import BitSample, ChannelConfig, CovertChannel
 from repro.errors import ChannelError
+from repro.isa.blocks import DSB_WAYS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
@@ -57,10 +58,9 @@ class RetirementChannel(CovertChannel):
 
     def __init__(self, machine: Machine, config: ChannelConfig | None = None) -> None:
         super().__init__(machine, config)
-        ways = machine.spec.dsb_ways
-        if not 1 <= self.config.d <= ways:
+        if not 1 <= self.config.d <= DSB_WAYS:
             raise ChannelError(
-                f"d must be in 1..{ways} for the retirement channel, "
+                f"d must be in 1..{DSB_WAYS} for the retirement channel, "
                 f"got {self.config.d}"
             )
         layout = machine.layout()

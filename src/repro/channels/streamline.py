@@ -28,6 +28,7 @@ from __future__ import annotations
 from repro.analysis.outcome import leak_kbps
 from repro.channels.base import BitSample, ChannelConfig, CovertChannel
 from repro.errors import ChannelError
+from repro.isa.blocks import DSB_SETS, DSB_WAYS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
@@ -48,18 +49,15 @@ class RingBufferChannel(CovertChannel):
         region_base: int = 0x07_000000,
     ) -> None:
         super().__init__(machine, config)
-        if not 2 <= ring_sets <= machine.spec.dsb_sets:
-            raise ChannelError(
-                f"ring_sets must be in 2..{machine.spec.dsb_sets}, got {ring_sets}"
-            )
+        if not 2 <= ring_sets <= DSB_SETS:
+            raise ChannelError(f"ring_sets must be in 2..{DSB_SETS}, got {ring_sets}")
         self.ring_sets = ring_sets
         # The ring set the next single-bit slot uses.
         self._slot_cursor = 0
-        ways = machine.spec.dsb_ways
         layout = machine.layout(region_base=region_base)
         self._prime_programs = [
             LoopProgram(
-                layout.chain(s, ways, label=f"ring.prime{s}"),
+                layout.chain(s, DSB_WAYS, label=f"ring.prime{s}"),
                 2,
                 f"ring.prime{s}",
             )
@@ -67,7 +65,7 @@ class RingBufferChannel(CovertChannel):
         ]
         self._sender_programs = [
             LoopProgram(
-                layout.chain(s, 1, first_slot=ways + 2, label=f"ring.send{s}"),
+                layout.chain(s, 1, first_slot=DSB_WAYS + 2, label=f"ring.send{s}"),
                 1,
                 f"ring.send{s}",
             )

@@ -62,6 +62,7 @@ from repro.analysis.bits import alternating_bits, random_bits, string_to_bits
 from repro.channels.probes import path_timing_samples
 from repro.errors import ConfigurationError, ReproError
 from repro.frontend.backends import NAMES as BACKEND_NAMES
+from repro.frontend.lsd import LSD_CAPACITY
 from repro.frontend.paths import DeliveryPath
 from repro.machine.machine import Machine
 from repro.machine.specs import ALL_SPECS, spec_by_name
@@ -658,7 +659,7 @@ def _sweep_heading(spec: SweepSpec) -> str:
 def _cmd_machines(_args) -> int:
     print(f"{'model':14s} {'uarch':13s} {'freq':>7s} {'LSD':>9s} {'SMT':>4s} {'SGX':>4s}")
     for spec in ALL_SPECS:
-        lsd = str(spec.lsd_entries) if spec.lsd_enabled else "disabled"
+        lsd = str(LSD_CAPACITY) if spec.lsd_enabled else "disabled"
         print(
             f"{spec.name:14s} {spec.microarchitecture:13s} "
             f"{spec.frequency_ghz:>6.1f}G {lsd:>9s} "

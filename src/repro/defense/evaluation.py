@@ -26,6 +26,7 @@ from repro.channels.slow_switch import SlowSwitchChannel
 from repro.defense.mitigations import Mitigation, mitigation_from_dict
 from repro.errors import ChannelError, ConfigurationError, ReproError
 from repro.frontend.params import FrontendParams
+from repro.isa.blocks import DSB_SETS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226, MachineSpec
@@ -257,11 +258,11 @@ class DefenseEvaluator:
         """
         if not machine.spec.smt:
             return 0.0
-        half = machine.spec.dsb_sets // 2
+        half = DSB_SETS // 2
         layout = machine.layout(region_base=0xA00000)
         correct = 0
         for trial in range(trials):
-            victim_set = (trial * 5) % machine.spec.dsb_sets
+            victim_set = (trial * 5) % DSB_SETS
             victim = LoopProgram(layout.chain(victim_set, 8), 400, "victim")
             best_set, slowest = 0, -1.0
             for probe_set in range(half):

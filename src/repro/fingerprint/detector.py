@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 from repro.errors import MeasurementError
 from repro.fingerprint.patches import MicrocodePatch
+from repro.isa.blocks import DSB_SETS
 from repro.isa.program import LoopProgram
+from repro.machine import LSD_CAPACITY
 from repro.machine.machine import Machine
 
 __all__ = ["LsdFingerprint", "FingerprintReading", "FingerprintResult"]
@@ -123,7 +125,6 @@ class LsdFingerprint:
 
     def _programs(self, machine: Machine) -> tuple[LoopProgram, LoopProgram]:
         layout = machine.layout()
-        capacity = machine.params.lsd_capacity
         # Small: fits LSD and one DSB set (8 blocks x 5 uops = 40 <= 64).
         small = LoopProgram(
             layout.chain(self.target_set, 8, label="fp.small"),
@@ -131,13 +132,13 @@ class LsdFingerprint:
             "fingerprint-small",
         )
         # Large: exceeds LSD capacity but not DSB capacity (two sets).
-        other = (self.target_set + 13) % machine.spec.dsb_sets
+        other = (self.target_set + 13) % DSB_SETS
         large_blocks = layout.chain(self.target_set, 7, first_slot=20, label="fp.l1")
         large_blocks += layout.chain(other, 7, first_slot=40, label="fp.l2")
         large = LoopProgram(large_blocks, self.iterations, "fingerprint-large")
-        if small.uops_per_iteration > capacity:
+        if small.uops_per_iteration > LSD_CAPACITY:
             raise MeasurementError("small probe no longer fits the LSD")
-        if large.uops_per_iteration <= capacity:
+        if large.uops_per_iteration <= LSD_CAPACITY:
             raise MeasurementError("large probe must exceed the LSD capacity")
         return small, large
 

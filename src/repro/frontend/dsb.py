@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.frontend.params import FrontendParams
+from repro.isa.blocks import DSB_LINE_UOPS, DSB_SETS, DSB_WAYS, WINDOW_BYTES, dsb_set
 
 __all__ = ["DecodedStreamBuffer", "DsbLine", "DsbStats"]
 
@@ -95,11 +96,11 @@ class DecodedStreamBuffer:
         # One OrderedDict per physical set: key -> DsbLine, LRU order
         # (oldest first).  Capacity is counted in ways, not entries.
         self._sets: list[OrderedDict[LineKey, DsbLine]] = [
-            OrderedDict() for _ in range(self.params.dsb_sets)
+            OrderedDict() for _ in range(DSB_SETS)
         ]
         # Running ways-in-use per set: every mutation of ``_sets`` keeps
         # ``_ways[i] == sum(line.ways for line in _sets[i].values())``.
-        self._ways: list[int] = [0] * self.params.dsb_sets
+        self._ways: list[int] = [0] * DSB_SETS
         self.stats = DsbStats()
 
     # ------------------------------------------------------------------
@@ -114,22 +115,22 @@ class DecodedStreamBuffer:
         index lands in its own exclusive half, so the threads can never
         compete for ways.
         """
-        if window_addr % self.params.window_bytes:
+        if window_addr % WINDOW_BYTES:
             raise ConfigurationError(
                 f"address {window_addr:#x} is not window-aligned"
             )
-        index = (window_addr // self.params.window_bytes) % self.params.dsb_sets
+        index = dsb_set(window_addr)
         if smt_active and self.params.smt_partitioning:
-            index %= self.params.dsb_sets // 2
+            index %= DSB_SETS // 2
             if self.params.smt_isolation:
-                index += (thread % 2) * (self.params.dsb_sets // 2)
+                index += (thread % 2) * (DSB_SETS // 2)
         return index
 
     def ways_for_uops(self, uops: int) -> int:
         """Ways needed to cache a window of ``uops`` uops (0 = uncacheable)."""
         if uops <= 0:
             raise ConfigurationError(f"window uop count must be positive, got {uops}")
-        ways = -(-uops // self.params.dsb_line_uops)  # ceil division
+        ways = -(-uops // DSB_LINE_UOPS)  # ceil division
         return ways if ways <= MAX_WAYS_PER_WINDOW else 0
 
     # ------------------------------------------------------------------
@@ -184,8 +185,7 @@ class DecodedStreamBuffer:
             return []
         evicted: list[LineKey] = []
         used = self._ways
-        capacity = self.params.dsb_ways
-        while used[index] + ways > capacity:
+        while used[index] + ways > DSB_WAYS:
             victim_key = next(iter(entry_set))  # LRU: the oldest entry
             used[index] -= entry_set.pop(victim_key).ways
             evicted.append(victim_key)

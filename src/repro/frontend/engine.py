@@ -52,7 +52,6 @@ from operator import attrgetter, ge
 from typing import Callable, Iterable, NamedTuple
 
 from repro.caches.presets import l1i_cache
-from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import ExecutionError
 from repro.obs import get_registry
 from repro.frontend.dsb import DecodedStreamBuffer, DsbLine, LineKey
@@ -60,7 +59,7 @@ from repro.frontend.lsd import LoopStreamDetector
 from repro.frontend.mite import MiteDecoder
 from repro.frontend.params import EnergyParams, FrontendParams
 from repro.frontend.paths import DeliveryPath
-from repro.isa.blocks import MixBlock
+from repro.isa.blocks import WINDOW_BYTES, MixBlock
 from repro.isa.instructions import Instruction
 from repro.isa.program import LoopProgram
 
@@ -350,9 +349,6 @@ class FrontendEngine:
     lsd_enabled:
         Whether the LSD exists/is enabled (microcode patch 2 and two of
         the Table I machines have it disabled).
-    l1i:
-        The L1 instruction cache MITE fetches go through; a new Table I
-        L1I (:func:`~repro.caches.presets.l1i_cache`) when omitted.
     """
 
     #: Iterations simulated before a repeated state counts as a cycle.
@@ -373,7 +369,6 @@ class FrontendEngine:
         energy: EnergyParams | None = None,
         n_threads: int = 2,
         lsd_enabled: bool = True,
-        l1i: "SetAssociativeCache | None" = None,
     ) -> None:
         if n_threads not in (1, 2):
             raise ExecutionError(f"cores have 1 or 2 hardware threads, got {n_threads}")
@@ -383,7 +378,7 @@ class FrontendEngine:
         #: L1 instruction cache; only MITE fetches touch it (DSB/LSD hits
         #: bypass the L1I entirely, which is why the frontend channels are
         #: invisible to instruction-cache monitors, Section III-B).
-        self.l1i = l1i or l1i_cache()
+        self.l1i = l1i_cache()
         self.dsb = DecodedStreamBuffer(self.params)
         self.mite = MiteDecoder(self.params)
         self.lsds = {
@@ -444,12 +439,11 @@ class FrontendEngine:
 
     def _split_windows(self, body: tuple[MixBlock, ...]) -> tuple[WindowAccess, ...]:
         accesses: list[WindowAccess] = []
-        wb = self.params.window_bytes
         for block in body:
             groups: dict[int, list[Instruction]] = {}
             order: list[int] = []
             for addr, instruction in block.instruction_addresses():
-                window = addr - (addr % wb)
+                window = addr - (addr % WINDOW_BYTES)
                 if window not in groups:
                     groups[window] = []
                     order.append(window)
@@ -544,13 +538,8 @@ class FrontendEngine:
         """
         if not smt_active:
             return
-        half_sets = self.params.dsb_sets // 2
         for other, lsd in self.lsds.items():
-            if other == thread:
-                continue
-            if lsd.on_misaligned_set_touch(
-                window_addr, self.params.window_bytes, half_sets
-            ):
+            if other != thread and lsd.on_misaligned_set_touch(window_addr):
                 self._pending_penalty[other] += self.params.lsd_flush_penalty
                 self._pending_flushes[other] += 1
 

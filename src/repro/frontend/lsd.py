@@ -38,9 +38,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.frontend.params import FrontendParams
+from repro.isa.blocks import DSB_SETS, DSB_WAYS, dsb_set
 from repro.isa.program import LoopProgram
 
-__all__ = ["LsdState", "LoopStreamDetector", "misalignment_collides"]
+__all__ = ["LsdState", "LoopStreamDetector", "misalignment_collides", "LSD_CAPACITY"]
+
+#: Maximum uops the LSD can stream (Section III-C, Table I).
+LSD_CAPACITY = 64
 
 #: Identity of a loop body: the tuple of its blocks' base addresses.
 LoopKey = tuple[int, ...]
@@ -55,18 +59,12 @@ def misalignment_collides(program: LoopProgram, params: FrontendParams) -> bool:
     """Apply the reverse-engineered LSD misalignment-collision rule."""
     aligned: Counter[int] = Counter()
     misaligned: Counter[int] = Counter()
-    period = params.dsb_sets * params.window_bytes
     for block in program.body:
-        first_window = block.windows[0]
-        dsb_set = (first_window % period) // params.window_bytes
-        if block.spans_windows:
-            misaligned[dsb_set] += 1
-        else:
-            aligned[dsb_set] += 1
-    for dsb_set, m in misaligned.items():
+        (misaligned if block.spans_windows else aligned)[dsb_set(block.windows[0])] += 1
+    for index, m in misaligned.items():
         if m >= params.lsd_misalign_limit:
             return True
-        if m >= 1 and aligned[dsb_set] + 2 * m > params.dsb_ways:
+        if m >= 1 and aligned[index] + 2 * m > DSB_WAYS:
             return True
     return False
 
@@ -97,7 +95,7 @@ class LoopStreamDetector:
         """Can this body ever stream from the LSD?"""
         return (
             self.enabled
-            and program.uops_per_iteration <= self.params.lsd_capacity
+            and program.uops_per_iteration <= LSD_CAPACITY
             and not program.lcp_instructions_per_iteration
             and not misalignment_collides(program, self.params)
         )
@@ -139,9 +137,7 @@ class LoopStreamDetector:
             self.stats.captures += 1
             self._loop_windows = frozenset(program.windows)
 
-    def on_misaligned_set_touch(
-        self, window_addr: int, window_bytes: int, half_sets: int
-    ) -> bool:
+    def on_misaligned_set_touch(self, window_addr: int) -> bool:
         """Flush if a sibling thread's misaligned access collides with us.
 
         ``window_addr`` is the window a *different* hardware thread just
@@ -151,9 +147,10 @@ class LoopStreamDetector:
         """
         if self.state is not LsdState.STREAMING:
             return False
-        touched = (window_addr // window_bytes) % half_sets
+        half = DSB_SETS // 2
+        touched = dsb_set(window_addr) % half
         for window in self._loop_windows:
-            if (window // window_bytes) % half_sets == touched:
+            if dsb_set(window) % half == touched:
                 self.flush()
                 return True
         return False

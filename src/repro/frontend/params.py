@@ -1,9 +1,12 @@
 """Frontend geometry, latency, and energy parameters.
 
-All structural constants come from the paper (Table I and Section III)
-and the Intel SDM it cites.  The latency/energy coefficients are the
-*calibrated* part of the reproduction: they are chosen so that the
-simulator reproduces the orderings the paper measures —
+The structural constants (Table I, Section III and the Intel SDM) live
+beside the structures they size: the DSB and window geometry in
+:mod:`repro.isa.blocks`, the LSD capacity in :mod:`repro.frontend.lsd`
+and the L1I geometry in :mod:`repro.caches.presets`.  The
+latency/energy coefficients here are the *calibrated* part of the
+reproduction: they are chosen so that the simulator reproduces the
+orderings the paper measures —
 
 * per-iteration latency:  ``DSB < LSD < MITE+DSB`` for the short
   chained-block loops the channels use (Figure 4; the misalignment
@@ -33,10 +36,6 @@ class FrontendParams:
 
     Structural parameters (paper / Intel SDM):
 
-    dsb_sets, dsb_ways, dsb_line_uops, window_bytes:
-        DSB geometry: 32 sets x 8 ways, 6 uops per 32-byte window.
-    lsd_capacity:
-        Maximum uops the LSD can stream (64).
     lsd_detect_iterations:
         Consecutive all-DSB loop iterations before the LSD locks on.
     lsd_misalign_limit:
@@ -84,11 +83,6 @@ class FrontendParams:
     """
 
     # --- structure (paper values) -------------------------------------
-    dsb_sets: int = 32
-    dsb_ways: int = 8
-    dsb_line_uops: int = 6
-    window_bytes: int = 32
-    lsd_capacity: int = 64
     lsd_detect_iterations: int = 2
     lsd_misalign_limit: int = 4
     issue_width: int = 4
@@ -135,16 +129,6 @@ class FrontendParams:
     mite_fill_streak_limit: int = 12
 
     def __post_init__(self) -> None:
-        if self.dsb_sets < 2 or self.dsb_sets & (self.dsb_sets - 1):
-            raise ConfigurationError(
-                f"dsb_sets must be a power of two >= 2, got {self.dsb_sets}"
-            )
-        if self.dsb_ways < 1:
-            raise ConfigurationError(f"dsb_ways must be >= 1, got {self.dsb_ways}")
-        if self.lsd_capacity < 1:
-            raise ConfigurationError(
-                f"lsd_capacity must be >= 1, got {self.lsd_capacity}"
-            )
         if self.issue_width < 1:
             raise ConfigurationError(
                 f"issue_width must be >= 1, got {self.issue_width}"

@@ -33,13 +33,22 @@ from repro.isa.instructions import (
     mov_imm32,
 )
 
-__all__ = ["MixBlock", "standard_mix_block", "lcp_block", "filler_block"]
+__all__ = ["MixBlock", "standard_mix_block", "lcp_block", "filler_block", "dsb_set"]
 
 #: Bytes per DSB instruction window (and per DSB line).
 WINDOW_BYTES = 32
 
 #: Maximum uops a single DSB line can hold.
 DSB_LINE_UOPS = 6
+
+#: DSB sets and ways (Section III-B); every Table I machine has them.
+DSB_SETS = 32
+DSB_WAYS = 8
+
+
+def dsb_set(addr: int) -> int:
+    """Single-thread DSB set index of ``addr`` (``addr[9:5]``)."""
+    return (addr // WINDOW_BYTES) % DSB_SETS
 
 
 @dataclass(frozen=True)

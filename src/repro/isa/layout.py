@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import LayoutError
-from repro.isa.blocks import WINDOW_BYTES, MixBlock, standard_mix_block
+from repro.isa.blocks import DSB_SETS, WINDOW_BYTES, MixBlock, standard_mix_block
 
 __all__ = ["BlockChainLayout", "WINDOW_BYTES", "MISALIGN_OFFSET"]
 
@@ -35,23 +35,18 @@ class BlockChainLayout:
 
     Parameters
     ----------
-    dsb_sets:
-        Number of DSB sets on the target machine (32 on all Table I CPUs).
     region_base:
         Virtual base address of the code region blocks are placed in.
-        Must be aligned to one full DSB period (``dsb_sets * 32`` bytes).
+        Must be aligned to one full DSB period (``DSB_SETS * WINDOW_BYTES``).
     block_factory:
         Callable ``(base, label) -> MixBlock`` used for each chain entry.
         Defaults to the canonical 4-mov+1-jmp block.
     """
 
-    dsb_sets: int = 32
     region_base: int = 0x400000
     block_factory: Callable[[int, str], MixBlock] = field(default=standard_mix_block)
 
     def __post_init__(self) -> None:
-        if self.dsb_sets < 1 or self.dsb_sets & (self.dsb_sets - 1):
-            raise LayoutError(f"dsb_sets must be a power of two, got {self.dsb_sets}")
         if self.region_base % self.period:
             raise LayoutError(
                 f"region_base {self.region_base:#x} not aligned to DSB period "
@@ -61,11 +56,7 @@ class BlockChainLayout:
     @property
     def period(self) -> int:
         """Address stride that repeats the DSB set mapping."""
-        return self.dsb_sets * WINDOW_BYTES
-
-    def set_index(self, addr: int) -> int:
-        """DSB set index of ``addr`` in single-thread mode (``addr[9:5]``)."""
-        return (addr // WINDOW_BYTES) % self.dsb_sets
+        return DSB_SETS * WINDOW_BYTES
 
     def block_address(self, dsb_set: int, way_slot: int, misaligned: bool = False) -> int:
         """Address of the ``way_slot``-th block mapping to ``dsb_set``.
@@ -74,8 +65,8 @@ class BlockChainLayout:
         block lands in the same set but a different L1I set.  Misaligned
         placement shifts the block by half a window.
         """
-        if not 0 <= dsb_set < self.dsb_sets:
-            raise LayoutError(f"dsb_set must be in 0..{self.dsb_sets - 1}, got {dsb_set}")
+        if not 0 <= dsb_set < DSB_SETS:
+            raise LayoutError(f"dsb_set must be in 0..{DSB_SETS - 1}, got {dsb_set}")
         if way_slot < 0:
             raise LayoutError(f"way_slot must be >= 0, got {way_slot}")
         addr = self.region_base + way_slot * self.period + dsb_set * WINDOW_BYTES
@@ -152,5 +143,5 @@ class BlockChainLayout:
         """One chain per DSB set value 0..31 (the Figure 2 sweep workload)."""
         return [
             self.chain(dsb_set, count_per_set, label=f"{label}.set{dsb_set}")
-            for dsb_set in range(self.dsb_sets)
+            for dsb_set in range(DSB_SETS)
         ]

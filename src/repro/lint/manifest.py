@@ -5,8 +5,9 @@ Frontends, HPCA 2022) and the Intel SDM sections it cites: the DSB is
 32 sets x 8 ways with at most 6 uops per 32-byte window, the LSD
 streams up to 64 uops, MITE fetches 16 bytes per cycle with LCP
 predecode stalls of up to 3 cycles, and Table I fixes the four tested
-machines.  Those numbers appear in code (``frontend/params.py``,
-``frontend/mite.py``, ``machine/specs.py``) *and* in prose
+machines.  Those numbers appear in code (``isa/blocks.py``,
+``frontend/lsd.py``, ``frontend/params.py``, ``frontend/mite.py``,
+``caches/presets.py``, ``machine/specs.py``) *and* in prose
 (``docs/model.md``, ``README.md``), so a constant edited in one place
 silently forks the model from its documentation — and, worse, from the
 cached sweep results keyed on the old behaviour.
@@ -57,6 +58,9 @@ class DocSpec:
     citation: str
 
 
+_BLOCKS = "src/repro/isa/blocks.py"
+_LSD = "src/repro/frontend/lsd.py"
+_L1I = "src/repro/caches/presets.py"
 _PARAMS = "src/repro/frontend/params.py"
 _MITE = "src/repro/frontend/mite.py"
 _SPECS = "src/repro/machine/specs.py"
@@ -67,16 +71,16 @@ _SGX = "src/repro/sgx/attacks.py"
 
 CONSTANTS: tuple[ConstantSpec, ...] = (
     # ---- DSB geometry (SDM via paper Section III-B) -------------------
-    ConstantSpec("dsb.sets", _PARAMS, "FrontendParams.dsb_sets", 32,
+    ConstantSpec("dsb.sets", _BLOCKS, "DSB_SETS", 32,
                  "paper Sec. III-B / SDM: DSB has 32 sets"),
-    ConstantSpec("dsb.ways", _PARAMS, "FrontendParams.dsb_ways", 8,
+    ConstantSpec("dsb.ways", _BLOCKS, "DSB_WAYS", 8,
                  "paper Sec. III-B / SDM: DSB has 8 ways"),
-    ConstantSpec("dsb.line_uops", _PARAMS, "FrontendParams.dsb_line_uops", 6,
+    ConstantSpec("dsb.line_uops", _BLOCKS, "DSB_LINE_UOPS", 6,
                  "paper Sec. III-B / SDM: <= 6 uops per DSB line"),
-    ConstantSpec("dsb.window_bytes", _PARAMS, "FrontendParams.window_bytes", 32,
+    ConstantSpec("dsb.window_bytes", _BLOCKS, "WINDOW_BYTES", 32,
                  "paper Sec. III-B: 32-byte instruction windows"),
     # ---- LSD ----------------------------------------------------------
-    ConstantSpec("lsd.capacity_uops", _PARAMS, "FrontendParams.lsd_capacity", 64,
+    ConstantSpec("lsd.capacity_uops", _LSD, "LSD_CAPACITY", 64,
                  "paper Sec. III-C / Table I: 64-uop LSD"),
     # ---- MITE ---------------------------------------------------------
     ConstantSpec("mite.fetch_bytes_per_cycle", _MITE, "FETCH_BYTES_PER_CYCLE", 16,
@@ -148,16 +152,10 @@ CONSTANTS: tuple[ConstantSpec, ...] = (
                  "calibrated: energy per LCP predecode stall cycle"),
     ConstantSpec("energy.switch", _PARAMS, "EnergyParams.switch_energy", 3.0,
                  "calibrated: energy per DSB<->MITE transition"),
-    # ---- shared frontend geometry defaults on MachineSpec -------------
-    ConstantSpec("spec.dsb_sets", _SPECS, "MachineSpec.dsb_sets", 32,
-                 "Table I machines share DSB geometry"),
-    ConstantSpec("spec.dsb_ways", _SPECS, "MachineSpec.dsb_ways", 8,
-                 "Table I machines share DSB geometry"),
-    ConstantSpec("spec.l1i_sets", _SPECS, "MachineSpec.l1i_sets", 64,
-                 "SDM: L1I is 64 sets"),
-    ConstantSpec("spec.l1i_ways", _SPECS, "MachineSpec.l1i_ways", 8,
-                 "SDM: L1I is 8 ways"),
-    ConstantSpec("spec.l1i_line_bytes", _SPECS, "MachineSpec.l1i_line_bytes", 64,
+    # ---- L1I geometry -------------------------------------------------
+    ConstantSpec("l1i.sets", _L1I, "L1I_SETS", 64, "SDM: L1I is 64 sets"),
+    ConstantSpec("l1i.ways", _L1I, "L1I_WAYS", 8, "SDM: L1I is 8 ways"),
+    ConstantSpec("l1i.line_bytes", _L1I, "L1I_LINE_BYTES", 64,
                  "SDM: 64-byte cache lines"),
     # ---- Table I machines ---------------------------------------------
     ConstantSpec("gold6226.frequency_ghz", _SPECS, "GOLD_6226.frequency_ghz", 2.7,
@@ -166,19 +164,19 @@ CONSTANTS: tuple[ConstantSpec, ...] = (
                  "Table I: Gold 6226 has 12 cores"),
     ConstantSpec("gold6226.threads", _SPECS, "GOLD_6226.threads", 24,
                  "Table I: Gold 6226 has 24 threads"),
-    ConstantSpec("gold6226.lsd_entries", _SPECS, "GOLD_6226.lsd_entries", 64,
+    ConstantSpec("gold6226.lsd_enabled", _SPECS, "GOLD_6226.lsd_enabled", True,
                  "Table I: Gold 6226 LSD enabled, 64 entries"),
     ConstantSpec("e2174g.frequency_ghz", _SPECS, "XEON_E2174G.frequency_ghz", 3.8,
                  "Table I: E-2174G @ 3.8 GHz"),
     ConstantSpec("e2174g.cores", _SPECS, "XEON_E2174G.cores", 4,
                  "Table I: E-2174G has 4 cores"),
-    ConstantSpec("e2174g.lsd_entries", _SPECS, "XEON_E2174G.lsd_entries", 0,
+    ConstantSpec("e2174g.lsd_enabled", _SPECS, "XEON_E2174G.lsd_enabled", False,
                  "Table I: E-2174G LSD disabled by microcode"),
     ConstantSpec("e2286g.frequency_ghz", _SPECS, "XEON_E2286G.frequency_ghz", 4.0,
                  "Table I: E-2286G @ 4.0 GHz"),
     ConstantSpec("e2286g.cores", _SPECS, "XEON_E2286G.cores", 6,
                  "Table I: E-2286G has 6 cores"),
-    ConstantSpec("e2286g.lsd_entries", _SPECS, "XEON_E2286G.lsd_entries", 0,
+    ConstantSpec("e2286g.lsd_enabled", _SPECS, "XEON_E2286G.lsd_enabled", False,
                  "Table I: E-2286G LSD disabled by microcode"),
     ConstantSpec("e2288g.frequency_ghz", _SPECS, "XEON_E2288G.frequency_ghz", 3.7,
                  "Table I: E-2288G @ 3.7 GHz"),
@@ -186,7 +184,7 @@ CONSTANTS: tuple[ConstantSpec, ...] = (
                  "Table I: E-2288G has 8 cores"),
     ConstantSpec("e2288g.threads", _SPECS, "XEON_E2288G.threads", 8,
                  "Table I: Azure E-2288G has hyper-threading disabled"),
-    ConstantSpec("e2288g.lsd_entries", _SPECS, "XEON_E2288G.lsd_entries", 64,
+    ConstantSpec("e2288g.lsd_enabled", _SPECS, "XEON_E2288G.lsd_enabled", True,
                  "Table I: E-2288G LSD enabled, 64 entries"),
     ConstantSpec("e2288g.smt", _SPECS, "XEON_E2288G.smt", False,
                  "Table I: Azure E-2288G has hyper-threading disabled"),

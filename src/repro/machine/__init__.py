@@ -10,6 +10,7 @@ RAPL interface, perf counters).
 
 from repro.machine.specs import MachineSpec, GOLD_6226, XEON_E2174G, XEON_E2286G, XEON_E2288G, ALL_SPECS, spec_by_name
 from repro.frontend.engine import SmtRunResult
+from repro.frontend.lsd import LSD_CAPACITY
 from repro.machine.machine import Machine
 from repro.machine.trace import LoopTrace, render_trace, trace_loop
 
@@ -22,6 +23,7 @@ __all__ = [
     "ALL_SPECS",
     "spec_by_name",
     "SmtRunResult",
+    "LSD_CAPACITY",
     "Machine",
     "LoopTrace",
     "trace_loop",

@@ -5,14 +5,13 @@ frontend engine (shared DSB and MITE, one LSD per hardware thread) and
 the L1I — and all the measurement facilities an attacker (or
 experimenter) uses: the ``rdtscp`` timer (non-MT and SMT noise
 profiles), the RAPL energy interface, perf counters, and a layout
-helper pre-configured for the machine's DSB geometry.  This is the
+helper for DSB-set-targeted block chains.  This is the
 object every channel, SGX attack, Spectre variant and fingerprinting
 probe runs against.
 """
 
 from __future__ import annotations
 
-from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import ConfigurationError
 from repro.frontend.engine import FrontendEngine, LoopReport, SmtRunResult
 from repro.frontend.params import EnergyParams, FrontendParams
@@ -42,26 +41,15 @@ class Machine:
     ) -> None:
         self.spec = spec
         self.rngs = RngFactory(seed)
-        base = params or FrontendParams()
-        self.params = base.with_overrides(
-            dsb_sets=spec.dsb_sets,
-            dsb_ways=spec.dsb_ways,
-            lsd_capacity=spec.lsd_entries if spec.lsd_enabled else base.lsd_capacity,
-        )
+        self.params = params or FrontendParams()
         self.energy = energy or EnergyParams()
-        self.l1i = SetAssociativeCache(
-            sets=spec.l1i_sets,
-            ways=spec.l1i_ways,
-            line_bytes=spec.l1i_line_bytes,
-            name="L1I",
-        )
         self.engine = FrontendEngine(
             params=self.params,
             energy=self.energy,
             n_threads=spec.threads_per_core,
             lsd_enabled=spec.lsd_enabled,
-            l1i=self.l1i,
         )
+        self.l1i = self.engine.l1i
         self.timer = CycleTimer(
             self.rngs.stream("timer"), timing_noise or NONMT_PROFILE
         )
@@ -119,8 +107,8 @@ class Machine:
     # helpers
     # ------------------------------------------------------------------
     def layout(self, region_base: int = 0x400000) -> BlockChainLayout:
-        """Chain layout helper matching this machine's DSB geometry."""
-        return BlockChainLayout(dsb_sets=self.spec.dsb_sets, region_base=region_base)
+        """Chain layout helper for blocks placed from ``region_base``."""
+        return BlockChainLayout(region_base=region_base)
 
     def _check_thread(self, thread: int, smt_active: bool) -> None:
         threads = self.spec.threads_per_core

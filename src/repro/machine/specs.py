@@ -45,13 +45,15 @@ class MachineSpec:
     frequency_ghz:
         Nominal core clock used to convert simulated cycles to seconds
         (and therefore channel bit rates to Kbps).
-    lsd_entries:
-        LSD capacity in uops; 0 means the LSD is disabled/absent.
+    lsd_enabled:
+        Whether the LSD is present (microcode disables it on two machines).
     smt / sgx / rapl:
         Feature availability (hyper-threading, SGX enclaves, user-level
         RAPL energy reads).
-    dsb_sets / dsb_ways / l1i_* :
-        Frontend and L1I geometry (identical across Table I machines).
+
+    The DSB, LSD and L1I geometry is the same on every Table I machine,
+    so it lives with those structures (:mod:`repro.isa.blocks`,
+    :mod:`repro.frontend.lsd`, :mod:`repro.caches.presets`), not here.
     """
 
     name: str
@@ -59,15 +61,10 @@ class MachineSpec:
     cores: int
     threads: int
     frequency_ghz: float
-    lsd_entries: int
+    lsd_enabled: bool
     smt: bool
     sgx: bool
     rapl: bool = True
-    dsb_sets: int = 32
-    dsb_ways: int = 8
-    l1i_sets: int = 64
-    l1i_ways: int = 8
-    l1i_line_bytes: int = 64
 
     def __post_init__(self) -> None:
         if self.cores < 1 or self.threads < self.cores:
@@ -77,16 +74,10 @@ class MachineSpec:
             )
         if self.frequency_ghz <= 0:
             raise ConfigurationError(f"{self.name}: frequency must be positive")
-        if self.lsd_entries < 0:
-            raise ConfigurationError(f"{self.name}: lsd_entries must be >= 0")
         if self.smt and self.threads < 2 * self.cores:
             raise ConfigurationError(
                 f"{self.name}: SMT machines expose 2 threads per core"
             )
-
-    @property
-    def lsd_enabled(self) -> bool:
-        return self.lsd_entries > 0
 
     @property
     def threads_per_core(self) -> int:
@@ -101,7 +92,7 @@ class MachineSpec:
 
     def with_lsd(self, enabled: bool) -> "MachineSpec":
         """Copy of this spec with the LSD toggled (microcode patching)."""
-        return replace(self, lsd_entries=64 if enabled else 0)
+        return replace(self, lsd_enabled=enabled)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -113,7 +104,7 @@ GOLD_6226 = MachineSpec(
     cores=12,
     threads=24,
     frequency_ghz=2.7,
-    lsd_entries=64,
+    lsd_enabled=True,
     smt=True,
     sgx=False,
 )
@@ -124,7 +115,7 @@ XEON_E2174G = MachineSpec(
     cores=4,
     threads=8,
     frequency_ghz=3.8,
-    lsd_entries=0,  # LSD disabled by microcode on this machine
+    lsd_enabled=False,  # LSD disabled by microcode on this machine
     smt=True,
     sgx=True,
 )
@@ -135,7 +126,7 @@ XEON_E2286G = MachineSpec(
     cores=6,
     threads=12,
     frequency_ghz=4.0,
-    lsd_entries=0,  # LSD disabled by microcode on this machine
+    lsd_enabled=False,  # LSD disabled by microcode on this machine
     smt=True,
     sgx=True,
 )
@@ -146,7 +137,7 @@ XEON_E2288G = MachineSpec(
     cores=8,
     threads=8,  # Azure variant: hyper-threading disabled
     frequency_ghz=3.7,
-    lsd_entries=64,
+    lsd_enabled=True,
     smt=False,
     sgx=True,
 )

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.analysis.threshold import calibrate_threshold
 from repro.errors import ConfigurationError
+from repro.isa.blocks import DSB_WAYS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.sidechannel.victim import SquareAndMultiplyVictim
@@ -67,10 +68,8 @@ class DsbFootprintAttack:
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("attempts must be >= 1")
-        if not 1 <= prime_ways <= machine.spec.dsb_ways:
-            raise ConfigurationError(
-                f"prime_ways must be in 1..{machine.spec.dsb_ways}"
-            )
+        if not 1 <= prime_ways <= DSB_WAYS:
+            raise ConfigurationError(f"prime_ways must be in 1..{DSB_WAYS}")
         self.machine = machine
         self.victim = victim
         self.attempts = attempts

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.caches.hierarchy import MemoryHierarchy
-from repro.caches.sa_cache import SetAssociativeCache
+from repro.caches.presets import l1i_cache
 from repro.errors import SpectreError
+from repro.isa.blocks import DSB_WAYS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 
@@ -83,7 +84,7 @@ class SpectreChannel(abc.ABC):
         self.machine = machine
         self._rng = machine.rngs.stream(f"spectre/{seed_name or self.name}")
         self.hierarchy = MemoryHierarchy()
-        self.l1i = SetAssociativeCache(sets=64, ways=8, line_bytes=64, name="L1I")
+        self.l1i = l1i_cache()
         self._data_base = 0x10_0000
         self._code_base = 0x40_0000
         self._probe_base = 0x80_0000
@@ -386,7 +387,7 @@ class FrontendDsbChannel(SpectreChannel):
 
     #: Ways the attacker occupies per DSB set (leaves no spare way, so a
     #: transient touch must evict).
-    PRIME_WAYS = 8
+    PRIME_WAYS = DSB_WAYS
 
     def __init__(self, machine: Machine, seed_name: str = "") -> None:
         super().__init__(machine, seed_name)

@@ -31,7 +31,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.isa.blocks import MixBlock, lcp_block, standard_mix_block
+from repro.isa.blocks import DSB_SETS, MixBlock, lcp_block, standard_mix_block
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
 from repro.wire import Wire
@@ -48,8 +48,6 @@ __all__ = [
 
 #: Block shapes the grammar knows.
 SEGMENT_KINDS = ("std", "lcp")
-#: DSB set count on every Table I CPU (addr[9:5] indexing).
-DSB_SETS = 32
 #: Upper bound on probe/encode segment list length.
 MAX_SEGMENTS = 4
 #: Upper bound on blocks per segment (the DSB has 8 ways; a chain a bit

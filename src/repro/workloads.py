@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.isa.blocks import MixBlock, lcp_block, standard_mix_block
+from repro.isa.blocks import DSB_SETS, MixBlock, lcp_block, standard_mix_block
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
 
@@ -50,19 +50,18 @@ class WorkloadLibrary:
     def __init__(
         self,
         rng: np.random.Generator,
-        dsb_sets: int = 32,
         region_base: int = 0x02_000000,
         iterations: int = 5_000,
     ) -> None:
         if iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
         self._rng = rng
-        self._layout = BlockChainLayout(dsb_sets=dsb_sets, region_base=region_base)
+        self._layout = BlockChainLayout(region_base=region_base)
         self.iterations = iterations
 
     # ------------------------------------------------------------------
     def hot_kernel(self) -> WorkloadSpec:
-        dsb_set = int(self._rng.integers(0, self._layout.dsb_sets))
+        dsb_set = int(self._rng.integers(0, DSB_SETS))
         blocks = self._layout.chain(dsb_set, 6, label="wl.hot")
         return WorkloadSpec(
             "hot_kernel",
@@ -71,7 +70,7 @@ class WorkloadLibrary:
         )
 
     def medium_loop(self) -> WorkloadSpec:
-        sets = self._rng.choice(self._layout.dsb_sets, size=4, replace=False)
+        sets = self._rng.choice(DSB_SETS, size=4, replace=False)
         blocks: list[MixBlock] = []
         for slot, dsb_set in enumerate(sets):
             blocks.extend(
@@ -128,7 +127,7 @@ class WorkloadLibrary:
         )
 
     def branchy(self) -> WorkloadSpec:
-        sets = self._rng.choice(self._layout.dsb_sets, size=8, replace=False)
+        sets = self._rng.choice(DSB_SETS, size=8, replace=False)
         blocks = [
             standard_mix_block(
                 self._layout.block_address(int(dsb_set), 80 + i), label="wl.branchy"

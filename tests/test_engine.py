@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.caches.sa_cache import SetAssociativeCache
 from repro.errors import ExecutionError
 from repro.frontend.engine import FrontendEngine
 from repro.frontend.params import FrontendParams
@@ -20,9 +19,8 @@ def layout() -> BlockChainLayout:
     return BlockChainLayout()
 
 
-def make_engine(lsd_enabled: bool = True, l1i: bool = False) -> FrontendEngine:
-    cache = SetAssociativeCache(64, 8, 64, "L1I") if l1i else None
-    return FrontendEngine(FrontendParams(), lsd_enabled=lsd_enabled, l1i=cache)
+def make_engine(lsd_enabled: bool = True) -> FrontendEngine:
+    return FrontendEngine(FrontendParams(), lsd_enabled=lsd_enabled)
 
 
 class TestPathSelection:
@@ -117,7 +115,7 @@ class TestCacheStealth:
     """The headline property: frontend attacks leave no L1I misses."""
 
     def test_thrash_causes_no_l1i_misses_after_warmup(self, layout):
-        engine = make_engine(l1i=True)
+        engine = make_engine()
         program = LoopProgram(layout.chain(3, 9), 50)
         engine.run_loop(program, exact=True)  # warm up (cold fills)
         misses_before = engine.l1i.stats.misses
@@ -125,7 +123,7 @@ class TestCacheStealth:
         assert engine.l1i.stats.misses == misses_before
 
     def test_dsb_hits_never_touch_l1i(self, layout):
-        engine = make_engine(lsd_enabled=False, l1i=True)
+        engine = make_engine(lsd_enabled=False)
         program = LoopProgram(layout.chain(3, 8), 50)
         engine.run_loop(program, exact=True)
         accesses_before = engine.l1i.stats.accesses

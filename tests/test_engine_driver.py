@@ -25,7 +25,7 @@ from repro.frontend.engine import (
     _report_values,
     _step_fields,
 )
-from repro.isa.blocks import standard_mix_block
+from repro.isa.blocks import DSB_SETS, standard_mix_block
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
@@ -179,7 +179,7 @@ def test_extrapolated_loop_equals_exact(candidate, bit, iterations):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=0), name
         else:
             assert getattr(got, name) == getattr(want, name), name
-    every_set = tuple(range(engines[0].params.dsb_sets))
+    every_set = tuple(range(DSB_SETS))
     assert engines[0]._state(every_set) == engines[1]._state(every_set)
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.frontend.engine import FrontendEngine
 from repro.frontend.params import FrontendParams
-from repro.isa.blocks import lcp_block, standard_mix_block
+from repro.isa.blocks import DSB_SETS, DSB_WAYS, lcp_block, standard_mix_block
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
 
@@ -78,9 +78,9 @@ class TestEngineInvariants:
     def test_dsb_capacity_never_exceeded(self, program):
         engine = FrontendEngine()
         engine.run_loop(program, exact=True)
-        for index in range(engine.params.dsb_sets):
+        for index in range(DSB_SETS):
             used = sum(line.ways for line in engine.dsb._sets[index].values())
-            assert used == engine.dsb._ways[index] <= engine.params.dsb_ways
+            assert used == engine.dsb._ways[index] <= DSB_WAYS
 
     @given(arbitrary_programs())
     @settings(max_examples=30, deadline=None)

@@ -5,29 +5,30 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import LayoutError
+from repro.isa.blocks import dsb_set
 from repro.isa.layout import MISALIGN_OFFSET, BlockChainLayout
 
 
 @pytest.fixture
 def layout() -> BlockChainLayout:
-    return BlockChainLayout(dsb_sets=32, region_base=0x400000)
+    return BlockChainLayout(region_base=0x400000)
 
 
 class TestAddressing:
     def test_period_is_1024(self, layout):
         assert layout.period == 32 * 32
 
-    def test_set_index_bits(self, layout):
+    def test_set_index_bits(self):
         """Set index is addr[9:5] (Section III-A2)."""
-        assert layout.set_index(0x400000) == 0
-        assert layout.set_index(0x400020) == 1
-        assert layout.set_index(0x400000 + 31 * 32) == 31
-        assert layout.set_index(0x400000 + 32 * 32) == 0  # wraps
+        assert dsb_set(0x400000) == 0
+        assert dsb_set(0x400020) == 1
+        assert dsb_set(0x400000 + 31 * 32) == 31
+        assert dsb_set(0x400000 + 32 * 32) == 0  # wraps
 
     def test_block_address_same_set(self, layout):
         for slot in range(10):
             addr = layout.block_address(dsb_set=5, way_slot=slot)
-            assert layout.set_index(addr) == 5
+            assert dsb_set(addr) == 5
 
     def test_misaligned_offset(self, layout):
         aligned = layout.block_address(3, 0)
@@ -42,17 +43,13 @@ class TestAddressing:
 
     def test_rejects_unaligned_region(self):
         with pytest.raises(LayoutError):
-            BlockChainLayout(dsb_sets=32, region_base=0x400010)
-
-    def test_rejects_non_power_of_two_sets(self):
-        with pytest.raises(LayoutError):
-            BlockChainLayout(dsb_sets=33)
+            BlockChainLayout(region_base=0x400010)
 
 
 class TestChains:
     def test_chain_all_same_set(self, layout):
         for block in layout.chain(7, 9):
-            assert layout.set_index(block.windows[0]) == 7
+            assert dsb_set(block.windows[0]) == 7
 
     def test_chain_distinct_addresses(self, layout):
         bases = [b.base for b in layout.chain(7, 9)]
@@ -79,8 +76,8 @@ class TestChains:
     def test_sweep_covers_all_sets(self, layout):
         chains = layout.sweep_chains(count_per_set=8)
         assert len(chains) == 32
-        for dsb_set, chain in enumerate(chains):
-            assert all(layout.set_index(b.windows[0]) == dsb_set for b in chain)
+        for index, chain in enumerate(chains):
+            assert all(dsb_set(b.windows[0]) == index for b in chain)
 
     def test_rejects_empty_chain(self, layout):
         with pytest.raises(LayoutError):

@@ -406,8 +406,8 @@ class DriftedConstantRule(ConstantDriftRule):
     manifest = (
         ConstantSpec(
             "dsb.sets",
-            "src/repro/frontend/params.py",
-            "FrontendParams.dsb_sets",
+            "src/repro/isa/blocks.py",
+            "DSB_SETS",
             33,  # injected drift (paper value is 32)
             "injected drift for the test",
         ),
@@ -418,8 +418,8 @@ class RenamedConstantRule(ConstantDriftRule):
     manifest = (
         ConstantSpec(
             "dsb.sets",
-            "src/repro/frontend/params.py",
-            "FrontendParams.dsb_sets_renamed",
+            "src/repro/isa/blocks.py",
+            "DSB_SETS_RENAMED",
             32,
             "symbol no longer exists",
         ),

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.frontend.lsd import LoopStreamDetector, LsdState, misalignment_collides
+from repro.frontend.lsd import (
+    LSD_CAPACITY,
+    LoopStreamDetector,
+    LsdState,
+    misalignment_collides,
+)
 from repro.frontend.params import FrontendParams
 from repro.isa.layout import BlockChainLayout
 from repro.isa.program import LoopProgram
@@ -33,7 +38,7 @@ class TestStructuralQualification:
     def test_over_capacity_loop_rejected(self, params, layout):
         lsd = LoopStreamDetector(params)
         big = LoopProgram(layout.chain(3, 7) + layout.chain(5, 7, first_slot=10), 10)
-        assert big.uops_per_iteration > params.lsd_capacity
+        assert big.uops_per_iteration > LSD_CAPACITY
         assert not lsd.structurally_qualifies(big)
 
     def test_disabled_lsd_rejects_everything(self, params, layout):
@@ -121,7 +126,7 @@ class TestStateMachine:
             lsd.observe_iteration(loop, all_from_dsb=True)
         # A sibling thread touches a spanning window in folded set 3.
         touched = layout.block_address(3, 50)
-        assert lsd.on_misaligned_set_touch(touched, 32, 16)
+        assert lsd.on_misaligned_set_touch(touched)
 
     def test_misaligned_touch_other_set_ignored(self, params, layout):
         lsd = LoopStreamDetector(params)
@@ -129,7 +134,7 @@ class TestStateMachine:
         for _ in range(3):
             lsd.observe_iteration(loop, all_from_dsb=True)
         touched = layout.block_address(9, 50)
-        assert not lsd.on_misaligned_set_touch(touched, 32, 16)
+        assert not lsd.on_misaligned_set_touch(touched)
         assert lsd.is_streaming(loop)
 
     def test_flush_when_idle_is_noop(self, params):

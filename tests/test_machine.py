@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.frontend.params import FrontendParams
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.machine.specs import (
@@ -49,19 +50,13 @@ class TestTable1Specs:
     def test_smt_machines_exclude_azure(self):
         assert XEON_E2288G not in SMT_SPECS
 
-    def test_shared_frontend_geometry(self):
-        for spec in ALL_SPECS:
-            assert spec.dsb_sets == 32
-            assert spec.dsb_ways == 8
-            assert spec.l1i_sets == 64
-
     def test_cycles_to_seconds(self):
         assert GOLD_6226.cycles_to_seconds(2.7e9) == pytest.approx(1.0)
 
     def test_with_lsd_toggle(self):
         off = GOLD_6226.with_lsd(False)
         assert not off.lsd_enabled
-        assert off.with_lsd(True).lsd_entries == 64
+        assert off.with_lsd(True) == GOLD_6226
 
     def test_spec_by_name(self):
         assert spec_by_name("gold 6226") is GOLD_6226
@@ -73,10 +68,10 @@ class TestTable1Specs:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             MachineSpec("bad", "x", cores=0, threads=0, frequency_ghz=1,
-                        lsd_entries=0, smt=False, sgx=False)
+                        lsd_enabled=False, smt=False, sgx=False)
         with pytest.raises(ConfigurationError):
             MachineSpec("bad", "x", cores=4, threads=6, frequency_ghz=1,
-                        lsd_entries=0, smt=True, sgx=False)
+                        lsd_enabled=False, smt=True, sgx=False)
 
 
 class TestCore:
@@ -111,6 +106,18 @@ class TestCore:
 
 
 class TestMachineFacade:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_inputs_pass_through(self, spec):
+        """The machine keeps the caller's params object, its L1I is its
+        engine's, and its LSDs are on exactly when the spec says so."""
+        params = FrontendParams()
+        machine = Machine(spec, params=params)
+        assert machine.params is params
+        assert machine.l1i is machine.engine.l1i
+        assert all(
+            lsd.enabled is spec.lsd_enabled for lsd in machine.engine.lsds.values()
+        )
+
     def test_run_loop_records_perf(self):
         machine = Machine(GOLD_6226, seed=1)
         program = LoopProgram(machine.layout().chain(3, 8), 50)

@@ -13,7 +13,7 @@ from repro.backend.ports import PortModel
 from repro.caches.sa_cache import SetAssociativeCache
 from repro.frontend.dsb import DecodedStreamBuffer
 from repro.frontend.params import FrontendParams
-from repro.isa.blocks import standard_mix_block
+from repro.isa.blocks import DSB_SETS, DSB_WAYS, dsb_set, standard_mix_block
 from repro.isa.layout import BlockChainLayout
 from repro.isa.uops import Uop, UopKind
 
@@ -119,9 +119,9 @@ class TestDsbInvariants:
         dsb = DecodedStreamBuffer(FrontendParams())
         for thread, slot, smt in operations:
             dsb.insert(thread, 0x400000 + slot * 32, 5, smt)
-        for index in range(dsb.params.dsb_sets):
+        for index in range(DSB_SETS):
             used = sum(line.ways for line in dsb._sets[index].values())
-            assert used == dsb._ways[index] <= dsb.params.dsb_ways
+            assert used == dsb._ways[index] <= DSB_WAYS
 
     @given(
         st.lists(
@@ -148,10 +148,10 @@ class TestDsbInvariants:
         def check():
             for index, entry_set in enumerate(dsb._sets):
                 used = sum(line.ways for line in entry_set.values())
-                assert dsb._ways[index] == used <= dsb.params.dsb_ways
+                assert dsb._ways[index] == used <= DSB_WAYS
 
-        for name, thread, dsb_set, tag, uops, smt in operations:
-            addr = 0x400000 + tag * 1024 + dsb_set * 32
+        for name, thread, set_index, tag, uops, smt in operations:
+            addr = 0x400000 + tag * 1024 + set_index * 32
             if name == "lookup":
                 dsb.lookup(thread, addr, smt)
             elif name == "insert":
@@ -175,7 +175,7 @@ class TestDsbInvariants:
         addr = window_slot * 32
         single = dsb.effective_index(addr, smt_active=False)
         folded = dsb.effective_index(addr, smt_active=True)
-        assert folded == single % (dsb.params.dsb_sets // 2)
+        assert folded == single % (DSB_SETS // 2)
 
 
 class TestLayoutInvariants:
@@ -185,10 +185,10 @@ class TestLayoutInvariants:
         st.booleans(),
     )
     @settings(max_examples=60)
-    def test_chain_blocks_map_to_requested_set(self, dsb_set, count, misaligned):
+    def test_chain_blocks_map_to_requested_set(self, target, count, misaligned):
         layout = BlockChainLayout()
-        for block in layout.chain(dsb_set, count, misaligned=misaligned):
-            assert layout.set_index(block.windows[0]) == dsb_set
+        for block in layout.chain(target, count, misaligned=misaligned):
+            assert dsb_set(block.windows[0]) == target
 
     @given(st.integers(min_value=0, max_value=2**20))
     def test_standard_block_always_one_line(self, base_slot):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.frontend.engine import FrontendEngine, LoopReport
+from repro.isa.blocks import DSB_SETS
 from repro.isa.program import LoopProgram
 from repro.machine.machine import Machine
 from repro.machine.specs import GOLD_6226, XEON_E2288G
@@ -187,7 +188,7 @@ def test_extrapolated_smt_equals_exact(shape):
     differed."""
     primary_iterations, secondary_iterations = shape
     extrapolated, exact = Machine(GOLD_6226), Machine(GOLD_6226)
-    every_set = tuple(range(extrapolated.engine.params.dsb_sets))
+    every_set = tuple(range(DSB_SETS))
     for primary_body in BODIES:
         for secondary_body in BODIES:
             primary = LoopProgram(primary_body, primary_iterations)
